@@ -1,0 +1,73 @@
+"""Byte identity of the documented CLI outputs and of the matrix dump files.
+
+Each documented invocation is rendered in json, csv and pretty, and the
+sha256 of its stdout is compared with the digest recorded before the
+library was refactored; likewise the two ``--dump`` files of the matrix
+example.  A refactor that changes any byte of these outputs fails here.
+
+The matrix digests cover float eigenvalues from LAPACK (the zero mode
+prints as a value near 1e-17), so they are tied to the numpy/BLAS build
+the digests were recorded with.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from tateop.cli import main
+
+STDOUT_SHA256 = {
+    ("greens --p 3 --m 2", "json"): "6f23172909451b410aa3d8ca1936f814ffb46278cca91a5e9f2c82c7ca2dcc12",
+    ("greens --p 3 --m 2", "csv"): "212c9f7caffacfa469363e256645ccf0a5e278cd4307d28b2adcee22c7d6253a",
+    ("greens --p 3 --m 2", "pretty"): "c77fa844d17eed3a50fb4fc46e27c2d92a750bb1509b93a9a5b19cd392a6f690",
+    ("greens --p 2 --m 5", "json"): "aee4d3f84b123fa031222c98115e7072928b42d83abe45eb062646be5ec1ef97",
+    ("greens --p 2 --m 5", "csv"): "16b49a0be6766c3ccbed56ea51c19497a890dfe457ec2002fbdf37fb0755d8e2",
+    ("greens --p 2 --m 5", "pretty"): "fffc2742704ad8d55bcead58c7e76da08ea3e94f892188357cb10c3a32d45b99",
+    ("spectrum --p 3 --m 2 --max-conductor 2", "json"): "7932119e17a4ff1934493bc090932e18da769e658852bf952b7f2c75cd3a1f87",
+    ("spectrum --p 3 --m 2 --max-conductor 2", "csv"): "4baea9c22ded20d42f1596c2325f7242b8abef981c303691fc5a31890900a573",
+    ("spectrum --p 3 --m 2 --max-conductor 2", "pretty"): "39ecbb2ce998b13ee41ed1b433786bb8eca0898f3b36b8ac25cb97ad977adb69",
+    ("spectrum --p 2 --m 1 --max-conductor 3", "json"): "b523857ce5dd1c6992bf1325701aafc5cc6c44b00b88ffa3d8420f5d76bd9f5b",
+    ("spectrum --p 2 --m 1 --max-conductor 3", "csv"): "80254afbbd54718590d4aa53cd06001f721debda5db9b1dc7c31d308cbc03fe6",
+    ("spectrum --p 2 --m 1 --max-conductor 3", "pretty"): "c92b3b7a9556b83b9c50a09d4506ea6690f2c9eeb57e64fa0479db3187fd26f5",
+    ("det --p 3 --m 2", "json"): "812ca184d4c86f3c4e3c483245227765fb1799d8fa8ca88a69dc6613a37bc6da",
+    ("det --p 3 --m 2", "csv"): "22e79a5252d99539d1736f16a5c29668d2686ed83e7ca0c632ce8d3bab4e7d7f",
+    ("det --p 3 --m 2", "pretty"): "4c504e84f87acb63f2a4419b0224ab92f26b33bd6ebac2e7c454c9aa5db0ed80",
+    ("matrix --p 3 --m 2 --level 1", "json"): "c138ca104406fa16f08a540f07beedf61a4e2370354a99e86225b141a0cb035e",
+    ("matrix --p 3 --m 2 --level 1", "csv"): "24a9fa886824f1b6eacd368b027f2cf51c8d8ccfc94cb35118baf6160ceb646d",
+    ("matrix --p 3 --m 2 --level 1", "pretty"): "b4a04fe00beba62c895daa1aa3e526ef78665eb5a474d21dee18f4f70c2c3bb3",
+    ("correlator --p 3 --m 2 --x1 4 --x2 1", "json"): "b88e184b6242efc2b9d9c3203982bdd2b8b1427a2fd48246d3c8a2c616b97411",
+    ("correlator --p 3 --m 2 --x1 4 --x2 1", "csv"): "72862e42dc2cd15f83af4f1403e6993156fb23e9dd45fb8173656e5e6d84552f",
+    ("correlator --p 3 --m 2 --x1 4 --x2 1", "pretty"): "5e9335844d7cff454ff8c5a859289a170e7349669a537efee9f4d4f952098dca",
+    ("tree --p 2 --m 5 --depth 1", "json"): "f883ce4b48a300975cc445b9014127e04ae28d200a9cb08e830266d10551d158",
+    ("tree --p 2 --m 5 --depth 1", "csv"): "f883ce4b48a300975cc445b9014127e04ae28d200a9cb08e830266d10551d158",
+    ("tree --p 2 --m 5 --depth 1", "pretty"): "f883ce4b48a300975cc445b9014127e04ae28d200a9cb08e830266d10551d158",
+}
+
+DUMP_SHA256 = {
+    ".csv": "23986654bbaa97b2a23513a7c109a6f3ea08a89e305d5fe4669a943ff011460b",
+    ".basis.json": "a63863023f03b58b662fd39274bfda4132109a1635d5572a71a7d6e4739c7842",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("command,fmt", sorted(STDOUT_SHA256), ids=lambda x: x)
+def test_documented_stdout_is_byte_identical(command, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split() + ["--format", fmt])
+    assert code == 0
+    assert _sha256(out.getvalue().encode()) == STDOUT_SHA256[(command, fmt)]
+
+
+def test_matrix_dump_files_are_byte_identical(tmp_path):
+    prefix = tmp_path / "mx"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["matrix", "--p", "3", "--m", "2", "--level", "1", "--dump", str(prefix)])
+    assert code == 0
+    for suffix, digest in DUMP_SHA256.items():
+        assert _sha256((tmp_path / ("mx" + suffix)).read_bytes()) == digest, suffix
