@@ -10,11 +10,9 @@ angular and radial factors.
 import argparse
 import sys
 
-from tateop.determinant import angular_determinant, det_D, radial_det_contribution
-from tateop.padic import PrimeParams
+from tateop.determinant import det_factors
+from tateop.padic import PrimeParams, format_float
 from tateop.spectral import enumerate_spectrum, spectral_gap, weyl_count
-
-from tateop.cli import _fmt_float  # shared 15-digit float policy
 
 
 def main() -> int:
@@ -31,15 +29,13 @@ def main() -> int:
     cum = 0
     for e in entries:
         cum += e.multiplicity
-        lam = str(e.eigenvalue) if not isinstance(e.eigenvalue, float) else _fmt_float(e.eigenvalue)
+        lam = str(e.eigenvalue) if not isinstance(e.eigenvalue, float) else format_float(e.eigenvalue)
         print(f"{e.kind:8s} {e.index:5d} {lam:>14s} {e.multiplicity:6d} {cum:8d}")
     lam_top = max(float(e.eigenvalue) for e in entries)
     print(f"\nspectral gap: {spectral_gap(ctx)}")
     print(f"Weyl count at lambda={lam_top:g}: {weyl_count(lam_top, ctx)} (= m*lambda = {ctx.m * lam_top:g})")
-    print(
-        f"det D = {det_D(ctx)} = {angular_determinant(ctx)} (angular) * "
-        f"{radial_det_contribution(ctx)} (radial)"
-    )
+    det, angular, radial, _ = det_factors(ctx)
+    print(f"det D = {det} = {angular} (angular) * {radial} (radial)")
     return 0
 
 

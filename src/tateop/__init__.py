@@ -12,7 +12,6 @@ from .correlator import (
     two_point,
 )
 from .determinant import (
-    ZetaClosedForm,
     angular_determinant,
     det_D,
     radial_det_contribution,
@@ -26,9 +25,6 @@ from .domain import (
     ShellPartition,
     StepFunction,
     geom_sum,
-    haar_measure,
-    height_value,
-    integrate_step,
     local_height,
     total_volume,
 )
@@ -52,7 +48,6 @@ from .operator import (
     weak_delta_check,
 )
 from .padic import (
-    PAdicRational,
     PrimeParams,
     TatePoint,
     norm,

@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .correlator import height_limit_check, two_point
-from .determinant import (
-    angular_determinant,
-    det_D,
-    radial_det_contribution,
-    zeta_pi_series,
-    zeta_pi_value,
-    zeta_prime_at_zero,
-)
+from .determinant import det_factors, zeta_pi_series, zeta_pi_value
 from .matrix import build_matrix, verify_matrix
 from .operator import (
     KernelContext,
@@ -33,7 +26,14 @@ from .operator import (
     height_check_points,
     kernel_H,
 )
-from .padic import PrimeParams, format_rational, parse_rational, point, valuation
+from .padic import (
+    PrimeParams,
+    format_float,
+    format_rational,
+    parse_rational,
+    point,
+    valuation,
+)
 from .spectral import (
     enumerate_conductor,
     enumerate_spectrum,
@@ -53,54 +53,31 @@ class UsageError(Exception):
     """Invalid arguments that argparse alone cannot catch."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation: prime context, subcommand options, output routing.
-
-    The three output formats are mutually exclusive by construction (a single
-    --format choice); p/m validation is deferred to :meth:`context` so the
-    error surfaces as a usage failure.
-    """
-
-    command: str
-    p: int
-    m: int
-    fmt: str
-    out: str | None
-    options: dict
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        fixed = {"command", "p", "m", "format", "out"}
-        return cls(
-            command=args.command,
-            p=args.p,
-            m=args.m,
-            fmt=args.format,
-            out=args.out,
-            options={k: v for k, v in vars(args).items() if k not in fixed},
-        )
-
-    def context(self) -> PrimeParams:
-        try:
-            return PrimeParams(self.p, self.m)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-
 @dataclass
 class Report:
-    """One command's payload: canonical JSON data plus a flat projection."""
+    """One command's payload: canonical JSON data plus a flat projection.
+
+    The exit code follows ``data["all_pass"]``; a report without one passes.
+    """
 
     data: dict
     columns: tuple[str, ...]
     rows: list[tuple]
-    code: int
     raw_text: str | None = field(default=None)
 
+    @property
+    def code(self) -> int:
+        return 0 if self.data.get("all_pass", True) else 1
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".15g")
+
+def _scalar_rows(mapping: dict) -> list[tuple]:
+    """(name, value) rows for the scalar entries of a report mapping, in order."""
+    return [(k, v) for k, v in mapping.items() if not isinstance(v, (list, dict))]
+
+
+def _quantity_report(head: dict, body: dict) -> Report:
+    """JSON data is head then body; the rows are body's scalar quantities."""
+    return Report({**head, **body}, ("quantity", "value"), _scalar_rows(body))
 
 
 def _json_ready(obj):
@@ -109,7 +86,7 @@ def _json_ready(obj):
     if isinstance(obj, bool) or isinstance(obj, int) or obj is None:
         return obj
     if isinstance(obj, float):
-        return float(_fmt_float(obj))
+        return float(format_float(obj))
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -123,7 +100,7 @@ def _cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return _fmt_float(x)
+        return format_float(x)
     return str(x)
 
 
@@ -153,63 +130,45 @@ def render(report: Report, fmt: str) -> str:
     raise UsageError(f"unknown format {fmt!r}")
 
 
-def cmd_greens(cfg: RunConfig) -> Report:
-    ctx = cfg.context()
-    max_vdist = cfg.options["max_vdist"]
-    expect = cfg.options["expect"]
-    if max_vdist < 0:
+GREENS_COLUMNS = ("x", "v", "vdist", "Dh", "expected", "pass")
+
+
+def cmd_greens(args: argparse.Namespace) -> Report:
+    ctx = PrimeParams(args.p, args.m)
+    if args.max_vdist < 0:
         raise UsageError("--max-vdist must be >= 0")
     kc = KernelContext(ctx)
     expected = (
-        parse_rational(expect)
-        if expect is not None
+        parse_rational(args.expect)
+        if args.expect is not None
         else -Fraction(ctx.p, ctx.m * (ctx.p - 1))
     )
     rows = []
-    all_pass = True
-    for x in height_check_points(ctx, max_vdist):
+    for x in height_check_points(ctx, args.max_vdist):
         value = apply_D_height(x, kc)
-        ok = value == expected
-        all_pass = all_pass and ok
-        rows.append(
-            (
-                format_rational(x.value),
-                x.v,
-                valuation(x.value - 1, ctx.p),
-                value,
-                expected,
-                ok,
-            )
+        cells = (
+            format_rational(x.value),
+            x.v,
+            valuation(x.value - 1, ctx.p),
+            value,
+            expected,
+            value == expected,
         )
+        rows.append(dict(zip(GREENS_COLUMNS, cells)))
     data = {
         "command": "greens",
         "p": ctx.p,
         "m": ctx.m,
         "expected": expected,
-        "all_pass": all_pass,
-        "rows": [
-            {
-                "x": r[0],
-                "v": r[1],
-                "vdist": r[2],
-                "Dh": r[3],
-                "expected": r[4],
-                "pass": r[5],
-            }
-            for r in rows
-        ],
+        "all_pass": all(row["pass"] for row in rows),
+        "rows": rows,
     }
-    return Report(
-        data=data,
-        columns=("x", "v", "vdist", "Dh", "expected", "pass"),
-        rows=rows,
-        code=0 if all_pass else 1,
-    )
+    return Report(data, GREENS_COLUMNS, [tuple(row.values()) for row in rows])
 
 
-def cmd_spectrum(cfg: RunConfig) -> Report:
-    ctx = cfg.context()
-    max_conductor = cfg.options["max_conductor"]
+def cmd_spectrum(args: argparse.Namespace) -> Report:
+    ctx = PrimeParams(args.p, args.m)
+    max_conductor = args.max_conductor
     if max_conductor < 1:
         raise UsageError("--max-conductor must be >= 1")
     entries = enumerate_spectrum(max_conductor, ctx)
@@ -259,58 +218,34 @@ def cmd_spectrum(cfg: RunConfig) -> Report:
         "all_pass": checks_pass,
     }
     rows = [(e.kind, e.index, e.eigenvalue, e.multiplicity) for e in entries]
-    return Report(
-        data=data,
-        columns=("kind", "index", "lambda", "mult"),
-        rows=rows,
-        code=0 if checks_pass else 1,
-    )
+    return Report(data, ("kind", "index", "lambda", "mult"), rows)
 
 
-def cmd_det(cfg: RunConfig) -> Report:
-    ctx = cfg.context()
-    det = det_D(ctx)
-    angular = angular_determinant(ctx)
-    radial = radial_det_contribution(ctx)
+def cmd_det(args: argparse.Namespace) -> Report:
+    ctx = PrimeParams(args.p, args.m)
+    det, angular, radial, zeta_prime = det_factors(ctx)
     series_checks = []
-    ok = det == angular * radial
     for s in (2, 3, 4):
         closed = zeta_pi_value(float(s), ctx)
         series = zeta_pi_series(float(s), ctx)
         err = abs(closed - series)
-        this_ok = err < 1e-12
-        ok = ok and this_ok
         series_checks.append(
-            {"s": s, "closed": closed, "series": series, "abs_error": err, "pass": this_ok}
+            {"s": s, "closed": closed, "series": series, "abs_error": err, "pass": err < 1e-12}
         )
-    data = {
-        "command": "det",
-        "p": ctx.p,
-        "m": ctx.m,
+    body = {
         "det": det,
         "angular_factor": angular,
         "radial_factor": radial,
-        "zeta_prime_zero": zeta_prime_at_zero(ctx),
+        "zeta_prime_zero": zeta_prime,
         "zeta_series_checks": series_checks,
-        "all_pass": ok,
+        "all_pass": all(chk["pass"] for chk in series_checks),
     }
-    rows = [
-        ("det", det),
-        ("angular_factor", angular),
-        ("radial_factor", radial),
-        ("zeta_prime_zero", zeta_prime_at_zero(ctx)),
-        ("all_pass", ok),
-    ]
-    return Report(
-        data=data, columns=("quantity", "value"), rows=rows, code=0 if ok else 1
-    )
+    return _quantity_report({"command": "det", "p": ctx.p, "m": ctx.m}, body)
 
 
-def cmd_matrix(cfg: RunConfig) -> Report:
-    ctx = cfg.context()
-    level = cfg.options["level"]
-    dump = cfg.options["dump"]
-    if level < 1:
+def cmd_matrix(args: argparse.Namespace) -> Report:
+    ctx = PrimeParams(args.p, args.m)
+    if args.level < 1:
         raise UsageError("--level must be >= 1")
     cap_env = os.environ.get("TATE_MAX_DIM")
     cap = None
@@ -319,76 +254,59 @@ def cmd_matrix(cfg: RunConfig) -> Report:
             cap = int(cap_env)
         except ValueError as exc:
             raise UsageError(f"TATE_MAX_DIM must be an integer, got {cap_env!r}") from exc
-    kc = KernelContext(ctx)
-    try:
-        mx = build_matrix(level, kc, cap)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    mx = build_matrix(args.level, KernelContext(ctx), cap)
     report = verify_matrix(mx, ctx)
-    if dump:
-        with open(dump + ".csv", "w") as fh:
+    if args.dump:
+        with open(args.dump + ".csv", "w") as fh:
             fh.write(mx.to_csv())
-        with open(dump + ".basis.json", "w") as fh:
+        with open(args.dump + ".basis.json", "w") as fh:
             json.dump(_json_ready(mx.basis_manifest()), fh, indent=2)
             fh.write("\n")
+    checks = report.to_json_dict()
     data = {
         "command": "matrix",
         "p": ctx.p,
         "m": ctx.m,
-        "level": level,
+        "level": args.level,
         "dimension": mx.dimension,
-        "eigenvalues": mx.eigenvalues(),
-        "report": report.to_json_dict(),
+        "eigenvalues": report.eigenvalues,
+        "report": checks,
         "all_pass": report.passed,
     }
-    rows = [
-        ("dimension", report.dimension),
-        ("symmetric", report.symmetric),
-        ("row_sums_zero", report.row_sums_zero),
-        ("min_eigenvalue", report.min_eigenvalue),
-        ("positive_semidefinite", report.positive_semidefinite),
-        ("kernel_dimension", report.kernel_dimension),
-        ("multiset_deviation", report.multiset_deviation),
-        ("spectrum_match", report.spectrum_match),
-        ("eigenfunction_residual", report.eigenfunction_residual),
-        ("eigenfunctions_ok", report.eigenfunctions_ok),
-        ("all_pass", report.passed),
-    ]
-    return Report(
-        data=data,
-        columns=("check", "value"),
-        rows=rows,
-        code=0 if report.passed else 1,
-    )
+    rows = _scalar_rows({k: v for k, v in checks.items() if k != "passed"})
+    return Report(data, ("check", "value"), rows + [("all_pass", report.passed)])
 
 
-def cmd_correlator(cfg: RunConfig) -> Report:
-    ctx = cfg.context()
-    delta = cfg.options["delta"]
+def cmd_correlator(args: argparse.Namespace) -> Report:
+    ctx = PrimeParams(args.p, args.m)
+    delta = args.delta
     try:
-        x1 = point(parse_rational(cfg.options["x1"]), ctx)
-        x2 = point(parse_rational(cfg.options["x2"]), ctx)
-    except (ValueError, ZeroDivisionError) as exc:
+        x1 = point(parse_rational(args.x1), ctx)
+        x2 = point(parse_rational(args.x2), ctx)
+    except ValueError as exc:
         raise UsageError(f"bad point: {exc}") from exc
     if delta <= 0:
         raise UsageError("--delta must be positive")
     if x1.value == x2.value:
         raise UsageError("points must be distinct")
-    kc = KernelContext(ctx)
-    value = two_point(x1, x2, delta, ctx)
+    try:
+        value = two_point(x1, x2, delta, ctx)
+    except OverflowError as exc:
+        raise UsageError(f"--delta {delta:g}: the two-point value overflows a float") from exc
     at_one = two_point(x1, x2, 1.0, ctx)
-    kernel = float(kernel_H(x1, x2, kc))
+    kernel = float(kernel_H(x1, x2, KernelContext(ctx)))
     kernel_ok = abs(at_one - kernel) <= 1e-12 * (1 + abs(kernel))
     estimate, target = height_limit_check(x1, x2, ctx)
     limit_ok = abs(estimate - target) < LIMIT_TOLERANCE * (1 + abs(target))
-    ok = kernel_ok and limit_ok
-    data = {
+    head = {
         "command": "correlator",
         "p": ctx.p,
         "m": ctx.m,
         "x1": x1.value,
         "x2": x2.value,
         "delta": float(delta),
+    }
+    body = {
         "two_point": value,
         "two_point_at_delta_1": at_one,
         "kernel": kernel,
@@ -396,40 +314,18 @@ def cmd_correlator(cfg: RunConfig) -> Report:
         "limit_estimate": estimate,
         "limit_target": target,
         "limit_match": limit_ok,
-        "all_pass": ok,
+        "all_pass": kernel_ok and limit_ok,
     }
-    rows = [
-        ("two_point", value),
-        ("two_point_at_delta_1", at_one),
-        ("kernel", kernel),
-        ("kernel_match", kernel_ok),
-        ("limit_estimate", estimate),
-        ("limit_target", target),
-        ("limit_match", limit_ok),
-        ("all_pass", ok),
-    ]
-    return Report(
-        data=data, columns=("quantity", "value"), rows=rows, code=0 if ok else 1
-    )
+    return _quantity_report(head, body)
 
 
-def cmd_tree(cfg: RunConfig) -> Report:
-    depth = cfg.options["depth"]
-    if depth < 0:
+def cmd_tree(args: argparse.Namespace) -> Report:
+    if args.depth < 0:
         raise UsageError("--depth must be >= 0")
-    try:
-        nodes, edges = tree_quotient(cfg.p, cfg.m, depth)
-        dot = tree_quotient_dot(cfg.p, cfg.m, depth)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    nodes, edges = tree_quotient(args.p, args.m, args.depth)
+    dot = tree_quotient_dot(args.p, args.m, args.depth)
     data = {"command": "tree", "nodes": len(nodes), "edges": len(edges)}
-    return Report(
-        data=data,
-        columns=("nodes", "edges"),
-        rows=[(len(nodes), len(edges))],
-        code=0,
-        raw_text=dot,
-    )
+    return Report(data, ("nodes", "edges"), [(len(nodes), len(edges))], raw_text=dot)
 
 
 HANDLERS = {
@@ -494,21 +390,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    cfg = RunConfig.from_args(args)
     try:
-        report = HANDLERS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+        report = HANDLERS[args.command](args)
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"math check failed: {exc}", file=sys.stderr)
         return 1
-    text = render(report, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    text = render(report, args.format)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -8,7 +8,6 @@ its own analytic continuation, so the determinant factorizes exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import PrimeParams
@@ -80,36 +79,36 @@ def zeta_prime_at_zero(ctx: PrimeParams) -> float:
     return analytic
 
 
-def radial_det_contribution(ctx: PrimeParams) -> Fraction:
-    """exp(-zeta'(0)) resummed over the radial tower: (p/(p-1))^m exactly."""
-    p, m = ctx.p, ctx.m
-    closed = Fraction(p, p - 1) ** m
-    if abs(math.exp(-zeta_prime_at_zero(ctx)) - float(closed)) > 1e-8:
+def _radial_factor(ctx: PrimeParams, zeta_prime: float) -> Fraction:
+    """(p/(p-1))^m, checked against exp(-zeta'(0)) to 1e-8 relative."""
+    closed = Fraction(ctx.p, ctx.p - 1) ** ctx.m
+    target = float(closed)
+    if abs(math.exp(-zeta_prime) - target) > 1e-8 * target:
         raise ArithmeticError("exponentiated zeta derivative misses the closed form")
     return closed
 
 
-def det_D(ctx: PrimeParams) -> Fraction:
-    """m^2 (1 - 1/p) / (1 - p^(-m))^2; equals angular x radial exactly."""
+def radial_det_contribution(ctx: PrimeParams) -> Fraction:
+    """exp(-zeta'(0)) resummed over the radial tower: (p/(p-1))^m exactly."""
+    return _radial_factor(ctx, zeta_prime_at_zero(ctx))
+
+
+def det_factors(ctx: PrimeParams) -> tuple[Fraction, Fraction, Fraction, float]:
+    """(det D, angular factor, radial factor, zeta'(0)), each computed once.
+
+    det D = m^2 (1 - 1/p) / (1 - p^(-m))^2 must equal angular x radial
+    exactly.
+    """
     p, m = ctx.p, ctx.m
     closed = Fraction(m * m) * (1 - Fraction(1, p)) / (1 - Fraction(1, p**m)) ** 2
-    if closed != angular_determinant(ctx) * radial_det_contribution(ctx):
+    angular = angular_determinant(ctx)
+    zeta_prime = zeta_prime_at_zero(ctx)
+    radial = _radial_factor(ctx, zeta_prime)
+    if closed != angular * radial:
         raise ArithmeticError("determinant does not factor as angular x radial")
-    return closed
+    return closed, angular, radial, zeta_prime
 
 
-@dataclass(frozen=True)
-class ZetaClosedForm:
-    """The radial zeta function of one prime context, pole at s = 1."""
-
-    ctx: PrimeParams
-
-    def value(self, s: float) -> float:
-        return zeta_pi_value(s, self.ctx)
-
-    def series(self, s: float, terms: int = 200) -> float:
-        return zeta_pi_series(s, self.ctx, terms)
-
-    @property
-    def pole(self) -> float:
-        return 1.0
+def det_D(ctx: PrimeParams) -> Fraction:
+    """m^2 (1 - 1/p) / (1 - p^(-m))^2; equals angular x radial exactly."""
+    return det_factors(ctx)[0]

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .padic import (
-    PAdicRational,
     PrimeParams,
     Rational,
     TatePoint,
@@ -85,7 +84,7 @@ class Ball:
         return Fraction(1, self.ctx.p**self.k)
 
     def center_point(self) -> TatePoint:
-        return TatePoint(PAdicRational(Fraction(self.center * self.ctx.p**self.v), self.ctx))
+        return TatePoint(Fraction(self.center * self.ctx.p**self.v), self.ctx, self.v)
 
     def contains(self, x: TatePoint) -> bool:
         if x.v != self.v:
@@ -101,11 +100,6 @@ class Ball:
 
     def label(self) -> str:
         return f"v{self.v}.k{self.k}.c{self.center}"
-
-
-def haar_measure(ball: Ball) -> Fraction:
-    """Multiplicative measure of a ball; see :meth:`Ball.measure`."""
-    return ball.measure()
 
 
 @dataclass(frozen=True)
@@ -264,11 +258,6 @@ class StepFunction:
         return cls(ShellPartition(ctx, tuple(balls)), tuple(values))
 
 
-def integrate_step(f: StepFunction):
-    """Integral of a step function against the multiplicative Haar measure."""
-    return f.integral()
-
-
 def local_height(w: TatePoint) -> Fraction:
     """h(w) = v(w - 1) + v_w (v_w - m) / (2m) + m / 12, for w != 1."""
     if w.value == 1:
@@ -315,8 +304,3 @@ class HeightProfile:
             j = valuation(b.center_point().value - y.value, p) - y.v
             out += j * b.measure()
         return out
-
-
-def height_value(prof: HeightProfile, x: TatePoint) -> Fraction:
-    """Value of a height profile at a point; see :class:`HeightProfile`."""
-    return prof.value_at(x)

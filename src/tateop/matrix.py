@@ -15,7 +15,7 @@ import numpy as np
 
 from .domain import Ball, ShellPartition, StepFunction
 from .operator import KernelContext, apply_D_step, integrate_H_over_ball
-from .padic import PrimeParams
+from .padic import PrimeParams, format_rational
 from .spectral import (
     AngularCharacter,
     CharacterLabel,
@@ -75,7 +75,7 @@ class OperatorMatrix:
         labels = [b.label() for b in self.basis]
         lines = ["basis," + ",".join(labels)]
         for label, row in zip(labels, self.entries):
-            lines.append(label + "," + ",".join(_fmt_frac(x) for x in row))
+            lines.append(label + "," + ",".join(format_rational(x) for x in row))
         return "\n".join(lines) + "\n"
 
     def basis_manifest(self) -> dict:
@@ -89,10 +89,6 @@ class OperatorMatrix:
                 for b in self.basis
             ],
         }
-
-
-def _fmt_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> OperatorMatrix:
@@ -123,8 +119,10 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
 
 @dataclass(frozen=True)
 class MatrixReport:
-    """Structural and spectral checks of one assembled matrix."""
+    """Structural and spectral checks of one assembled matrix, with the
+    ascending eigenvalues they were made on."""
 
+    eigenvalues: list[float]
     dimension: int
     symmetric: bool
     row_sums_zero: bool
@@ -227,6 +225,7 @@ def verify_matrix(mx: OperatorMatrix, ctx: PrimeParams) -> MatrixReport:
     if not eigenfunctions_ok:
         failures.append("eigenfunction residuals")
     return MatrixReport(
+        eigenvalues=eigs,
         dimension=dim,
         symmetric=symmetric,
         row_sums_zero=row_sums_zero,

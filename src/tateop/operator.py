@@ -22,18 +22,24 @@ from .domain import (
     local_height,
     total_volume,
 )
-from .padic import PAdicRational, PrimeParams, TatePoint, point, tate_div, valuation
+from .padic import PrimeParams, TatePoint, point, tate_div, valuation
 
 
 def c_p_const(p: int) -> Fraction:
     """Normalizing constant p (p - 1) / (p + 1).
 
-    Written as p (1 - 1/p)^2 / (1 - 1/p^2); the reduced form is asserted
+    Written as p (1 - 1/p)^2 / (1 - 1/p^2); the reduced form is checked
     against it.
     """
     raw = p * (1 - Fraction(1, p)) ** 2 / (1 - Fraction(1, p * p))
-    assert raw == Fraction(p * (p - 1), p + 1)
+    if raw != Fraction(p * (p - 1), p + 1):
+        raise ArithmeticError(f"c_p at p={p}: {raw} differs from p(p-1)/(p+1)")
     return raw
+
+
+def shell_coupling(p: int, m: int, u: int) -> Fraction:
+    """(p^(m-u) + p^u) / (q - 1): the kernel between shells u apart, 0 < u < m."""
+    return Fraction(p ** (m - u) + p**u, p**m - 1)
 
 
 @lru_cache(maxsize=None)
@@ -54,8 +60,11 @@ def _kernel_by_valuations(p: int, m: int, vx: int, vz: int, vdiff: int) -> Fract
     else:
         if not 0 < u < m:
             raise ValueError("shell distance must lie strictly between 0 and m")
-        case_form = Fraction(p ** (m - u) + p**u, q1)
-    assert norm_form == case_form
+        case_form = shell_coupling(p, m, u)
+    if norm_form != case_form:
+        raise ArithmeticError(
+            f"kernel forms disagree at p={p}, m={m}, valuations ({vx}, {vz}, {vdiff})"
+        )
     return norm_form
 
 
@@ -130,9 +139,8 @@ def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
     p, m = kc.ctx.p, kc.ctx.m
     if x.value == 1:
         raise ValueError("height is singular at the identity")
-    q1 = p**m - 1
     vx = x.v
-    two_over = Fraction(2, q1)
+    two_over = Fraction(2, p**m - 1)
     total = Fraction(0)
     if vx == 0:
         ell = valuation(x.value - 1, p)
@@ -155,10 +163,9 @@ def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
         i0 += Fraction(p - 1, p) * (Fraction(p ** (2 * ell)) + two_over) * tail
         total += i0
         for v in range(1, m):
-            u = v
             total += (
                 Fraction(p - 1, p)
-                * Fraction(p ** (m - u) + p**u, q1)
+                * shell_coupling(p, m, v)
                 * (Fraction(v * (v - m), 2 * m) - ell)
             )
     else:
@@ -166,17 +173,16 @@ def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
         # The height difference vanishes identically on the shell of x,
         # so that shell drops out.  On the unit shell the v(z - 1) profile
         # integrates to 1/(p - 1); the remaining shells are constant.
-        i0 = Fraction(p ** (m - vx) + p**vx, q1) * (
+        i0 = shell_coupling(p, m, vx) * (
             Fraction(1, p - 1) - Fraction(p - 1, p) * a_x
         )
         total += i0
         for v in range(1, m):
             if v == vx:
                 continue
-            u = abs(v - vx)
             total += (
                 Fraction(p - 1, p)
-                * Fraction(p ** (m - u) + p**u, q1)
+                * shell_coupling(p, m, abs(v - vx))
                 * (Fraction(v * (v - m), 2 * m) - a_x)
             )
     return -kc.c_p * total

@@ -3,7 +3,8 @@
 Everything is ``fractions.Fraction`` based: valuations, norms, and the
 reduction into the fundamental domain E (the union of the shells
 p^i Z_p^x for 0 <= i < m) are computed exactly, so the identities asserted
-elsewhere in the package hold with zero tolerance.
+elsewhere in the package hold with zero tolerance.  The two number formats
+of every report (exact rationals, 15-digit floats) live here too.
 """
 
 from __future__ import annotations
@@ -40,7 +41,12 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Rational) -> str:
     """Serialize exactly as parsed: ``a`` for integers, ``a/b`` otherwise."""
-    return str(Fraction(x))
+    return str(x if isinstance(x, Fraction) else Fraction(x))
+
+
+def format_float(x: float) -> str:
+    """The one float policy of every report: 15 significant digits."""
+    return format(float(x), ".15g")
 
 
 @dataclass(frozen=True)
@@ -92,113 +98,50 @@ def norm(x: Rational, p: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class PAdicRational:
-    """A rational number carrying the prime context it is read in."""
+class TatePoint:
+    """Canonical representative of a curve point: nonzero rational with 0 <= v < m.
+
+    ``v`` is the valuation of ``value``; it is computed when not given.
+    Callers that pass it (reduction, ball centers) already know it.
+    """
 
     value: Fraction
     ctx: PrimeParams
+    v: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", Fraction(self.value))
-
-    def valuation(self) -> int:
-        return valuation(self.value, self.ctx.p)
-
-    def norm(self) -> Fraction:
-        return norm(self.value, self.ctx.p)
-
-    def is_unit(self) -> bool:
-        return self.value != 0 and self.valuation() == 0
-
-    def unit_part(self) -> Fraction:
-        """x / p^v(x), a p-adic unit."""
-        return self.value * Fraction(self.ctx.p) ** (-self.valuation())
-
-    def _other_value(self, other: "PAdicRational | Rational") -> Fraction:
-        if isinstance(other, PAdicRational):
-            if other.ctx != self.ctx:
-                raise ValueError("mixed prime contexts")
-            return other.value
-        return Fraction(other)
-
-    def __mul__(self, other):
-        return PAdicRational(self.value * self._other_value(other), self.ctx)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return PAdicRational(self.value / self._other_value(other), self.ctx)
-
-    def __add__(self, other):
-        return PAdicRational(self.value + self._other_value(other), self.ctx)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return PAdicRational(self.value - self._other_value(other), self.ctx)
-
-    def __neg__(self):
-        return PAdicRational(-self.value, self.ctx)
-
-
-@dataclass(frozen=True)
-class TatePoint:
-    """Canonical representative of a curve point: nonzero rational with 0 <= v < m."""
-
-    rep: PAdicRational
-
-    def __post_init__(self) -> None:
-        if self.rep.value == 0:
+        value = Fraction(self.value)
+        if value == 0:
             raise ValueError("zero is not a point of the multiplicative curve")
-        v = self.rep.valuation()
-        if not 0 <= v < self.rep.ctx.m:
-            raise ValueError(
-                f"representative has valuation {v}, outside [0, {self.rep.ctx.m})"
-            )
-        object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_unit", self.rep.value * Fraction(self.rep.ctx.p) ** (-v))
-
-    @property
-    def ctx(self) -> PrimeParams:
-        return self.rep.ctx
-
-    @property
-    def value(self) -> Fraction:
-        return self.rep.value
-
-    @property
-    def v(self) -> int:
-        """Valuation of the canonical representative; lies in [0, m)."""
-        return self._v  # type: ignore[attr-defined]
+        v = valuation(value, self.ctx.p) if self.v is None else self.v
+        if not 0 <= v < self.ctx.m:
+            raise ValueError(f"representative has valuation {v}, outside [0, {self.ctx.m})")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "_unit", value * Fraction(self.ctx.p) ** (-v))
 
     def norm(self) -> Fraction:
         return norm_from_valuation(self.v, self.ctx.p)
 
     def unit_part(self) -> Fraction:
+        """x / p^v(x), a p-adic unit."""
         return self._unit  # type: ignore[attr-defined]
 
 
-def reduce_to_E(x: "TatePoint | PAdicRational | Rational", ctx: PrimeParams | None = None) -> TatePoint:
+def reduce_to_E(x: "TatePoint | Rational", ctx: PrimeParams | None = None) -> TatePoint:
     """Multiply by the power of q = p^m that lands the valuation in [0, m)."""
     if isinstance(x, TatePoint):
         if ctx is not None and x.ctx != ctx:
             raise ValueError("mixed prime contexts")
         return x
-    if isinstance(x, PAdicRational):
-        if ctx is not None and x.ctx != ctx:
-            raise ValueError("mixed prime contexts")
-        ctx = x.ctx
-        val = x.value
-    else:
-        if ctx is None:
-            raise TypeError("ctx required when reducing a bare rational")
-        val = Fraction(x)
+    if ctx is None:
+        raise TypeError("ctx required when reducing a bare rational")
+    val = Fraction(x)
     if val == 0:
         raise ValueError("zero cannot be reduced to the fundamental domain")
     v = valuation(val, ctx.p)
     shift = (v % ctx.m - v) // ctx.m
-    rep = val * Fraction(ctx.q) ** shift
-    return TatePoint(PAdicRational(rep, ctx))
+    return TatePoint(val * Fraction(ctx.q) ** shift, ctx, v % ctx.m)
 
 
 def point(x: Rational, ctx: PrimeParams) -> TatePoint:

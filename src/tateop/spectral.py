@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .domain import ShellPartition, StepFunction, canonical_center
-from .operator import c_p_const
-from .padic import PAdicRational, PrimeParams, Rational, int_valuation, is_prime
+from .operator import c_p_const, shell_coupling
+from .padic import PrimeParams, Rational, format_rational, int_valuation, is_prime
 
 DLOG_TABLE_LIMIT = 10**6
 
@@ -67,7 +67,8 @@ def _unit_dlog_table(p: int, n: int) -> dict:
     for t in range(phi):
         table[cur] = t
         cur = cur * g % mod
-    assert len(table) == phi and cur == 1
+    if len(table) != phi or cur != 1:
+        raise ArithmeticError(f"{g} does not generate the units mod {mod}")
     return table
 
 
@@ -83,7 +84,8 @@ def _two_adic_table(n: int) -> dict:
         table[cur] = (0, t)
         table[mod - cur] = (1, t)
         cur = cur * 3 % mod
-    assert len(table) == 2 ** (n - 1)
+    if len(table) != 2 ** (n - 1):
+        raise ArithmeticError(f"-1 and 3 do not generate the units mod {mod}")
     return table
 
 
@@ -145,7 +147,7 @@ class UnitCharacter:
         """Fraction of a turn: the character value is e^(2 pi i exponent)."""
         if self.n == 0:
             return Fraction(0)
-        u_res = _unit_residue(u, self.p, self.n)
+        u_res = canonical_center(u, self.n, self.p)
         if self.p != 2:
             t = _unit_dlog_table(self.p, self.n)[u_res]
             phi = (self.p - 1) * self.p ** (self.n - 1)
@@ -166,11 +168,6 @@ class UnitCharacter:
     @property
     def is_trivial(self) -> bool:
         return self.conductor == 0
-
-
-def _unit_residue(u, p: int, n: int) -> int:
-    val = u.value if isinstance(u, PAdicRational) else Fraction(u)
-    return canonical_center(val, n, p)
 
 
 def _level_generators(p: int, n: int, f: int) -> tuple[int, ...]:
@@ -195,14 +192,14 @@ def _conductor_of(chi: UnitCharacter) -> int:
 
 def character_value(chi: UnitCharacter, u):
     """Value of a radial character at a unit; a root of unity."""
-    val = u.value if isinstance(u, PAdicRational) else Fraction(u)
+    val = Fraction(u)
     if val.numerator % chi.p == 0 or val.denominator % chi.p == 0:
         raise ValueError("character argument must be a p-adic unit")
     return chi.value(val)
 
 
 def enumerate_conductor(p: int, n: int) -> tuple[UnitCharacter, ...]:
-    """All characters of exact conductor n, with the count asserted."""
+    """All characters of exact conductor n, with the count checked."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 0:
@@ -227,7 +224,10 @@ def enumerate_conductor(p: int, n: int) -> tuple[UnitCharacter, ...]:
         candidates.extend(UnitCharacter(p, n, a) for a in range(1, phi))
         expected = p - 2 if n == 1 else (p - 1) ** 2 * p ** (n - 2)
     chars = tuple(chi for chi in candidates if chi.conductor == n)
-    assert len(chars) == expected
+    if len(chars) != expected:
+        raise ArithmeticError(
+            f"{len(chars)} characters of conductor {n} mod {p}^{n}, expected {expected}"
+        )
     return chars
 
 
@@ -309,11 +309,10 @@ def eigenvalue_radial_integral(
         s_hat += val / p_n
         if u != 1:
             s_main += p ** (2 * int_valuation(u - 1, p)) * (1 - val) / p_n
-    q1 = p**m - 1
-    total = s_main + Fraction(2, q1) * (complex(mu_units) - s_hat)
+    total = s_main + Fraction(2, p**m - 1) * (complex(mu_units) - s_hat)
     for v in range(1, m):
         w = complex(zeta.value(v))
-        total += Fraction(p ** (m - v) + p**v, q1) * (complex(mu_units) - w * s_hat)
+        total += shell_coupling(p, m, v) * (complex(mu_units) - w * s_hat)
     return complex(c_p_const(p)) * total
 
 
@@ -334,11 +333,10 @@ def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
     p, m = ctx.p, ctx.m
     zeta = AngularCharacter(m, l)
     mu_units = Fraction(p - 1, p)
-    q1 = p**m - 1
     total = 0j
     for v in range(1, m):
         total += (
-            Fraction(p ** (m - v) + p**v, q1)
+            shell_coupling(p, m, v)
             * (complex(zeta.value(v)) - 1)
             * complex(mu_units)
         )
@@ -399,13 +397,9 @@ class SpectrumEntry:
 
     def to_json_dict(self) -> dict:
         lam = (
-            f"{self.eigenvalue.numerator}/{self.eigenvalue.denominator}"
-            if isinstance(self.eigenvalue, Fraction) and self.eigenvalue.denominator != 1
-            else (
-                str(self.eigenvalue.numerator)
-                if isinstance(self.eigenvalue, Fraction)
-                else float(self.eigenvalue)
-            )
+            format_rational(self.eigenvalue)
+            if isinstance(self.eigenvalue, Fraction)
+            else float(self.eigenvalue)
         )
         out: dict = {"kind": self.kind}
         if self.kind == "radial":

@@ -43,7 +43,10 @@ def tree_quotient(
                 edges.append((parent, child))
                 next_frontier.append(child)
         frontier = next_frontier
-    assert len(nodes) == total and len(edges) == total
+    if len(nodes) != total or len(edges) != total:
+        raise ArithmeticError(
+            f"quotient has {len(nodes)} nodes and {len(edges)} edges, expected {total} each"
+        )
     return nodes, edges
 
 

@@ -72,6 +72,10 @@ def test_det_payload():
     assert doc["angular_factor"] == "3/2"
     assert doc["radial_factor"] == "9/4"
     assert all(chk["pass"] for chk in doc["zeta_series_checks"])
+    for m in (24, 100):
+        code, out, _ = run_cli(["det", "--p", "2", "--m", str(m)])
+        assert code == 0
+        assert json.loads(out)["radial_factor"] == str(2**m)
 
 
 def test_matrix_payload_and_dump(tmp_path):
@@ -110,6 +114,15 @@ def test_usage_errors_exit_2():
     assert run_cli(["spectrum", "--p", "3", "--m", "2", "--max-conductor", "0"])[0] == 2
     assert run_cli(["greens", "--p", "3", "--m", "0"])[0] == 2
     assert run_cli(["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "4"])[0] == 2
+    # The two-point value near 3^800 fits no float: a usage error, not a failed check.
+    code, _, err = run_cli(
+        ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1", "--delta", "400"]
+    )
+    assert code == 2
+    assert "--delta" in err
+    assert run_cli(
+        ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1", "--delta", "120"]
+    )[0] == 0
     assert run_cli(["nope"])[0] == 2
 
 

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from tateop.determinant import (
-    ZetaClosedForm,
     angular_determinant,
     det_D,
     radial_det_contribution,
@@ -86,6 +85,9 @@ def test_radial_contribution_oracles():
     assert radial_det_contribution(PrimeParams(3, 2)) == Fraction(9, 4)
     assert radial_det_contribution(PrimeParams(2, 1)) == 2
     assert radial_det_contribution(PrimeParams(5, 3)) == Fraction(125, 64)
+    # (p/(p-1))^m outgrows any absolute tolerance; the bound is relative.
+    assert radial_det_contribution(PrimeParams(2, 24)) == 2**24
+    assert radial_det_contribution(PrimeParams(2, 100)) == 2**100
 
 
 def test_det_oracles():
@@ -108,7 +110,8 @@ def test_det_factorization_exact():
 
 
 def test_zeta_closed_form_wrapper():
-    zc = ZetaClosedForm(PrimeParams(3, 1))
-    assert zc.value(2) == pytest.approx(5 / 12, abs=1e-15)
-    assert zc.pole == 1
-    assert abs(zc.series(2.0) - zc.value(2)) < 1e-12
+    ctx = PrimeParams(3, 1)
+    assert zeta_pi_value(2, ctx) == pytest.approx(5 / 12, abs=1e-15)
+    with pytest.raises(ValueError):  # the pole at s = 1
+        zeta_pi_value(1, ctx)
+    assert abs(zeta_pi_series(2.0, ctx) - zeta_pi_value(2, ctx)) < 1e-12

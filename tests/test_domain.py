@@ -13,9 +13,6 @@ from tateop.domain import (
     ShellPartition,
     StepFunction,
     geom_sum,
-    haar_measure,
-    height_value,
-    integrate_step,
     local_height,
     total_volume,
 )
@@ -63,7 +60,7 @@ def test_ball_membership_and_measure():
     assert b.contains(point(7, ctx))
     assert not b.contains(point(2, ctx))
     assert not b.contains(point(3, ctx))
-    assert b.measure() == haar_measure(b) == Fraction(1, 3)
+    assert b.measure() == Fraction(1, 3)
     assert Ball(ctx, 1, 2, 7).measure() == Fraction(1, 9)
 
 
@@ -122,7 +119,7 @@ def test_step_function_basics():
     assert f.value_at(point(4, ctx)) == 1
     assert f.value_at(point(2, ctx)) == 2
     assert f.value_at(point(3, ctx)) == 3
-    assert f.integral() == integrate_step(f) == Fraction(10, 3)
+    assert f.integral() == Fraction(10, 3)
     assert StepFunction.constant(ctx, 5).integral() == 5 * total_volume(ctx)
     assert StepFunction.indicator_shell(ctx, 1).integral() == Fraction(2, 3)
 
@@ -205,12 +202,12 @@ def test_height_profile_matches_pointwise_values():
 def test_height_value_oracles():
     ctx = PrimeParams(3, 2)
     at_one = HeightProfile(point(1, ctx))
-    assert height_value(at_one, point(4, ctx)) == Fraction(7, 6)
-    assert height_value(at_one, point(3, ctx)) == Fraction(-1, 12)
+    assert at_one.value_at(point(4, ctx)) == Fraction(7, 6)
+    assert at_one.value_at(point(3, ctx)) == Fraction(-1, 12)
     # Rebasing at 3 and scaling the argument leaves the value unchanged.
-    assert height_value(HeightProfile(point(3, ctx)), point(12, ctx)) == Fraction(7, 6)
+    assert HeightProfile(point(3, ctx)).value_at(point(12, ctx)) == Fraction(7, 6)
     with pytest.raises(ValueError):
-        height_value(at_one, point(1, ctx))
+        at_one.value_at(point(1, ctx))
 
 
 @given(configs, st.integers(min_value=2, max_value=30), st.integers(min_value=2, max_value=30))
@@ -220,8 +217,8 @@ def test_height_value_rebase_consistency(cfg, a, b):
     x, y = point(a, ctx), point(b, ctx)
     if tate_div(x, y).value == 1:
         return
-    assert height_value(HeightProfile(y), x) == height_value(
-        HeightProfile(point(1, ctx)), tate_div(x, y)
+    assert HeightProfile(y).value_at(x) == HeightProfile(point(1, ctx)).value_at(
+        tate_div(x, y)
     )
 
 

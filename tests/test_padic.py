@@ -7,7 +7,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tateop.padic import (
-    PAdicRational,
     PrimeParams,
     format_rational,
     int_valuation,
@@ -82,18 +81,6 @@ def test_prime_params_validation():
     assert PrimeParams(3, 2).q == 9
 
 
-def test_padic_rational_arithmetic():
-    ctx = PrimeParams(3, 2)
-    a = PAdicRational(Fraction(6), ctx)
-    b = PAdicRational(Fraction(1, 3), ctx)
-    assert (a * b).value == 2
-    assert (a / b).value == 18
-    assert (a - b).valuation() == -1
-    assert a.unit_part() == 2
-    with pytest.raises(ValueError):
-        a * PAdicRational(Fraction(1), PrimeParams(5, 2))
-
-
 def test_reduce_to_E_oracles():
     ctx = PrimeParams(3, 2)
     x = point(18, ctx)
@@ -101,6 +88,7 @@ def test_reduce_to_E_oracles():
     assert x.value == 2 and x.v == 0
     y = point(Fraction(1, 3), ctx)
     assert y.value == 3 and y.v == 1
+    assert point(6, ctx).unit_part() == 2
     assert point(5, PrimeParams(5, 1)).value == 1
     with pytest.raises(ValueError):
         point(0, ctx)
@@ -125,3 +113,5 @@ def test_group_operations(p, m, a, b):
     assert tate_mul(tate_div(x, y), y).value == x.value
     one = point(1, ctx)
     assert tate_mul(x, tate_inv(x)).value == one.value
+    with pytest.raises(ValueError):
+        tate_mul(x, point(b, PrimeParams(7 if p == 5 else 5, m)))
