@@ -3,7 +3,8 @@
 Each documented invocation is rendered in json, csv and pretty, and the
 sha256 of its stdout is compared with the digest recorded before the
 library was refactored; likewise the two ``--dump`` files of the matrix
-example.  A refactor that changes any byte of these outputs fails here.
+example, and of the benchmark's matrix rungs with the ``--dump`` files of
+the largest.  A refactor that changes any byte of these outputs fails here.
 
 The matrix digests cover float eigenvalues from LAPACK (the zero mode
 prints as a value near 1e-17), so they are tied to the numpy/BLAS build
@@ -50,6 +51,18 @@ DUMP_SHA256 = {
     ".basis.json": "a63863023f03b58b662fd39274bfda4132109a1635d5572a71a7d6e4739c7842",
 }
 
+# The benchmark's matrix rungs (dimensions 128, 54 and 200), json stdout.
+LADDER_STDOUT_SHA256 = {
+    "matrix --p 2 --m 1 --level 8": "fce502f40eb90dd54a7ecbb76986f4691e3d1ee49a2e29a64fa9c4ede39d9837",
+    "matrix --p 3 --m 3 --level 3": "4d09bb129cfe8668f84f9744b08acc91fe12ea3cc6639265b59cb967ad560b7a",
+    "matrix --p 5 --m 2 --level 3": "42c593906f71054b90230ea931d7766174e97481445a748ff0872c846472945a",
+}
+
+LADDER_DUMP_SHA256 = {
+    ".csv": "21a7edaba3d84c9babf27643276c502eda613168e870c8faa30d0c5d6d9263b9",
+    ".basis.json": "4998a5dca5360d99fc10670081caef96336f67aeb9d21a2df58ced0589a2c0f8",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -70,4 +83,24 @@ def test_matrix_dump_files_are_byte_identical(tmp_path):
         code = main(["matrix", "--p", "3", "--m", "2", "--level", "1", "--dump", str(prefix)])
     assert code == 0
     for suffix, digest in DUMP_SHA256.items():
+        assert _sha256((tmp_path / ("mx" + suffix)).read_bytes()) == digest, suffix
+
+
+@pytest.mark.parametrize("command", sorted(LADDER_STDOUT_SHA256))
+def test_ladder_stdout_is_byte_identical(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split() + ["--format", "json"])
+    assert code == 0
+    assert _sha256(out.getvalue().encode()) == LADDER_STDOUT_SHA256[command]
+
+
+def test_ladder_dump_files_are_byte_identical(tmp_path):
+    prefix = tmp_path / "mx"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["matrix", "--p", "5", "--m", "2", "--level", "3", "--dump", str(prefix)])
+    assert code == 0
+    assert _sha256(out.getvalue().encode()) == LADDER_STDOUT_SHA256["matrix --p 5 --m 2 --level 3"]
+    for suffix, digest in LADDER_DUMP_SHA256.items():
         assert _sha256((tmp_path / ("mx" + suffix)).read_bytes()) == digest, suffix
