@@ -80,10 +80,12 @@ def zeta_prime_at_zero(ctx: PrimeParams) -> float:
 
 
 def _radial_factor(ctx: PrimeParams, zeta_prime: float) -> Fraction:
-    """(p/(p-1))^m, checked against exp(-zeta'(0)) to 1e-8 relative."""
+    """(p/(p-1))^m, checked against exp(-zeta'(0)) in log space: |log of
+    the closed form + zeta'(0)| <= 1e-8, to first order the relative 1e-8
+    bound on the exponentials, with no float overflow at large m."""
     closed = Fraction(ctx.p, ctx.p - 1) ** ctx.m
-    target = float(closed)
-    if abs(math.exp(-zeta_prime) - target) > 1e-8 * target:
+    log_closed = math.log(closed.numerator) - math.log(closed.denominator)
+    if abs(log_closed + zeta_prime) > 1e-8:
         raise ArithmeticError("exponentiated zeta derivative misses the closed form")
     return closed
 

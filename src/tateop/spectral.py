@@ -54,6 +54,11 @@ def primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found mod {p}")
 
 
+def unit_group_order(p: int, n: int) -> int:
+    """|(Z/p^n)^x| = (p - 1) p^(n - 1); 1 at n = 0."""
+    return 1 if n == 0 else (p - 1) * p ** (n - 1)
+
+
 @lru_cache(maxsize=None)
 def _unit_dlog_table(p: int, n: int) -> dict:
     """u -> t with g^t = u mod p^n, over all units u; odd p only."""
@@ -61,7 +66,7 @@ def _unit_dlog_table(p: int, n: int) -> dict:
     if mod > DLOG_TABLE_LIMIT:
         raise ValueError(f"discrete log table for modulus {mod} exceeds cap")
     g = primitive_root(p)
-    phi = (p - 1) * p ** (n - 1)
+    phi = unit_group_order(p, n)
     table: dict[int, int] = {}
     cur = 1
     for t in range(phi):
@@ -87,6 +92,17 @@ def _two_adic_table(n: int) -> dict:
     if len(table) != 2 ** (n - 1):
         raise ArithmeticError(f"-1 and 3 do not generate the units mod {mod}")
     return table
+
+
+def unit_log(p: int, n: int, u: int):
+    """Discrete log of a unit residue 0 < u < p^n (n >= 1; n >= 2 for
+    p = 2): t with g^t = u for odd p; for p = 2 the sign bit s
+    (u = (-1)^s mod 4) at n = 2 and (s, t) with u = (-1)^s 3^t at n >= 3."""
+    if p != 2:
+        return _unit_dlog_table(p, n)[u]
+    if n == 2:
+        return 0 if u % 4 == 1 else 1
+    return _two_adic_table(n)[u]
 
 
 def root_of_unity(turns: Fraction):
@@ -135,7 +151,7 @@ class UnitCharacter:
             a = a % 2 ** (self.n - 2) if self.n >= 3 else 0
         else:
             eps = 0
-            a %= (self.p - 1) * self.p ** (self.n - 1)
+            a %= unit_group_order(self.p, self.n)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "eps", eps)
 
@@ -143,20 +159,28 @@ class UnitCharacter:
     def trivial(cls, p: int) -> "UnitCharacter":
         return cls(p, 0)
 
+    def turns(self, log):
+        """Numerator of the exponent over unit_group_order(p, n), at a unit
+        whose discrete log mod p^n is ``log`` (see :func:`unit_log`).
+
+        Also takes integer arrays of logs, shaped (2, N) for the (s, t)
+        pairs of p = 2, and then returns an array.
+        """
+        if self.n == 0:
+            return 0
+        if self.p != 2:
+            return self.a * log
+        if self.n == 2:
+            return self.eps * log
+        s, t = log
+        return self.eps * s * 2 ** (self.n - 2) + 2 * self.a * t
+
     def exponent(self, u) -> Fraction:
         """Fraction of a turn: the character value is e^(2 pi i exponent)."""
         if self.n == 0:
             return Fraction(0)
-        u_res = canonical_center(u, self.n, self.p)
-        if self.p != 2:
-            t = _unit_dlog_table(self.p, self.n)[u_res]
-            phi = (self.p - 1) * self.p ** (self.n - 1)
-            return Fraction(self.a * t, phi) % 1
-        if self.n == 2:
-            s = 0 if u_res % 4 == 1 else 1
-            return Fraction(self.eps * s, 2) % 1
-        s, t = _two_adic_table(self.n)[u_res]
-        return (Fraction(self.eps * s, 2) + Fraction(self.a * t, 2 ** (self.n - 2))) % 1
+        log = unit_log(self.p, self.n, canonical_center(u, self.n, self.p))
+        return Fraction(self.turns(log), unit_group_order(self.p, self.n)) % 1
 
     def value(self, u):
         return root_of_unity(self.exponent(u))
@@ -220,8 +244,9 @@ def enumerate_conductor(p: int, n: int) -> tuple[UnitCharacter, ...]:
             )
         expected = 0 if n == 1 else (1 if n == 2 else 2 ** (n - 2))
     else:
-        phi = (p - 1) * p ** (n - 1)
-        candidates.extend(UnitCharacter(p, n, a) for a in range(1, phi))
+        candidates.extend(
+            UnitCharacter(p, n, a) for a in range(1, unit_group_order(p, n))
+        )
         expected = p - 2 if n == 1 else (p - 1) ** 2 * p ** (n - 2)
     chars = tuple(chi for chi in candidates if chi.conductor == n)
     if len(chars) != expected:

@@ -88,6 +88,8 @@ def test_radial_contribution_oracles():
     # (p/(p-1))^m outgrows any absolute tolerance; the bound is relative.
     assert radial_det_contribution(PrimeParams(2, 24)) == 2**24
     assert radial_det_contribution(PrimeParams(2, 100)) == 2**100
+    # 2^1100 does not fit a float: the check runs in log space.
+    assert radial_det_contribution(PrimeParams(2, 1100)) == 2**1100
 
 
 def test_det_oracles():

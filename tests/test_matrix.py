@@ -12,13 +12,24 @@ from tateop.matrix import (
     OperatorMatrix,
     build_matrix,
     galerkin_consistency_check,
+    label_vectors,
     matrix_dimension,
     prolong_values,
     spectrum_labels,
     verify_matrix,
 )
-from tateop.operator import KernelContext, apply_D_step
-from tateop.spectral import enumerate_spectrum
+from tateop.operator import KernelContext, apply_D_step, integrate_H_over_ball
+from tateop.spectral import enumerate_spectrum, root_of_unity
+
+# Small configurations for the oracles of the fast paths: p in {2, 3, 5},
+# m in {1, 2, 3}, level <= 3 (p = 2 at levels 1, 2 and 3), dimension <= 100.
+ORACLE_CONFIGS = [
+    (p, m, level)
+    for p in (2, 3, 5)
+    for m in (1, 2, 3)
+    for level in (1, 2, 3)
+    if matrix_dimension(level, PrimeParams(p, m)) <= 100
+]
 
 
 def kc_of(p, m):
@@ -149,3 +160,43 @@ def test_dimension_cap_enforced():
     with pytest.raises(ValueError):
         build_matrix(3, kc, dim_cap=2)
     assert DEFAULT_DIM_CAP >= 1024
+
+
+@pytest.mark.parametrize("p,m,level", ORACLE_CONFIGS)
+def test_assembly_matches_ball_integrals(p, m, level):
+    kc = kc_of(p, m)
+    mx = build_matrix(level, kc)
+    centers = [b.center_point() for b in mx.basis]
+    for i, row in enumerate(mx.entries):
+        for j, b in enumerate(mx.basis):
+            if j != i:
+                assert row[j] == -kc.c_p * integrate_H_over_ball(b, centers[i], kc)
+        assert row[i] == -sum(x for j, x in enumerate(row) if j != i)
+
+
+@pytest.mark.parametrize("p,m,level", ORACLE_CONFIGS)
+def test_label_vectors_match_root_of_unity(p, m, level):
+    ctx = PrimeParams(p, m)
+    mx = build_matrix(level, kc_of(p, m))
+    pairs = list(label_vectors(mx))
+    assert [label for label, _ in pairs] == list(spectrum_labels(level, ctx))
+    for label, vec in pairs:
+        ang, chi = label.angular, label.radial
+        expected = [
+            complex(root_of_unity(ang.exponent(b.v) + chi.exponent(b.center)))
+            for b in mx.basis
+        ]
+        assert vec.tolist() == expected
+
+
+def test_verify_builds_the_float_copy_once(monkeypatch):
+    calls = []
+    as_float = OperatorMatrix.as_float
+
+    def counted(self):
+        calls.append(self)
+        return as_float(self)
+
+    monkeypatch.setattr(OperatorMatrix, "as_float", counted)
+    rep = verify_matrix(build_matrix(2, kc_of(3, 2)), PrimeParams(3, 2))
+    assert rep.passed and len(calls) == 1
