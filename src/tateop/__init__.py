@@ -64,7 +64,6 @@ from .spectral import (
     OutOfRegimeError,
     SpectrumEntry,
     UnitCharacter,
-    character_step_function,
     character_value,
     dtn_cross_check,
     eigenvalue_angular,

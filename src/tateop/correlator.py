@@ -83,6 +83,10 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float, ctx: PrimeParams) -> f
     v1, v2, vd = _pair_valuations(x1, x2)
     if float(delta).is_integer():
         d = int(delta)
+        # Past 2^2048 the first term alone is far beyond the float range
+        # (the second is positive): refuse before the exact powers.
+        if d * (2 * vd - v1 - v2) * math.log2(p) > 2048:
+            raise OverflowError("the two-point value exceeds the float range")
         base = Fraction(p)
         exact = base ** (d * (2 * vd - v1 - v2)) + (
             base ** (d * (v2 - v1)) + base ** (d * (v1 - v2))

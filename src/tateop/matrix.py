@@ -5,13 +5,13 @@ eigenvalues and the eigenvector residuals.  The basis is the full level-k
 partition, shells ascending and centers ascending within each shell, so
 every export is deterministic.  An entry depends only on the two shells
 and on how many base-p digits the two centers share, so the matrix is
-assembled from a small table of exact values that its entries share.
+held as its few distinct exact values plus an integer array that says
+which value each entry takes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
@@ -32,16 +32,16 @@ from .spectral import (
 )
 
 # Largest dimension whose `matrix` call (build and verify) finished within
-# 60 s on a 2-core Xeon VM: 3072 took 54-59 s, 2048 took 11.5 s (README).
+# 60 s on a 2-core Xeon VM: 3072 took 49 s, 2048 took 9.2 s (README).
 DEFAULT_DIM_CAP = 3072
 
 
-def _exact_sum(values) -> Fraction:
-    """Exact sum of rationals.  build_matrix shares one object per distinct
-    value, so each object is added once, times its count."""
-    distinct = {id(x): x for x in values}
-    counts = Counter(map(id, values))
-    return sum((counts[key] * x for key, x in distinct.items()), Fraction(0))
+def _row_totals(index: np.ndarray, values) -> list[Fraction]:
+    """Exact sum of each row, from how many of its entries take each value."""
+    k = len(values)
+    cells = np.arange(len(index))[:, None] * k + index
+    counts = np.bincount(cells.ravel(), minlength=len(index) * k).reshape(-1, k)
+    return [sum((c * x for c, x in zip(r, values) if c), Fraction(0)) for r in counts.tolist()]
 
 
 def matrix_dimension(level: int, ctx: PrimeParams) -> int:
@@ -51,14 +51,16 @@ def matrix_dimension(level: int, ctx: PrimeParams) -> int:
     return ctx.m * (ctx.p - 1) * ctx.p ** (level - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense exact matrix of the operator restricted to level-k steps."""
+    """Exact matrix of the operator restricted to level-k steps: entry
+    (i, j) is values[index[i, j]], and the values are pairwise distinct."""
 
     kc: KernelContext
     level: int
     basis: tuple[Ball, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
+    values: tuple[Fraction, ...]
+    index: np.ndarray
 
     @property
     def ctx(self) -> PrimeParams:
@@ -68,11 +70,14 @@ class OperatorMatrix:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense exact matrix, one value per entry."""
+        return tuple(tuple(map(self.values.__getitem__, row)) for row in self.index.tolist())
+
     def as_float(self) -> np.ndarray:
-        """Entry-wise float copy; each shared entry object is converted once."""
-        distinct = {id(x): x for row in self.entries for x in row}
-        floats = {key: float(x) for key, x in distinct.items()}
-        return np.array([[floats[id(x)] for x in row] for row in self.entries], dtype=float)
+        """Entry-wise float copy; each distinct value is converted once."""
+        return np.array([float(x) for x in self.values])[self.index]
 
     @cached_property
     def float_entries(self) -> np.ndarray:
@@ -92,13 +97,14 @@ class OperatorMatrix:
         )
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(_exact_sum(row) for row in self.entries)
+        return tuple(_row_totals(self.index, self.values))
 
     def to_csv(self) -> str:
         labels = [b.label() for b in self.basis]
+        cells = [format_rational(x) for x in self.values]
         lines = ["basis," + ",".join(labels)]
-        for label, row in zip(labels, self.entries):
-            lines.append(label + "," + ",".join(format_rational(x) for x in row))
+        for label, row in zip(labels, self.index.tolist()):
+            lines.append(label + "," + ",".join(map(cells.__getitem__, row)))
         return "\n".join(lines) + "\n"
 
     def basis_manifest(self) -> dict:
@@ -131,8 +137,8 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
 
     Off the diagonal, entry (i, j) is -c_p p^-k K(v_i, v_j, vdiff), with
     vdiff = min(v_i, v_j) across shells and v + v_p(c_j - c_i) within
-    shell v (what integrate_H_over_ball evaluates).  Each distinct value
-    is computed once and shared; the diagonal makes the row sum zero.
+    shell v (what integrate_H_over_ball evaluates).  Each distinct triple
+    is evaluated once; the diagonal makes the row sum zero.
     """
     ctx = kc.ctx
     p, m = ctx.p, ctx.m
@@ -149,25 +155,29 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
         raise ValueError("singular integral: ball contains the evaluation point")
     agreements = np.flatnonzero(counts[:level]).tolist()
     scale = -kc.c_p / p**level
+    slots: dict[Fraction, int] = {}
 
-    def value(vx: int, vz: int, vdiff: int) -> Fraction:
-        return scale * _kernel_by_valuations(p, m, vx, vz, vdiff)
+    def slot(vx: int, vz: int, vdiff: int) -> int:
+        value = scale * _kernel_by_valuations(p, m, vx, vz, vdiff)
+        return slots.setdefault(value, len(slots))
 
-    rows = []
+    index = np.empty((dim, dim), dtype=np.intp)
     for v in range(m):
-        # same[d] is the entry at digit agreement d; same[level] = 0 holds
-        # the diagonal's place until the row sum is known.
-        same = [Fraction(0)] * (level + 1)
+        # same[d] is the slot at digit agreement d; same[level] is the
+        # diagonal's, set once the row sums are known.
+        same = np.zeros(level + 1, dtype=np.intp)
         for d in agreements:
-            same[d] = value(v, v, v + d)
-        cross = [None if w == v else [value(v, w, min(v, w))] * n for w in range(m)]
-        for i, drow in enumerate(agree.tolist()):
-            row = []
-            for block in cross:
-                row.extend(block or [same[d] for d in drow])
-            row[v * n + i] = -_exact_sum(row)
-            rows.append(tuple(row))
-    return OperatorMatrix(kc, level, basis, tuple(rows))
+            same[d] = slot(v, v, v + d)
+        for w in range(m):
+            block = same[agree] if w == v else slot(v, w, min(v, w))
+            index[v * n : (v + 1) * n, w * n : (w + 1) * n] = block
+    # The diagonal points past the table at a zero while the rows are summed.
+    np.fill_diagonal(index, len(slots))
+    off_diagonal = _row_totals(index, (*slots, Fraction(0)))
+    np.fill_diagonal(index, [slots.setdefault(-t, len(slots)) for t in off_diagonal])
+    values = tuple(slots)
+    index = index.astype(np.min_scalar_type(len(values) - 1))
+    return OperatorMatrix(kc, level, basis, values, index)
 
 
 @dataclass(frozen=True)
@@ -193,20 +203,9 @@ class MatrixReport:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "symmetric": self.symmetric,
-            "row_sums_zero": self.row_sums_zero,
-            "min_eigenvalue": self.min_eigenvalue,
-            "positive_semidefinite": self.positive_semidefinite,
-            "kernel_dimension": self.kernel_dimension,
-            "multiset_deviation": self.multiset_deviation,
-            "spectrum_match": self.spectrum_match,
-            "eigenfunction_residual": self.eigenfunction_residual,
-            "eigenfunctions_ok": self.eigenfunctions_ok,
-            "failures": list(self.failures),
-            "passed": self.passed,
-        }
+        """Every field after the eigenvalues, in order, then the verdict."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        return {**data, "failures": list(self.failures), "passed": self.passed}
 
 
 def spectrum_labels(level: int, ctx: PrimeParams) -> tuple[CharacterLabel, ...]:
@@ -259,7 +258,8 @@ def verify_matrix(mx: OperatorMatrix, ctx: PrimeParams) -> MatrixReport:
         raise ValueError("matrix context mismatch")
     failures = []
     dim = mx.dimension
-    symmetric = all(row == col for row, col in zip(mx.entries, zip(*mx.entries)))
+    # Exact: equal entries have equal slots, as the values are distinct.
+    symmetric = np.array_equal(mx.index, mx.index.T)
     if not symmetric:
         failures.append("symmetry")
     row_sums_zero = all(s == 0 for s in mx.row_sums())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .domain import ShellPartition, StepFunction, canonical_center
+from .domain import canonical_center
 from .operator import c_p_const, shell_coupling
 from .padic import PrimeParams, Rational, format_rational, int_valuation, is_prime
 
@@ -285,18 +285,6 @@ class CharacterLabel:
 
     angular: AngularCharacter
     radial: UnitCharacter
-
-
-def character_step_function(label: CharacterLabel, ctx: PrimeParams) -> StepFunction:
-    """The character as a step function at level max(n, 1); an eigenfunction."""
-    chi, ang = label.radial, label.angular
-    if chi.p != ctx.p or ang.m != ctx.m:
-        raise ValueError("character data does not match the prime context")
-    part = ShellPartition.full(ctx, max(chi.n, 1))
-    values = tuple(
-        root_of_unity(ang.exponent(b.v) + chi.exponent(b.center)) for b in part.balls
-    )
-    return StepFunction(part, values)
 
 
 def eigenvalue_radial_closed(n: int, ctx: PrimeParams) -> Fraction:

@@ -120,6 +120,10 @@ def test_usage_errors_exit_2():
     )
     assert code == 2
     assert "--delta" in err
+    # Refused from the exponent, before p^(m delta) is built exactly.
+    assert run_cli(
+        ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1", "--delta", "1e7"]
+    )[0] == 2
     assert run_cli(
         ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1", "--delta", "120"]
     )[0] == 0

@@ -90,6 +90,8 @@ def test_radial_contribution_oracles():
     assert radial_det_contribution(PrimeParams(2, 100)) == 2**100
     # 2^1100 does not fit a float: the check runs in log space.
     assert radial_det_contribution(PrimeParams(2, 1100)) == 2**1100
+    # The finite-difference error of zeta'(0) grows like m; its bound does too.
+    assert radial_det_contribution(PrimeParams(11, 5000)) == Fraction(11, 10) ** 5000
 
 
 def test_det_oracles():

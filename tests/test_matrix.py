@@ -1,5 +1,6 @@
 """Exact operator matrices on full partitions and their verification report."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,9 @@ def test_dimension_cap_enforced():
 def test_assembly_matches_ball_integrals(p, m, level):
     kc = kc_of(p, m)
     mx = build_matrix(level, kc)
+    # Symmetry by index is exact only if the values are distinct and all used.
+    assert len(set(mx.values)) == len(mx.values)
+    assert sorted(set(mx.index.ravel().tolist())) == list(range(len(mx.values)))
     centers = [b.center_point() for b in mx.basis]
     for i, row in enumerate(mx.entries):
         for j, b in enumerate(mx.basis):
@@ -187,6 +191,15 @@ def test_label_vectors_match_root_of_unity(p, m, level):
             for b in mx.basis
         ]
         assert vec.tolist() == expected
+
+
+def test_verify_reports_a_corrupted_entry():
+    mx = build_matrix(2, kc_of(3, 2))
+    index = mx.index.copy()
+    index[0, 1] = index[0, 0]
+    rep = verify_matrix(replace(mx, index=index), PrimeParams(3, 2))
+    assert "symmetry" in rep.failures and "row sums" in rep.failures
+    assert rep.passed is False
 
 
 def test_verify_builds_the_float_copy_once(monkeypatch):
