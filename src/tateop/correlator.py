@@ -83,12 +83,26 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float, ctx: PrimeParams) -> f
     v1, v2, vd = _pair_valuations(x1, x2)
     if float(delta).is_integer():
         d = int(delta)
+        e = 2 * vd - v1 - v2
+        # log2 of the first term, p^(d e), and a bound on log2 of the second,
+        # which is at most 4 p^(d |v1 - v2| - m d).  They settle the float
+        # before the exact powers, whose size grows with the dimension, are
+        # built; in float arithmetic, so a huge d gives an infinity.
+        lp2 = math.log2(p)
+        first_log2 = e * lp2 * d
+        second_log2 = 2 + (abs(v1 - v2) - m) * lp2 * d
         # Past 2^2048 the first term alone is far beyond the float range
-        # (the second is positive): refuse before the exact powers.
-        if d * (2 * vd - v1 - v2) * math.log2(p) > 2048:
+        # (the second is positive): refuse.
+        if first_log2 > 2048:
             raise OverflowError("the two-point value exceeds the float range")
+        # 1 + s with 0 < s < 2^-53 rounds to 1.
+        if e == 0 and second_log2 < -55:
+            return 1.0
+        # The sum is below 2^-1076, under half the least subnormal: it rounds to 0.
+        if max(first_log2, second_log2) < -1077:
+            return 0.0
         base = Fraction(p)
-        exact = base ** (d * (2 * vd - v1 - v2)) + (
+        exact = base ** (d * e) + (
             base ** (d * (v2 - v1)) + base ** (d * (v1 - v2))
         ) / (p ** (m * d) - 1)
         return float(exact)

@@ -4,6 +4,7 @@ import io
 import contextlib
 import json
 import os
+import time
 
 import pytest
 
@@ -39,6 +40,29 @@ def test_documented_commands_pass_and_are_deterministic(argv):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1
+
+
+# Imports the package and the CLI, runs main() on each argv given as JSON,
+# then prints whether numpy was loaded.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+import tateop, tateop.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if tateop.cli.main(argv) != 0:
+            raise SystemExit(f"{argv} did not pass")
+print("numpy" in sys.modules)
+"""
+
+
+def test_only_matrix_loads_numpy(run_python):
+    others = [argv for argv in DOCUMENTED if argv[0] != "matrix"]
+    matrix = [argv for argv in DOCUMENTED if argv[0] == "matrix"]
+    assert len(others) == 7 and len(matrix) == 1
+    for argvs, loaded in ((others, b"False"), (matrix, b"True")):
+        proc = run_python("-c", STARTUP_PROBE, json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == loaded
 
 
 def test_greens_payload():
@@ -128,6 +152,20 @@ def test_usage_errors_exit_2():
         ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1", "--delta", "120"]
     )[0] == 0
     assert run_cli(["nope"])[0] == 2
+
+
+def test_correlator_at_a_huge_dimension_is_fast():
+    # Both points are units, so the first term is exactly 1 and the second
+    # is far below its last bit: nothing near p^(m delta) is built.
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        ["correlator", "--p", "3", "--m", "2", "--x1", "1", "--x2", "2", "--delta", "1e7"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["two_point"] == 1.0
+    assert doc["all_pass"] is True
 
 
 def test_induced_failure_exits_1():

@@ -1,6 +1,7 @@
 """Boundary two-point function, mass/dimension relation, and the height limit."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,7 @@ from tateop.correlator import (
     two_point,
 )
 from tateop.operator import KernelContext, kernel_H
-from tateop.padic import PrimeParams, point
+from tateop.padic import PrimeParams, point, valuation
 
 
 def test_two_point_oracles():
@@ -48,6 +49,38 @@ def test_two_point_at_delta_one_is_kernel(cfg, a, b):
     assert two_point(x1, x2, 1, ctx) == float(kernel_H(x1, x2, kc))
     # and swapping the points changes nothing
     assert two_point(x1, x2, 1.7, ctx) == two_point(x2, x1, 1.7, ctx)
+
+
+def _exact_two_point(x1, x2, d, ctx):
+    """The integer-dimension value as one exact rational, rounded once."""
+    p, m = ctx.p, ctx.m
+    v1, v2, vd = x1.v, x2.v, valuation(x1.value - x2.value, p)
+    base = Fraction(p)
+    return float(
+        base ** (d * (2 * vd - v1 - v2))
+        + (base ** (d * (v2 - v1)) + base ** (d * (v1 - v2))) / (p ** (m * d) - 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "p,m,a,b,deltas",
+    [
+        # First term exactly 1: the sum rounds to 1 once the second is tiny.
+        (3, 2, 1, 2, range(1, 40)),
+        # Both terms shrink: the sum underflows to 0 near delta 680.
+        (3, 2, 3, 1, range(660, 700)),
+        # The first term is 2^-delta: at 1075 it sits on the tie between 0
+        # and the least subnormal, and the far smaller second term decides.
+        (2, 3, 1, 2, range(1065, 1085)),
+    ],
+)
+def test_integer_dimensions_round_like_the_exact_value(p, m, a, b, deltas):
+    ctx = PrimeParams(p, m)
+    x1, x2 = point(a, ctx), point(b, ctx)
+    for d in deltas:
+        assert two_point(x1, x2, d, ctx) == _exact_two_point(x1, x2, d, ctx), d
+    if p == 2:
+        assert two_point(x1, x2, 1075, ctx) == 5e-324
 
 
 def test_mass_dimension_relation_round_trip():

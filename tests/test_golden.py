@@ -8,7 +8,8 @@ the largest.  A refactor that changes any byte of these outputs fails here.
 
 The matrix digests cover float eigenvalues from LAPACK (the zero mode
 prints as a value near 1e-17), so they are tied to the numpy/BLAS build
-the digests were recorded with.
+the digests were recorded with.  The json outputs are also checked from a
+fresh ``python -m tateop`` process.
 """
 
 import contextlib
@@ -75,6 +76,15 @@ def test_documented_stdout_is_byte_identical(command, fmt):
         code = main(command.split() + ["--format", fmt])
     assert code == 0
     assert _sha256(out.getvalue().encode()) == STDOUT_SHA256[(command, fmt)]
+
+
+@pytest.mark.parametrize("command", sorted(c for c, fmt in STDOUT_SHA256 if fmt == "json"))
+def test_documented_stdout_is_byte_identical_from_a_fresh_process(command, run_python):
+    # In-process tests run after numpy is loaded; only a fresh interpreter
+    # takes the first, deferred numpy import inside the matrix code.
+    proc = run_python("-m", "tateop", *command.split(), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert _sha256(proc.stdout) == STDOUT_SHA256[(command, "json")]
 
 
 def test_matrix_dump_files_are_byte_identical(tmp_path):

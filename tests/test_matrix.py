@@ -213,3 +213,26 @@ def test_verify_builds_the_float_copy_once(monkeypatch):
     monkeypatch.setattr(OperatorMatrix, "as_float", counted)
     rep = verify_matrix(build_matrix(2, kc_of(3, 2)), PrimeParams(3, 2))
     assert rep.passed and len(calls) == 1
+
+
+def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):
+    ctx = PrimeParams(1009, 1)
+    mx = build_matrix(1, KernelContext(ctx))
+    lam_max = max(e.eigenvalue for e in enumerate_spectrum(1, ctx))
+    assert lam_max == 1008
+    bound = 1e-10 * lam_max
+    as_float = OperatorMatrix.as_float
+    # eigvalsh reads only the lower triangle, so moving entry (0, 1) of the
+    # float copy leaves the eigenvalues as they are and moves row 0 of every
+    # residual by the same amount (each label vector has unit entries).
+    for factor, failures in ((0.9, ()), (1.1, ("eigenfunction residuals",))):
+
+        def perturbed(self, factor=factor):
+            a = as_float(self)
+            a[0, 1] += factor * bound
+            return a
+
+        monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
+        rep = verify_matrix(replace(mx), ctx)
+        assert 1e-10 < rep.eigenfunction_residual
+        assert rep.failures == failures
