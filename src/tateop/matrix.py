@@ -285,18 +285,19 @@ def verify_matrix(mx: OperatorMatrix, ctx: PrimeParams) -> MatrixReport:
         expected.extend([float(entry.eigenvalue)] * entry.multiplicity)
     expected.sort()
     # Float rounding in the eigen-solve and the products grows with the
-    # matrix norm, the largest eigenvalue, so these bounds scale with it.
-    lam_max = expected[-1]
+    # matrix norm, the largest eigenvalue, so these bounds scale with it
+    # once it passes 1 (it is 0 at dimension 1, below 1 at p = 2, k = 1).
+    scale = max(1.0, expected[-1])
     eigs = mx.eigenvalues()
     min_eig = min(eigs)
-    psd = min_eig >= -1e-9 * lam_max
+    psd = min_eig >= -1e-9 * scale
     if not psd:
         failures.append("positive semidefiniteness")
-    kernel_dim = sum(1 for x in eigs if abs(x) < 1e-8 * lam_max)
+    kernel_dim = sum(1 for x in eigs if abs(x) < 1e-8 * scale)
     if kernel_dim != 1:
         failures.append("kernel dimension")
     deviation = max(abs(a - b) for a, b in zip(eigs, expected)) if expected else 0.0
-    spectrum_match = len(expected) == dim and deviation <= 1e-8
+    spectrum_match = len(expected) == dim and deviation <= 1e-8 * scale
     if not spectrum_match:
         failures.append("eigenvalue multiset")
     # The product casts the float copy to complex; casting once up front
@@ -307,7 +308,7 @@ def verify_matrix(mx: OperatorMatrix, ctx: PrimeParams) -> MatrixReport:
         lam = float(eigenvalue_for_label(label, ctx))
         residual = float(np.max(np.abs(mc @ vec - lam * vec)))
         worst = max(worst, residual)
-    eigenfunctions_ok = worst < 1e-10 * lam_max
+    eigenfunctions_ok = worst < 1e-10 * scale
     if not eigenfunctions_ok:
         failures.append("eigenfunction residuals")
     return MatrixReport(

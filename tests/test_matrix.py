@@ -193,6 +193,14 @@ def test_label_vectors_match_root_of_unity(p, m, level):
         assert vec.tolist() == expected
 
 
+@pytest.mark.parametrize("p,m,level", ORACLE_CONFIGS)
+def test_verify_passes_on_every_oracle_config(p, m, level):
+    # (2, 1, 1) is the dimension-1 matrix, whose only eigenvalue is 0, and
+    # p = 2, k = 1 has its largest eigenvalue below 1.
+    rep = verify_matrix(build_matrix(level, kc_of(p, m)), PrimeParams(p, m))
+    assert rep.failures == () and rep.kernel_dimension == 1
+
+
 def test_verify_reports_a_corrupted_entry():
     mx = build_matrix(2, kc_of(3, 2))
     index = mx.index.copy()
@@ -235,4 +243,27 @@ def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
         rep = verify_matrix(replace(mx), ctx)
         assert 1e-10 < rep.eigenfunction_residual
+        assert rep.failures == failures
+
+
+def test_multiset_bound_scales_with_the_largest_eigenvalue(monkeypatch):
+    ctx = PrimeParams(1009, 1)
+    mx = build_matrix(1, KernelContext(ctx))
+    bound = 1e-8 * 1008
+    as_float = OperatorMatrix.as_float
+    # Moving diagonal entry (0, 0) shifts one eigenvalue of the 1007-fold
+    # cluster by about as much; the residuals fail at either size.
+    for factor, failures in (
+        (0.9, ("eigenfunction residuals",)),
+        (1.1, ("eigenvalue multiset", "eigenfunction residuals")),
+    ):
+
+        def perturbed(self, factor=factor):
+            a = as_float(self)
+            a[0, 0] += factor * bound
+            return a
+
+        monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
+        rep = verify_matrix(replace(mx), ctx)
+        assert 1e-8 < rep.multiset_deviation
         assert rep.failures == failures
