@@ -4,7 +4,7 @@ Each documented invocation is rendered in json, csv and pretty, and the
 sha256 of its stdout is compared with the digest recorded before the
 library was refactored; likewise the two ``--dump`` files of the matrix
 example, and of the benchmark's matrix rungs with the ``--dump`` files of
-the largest.  A refactor that changes any byte of these outputs fails here.
+the largest, and of its ``spectrum`` and ``det`` sweep configurations.  A refactor that changes any byte of these outputs fails here.
 
 The matrix digests cover float eigenvalues from LAPACK (the zero mode
 prints as a value near 1e-17), so they are tied to the numpy/BLAS build
@@ -64,6 +64,20 @@ LADDER_DUMP_SHA256 = {
     ".basis.json": "4998a5dca5360d99fc10670081caef96336f67aeb9d21a2df58ced0589a2c0f8",
 }
 
+# The benchmark's spectrum sweep, and det at m = 100 for each of its primes,
+# json stdout.  They print the float radial integrals and the determinant
+# factors of the spectral layer.
+SWEEP_STDOUT_SHA256 = {
+    "spectrum --p 2 --m 1 --max-conductor 12": "739450f602de23583192638735f76b12e1ffca2f9a56901645a0dd5d11206313",
+    "spectrum --p 3 --m 2 --max-conductor 7": "3402f92649ada078cc5485047e3da6dc7830779adbaefed356735b29020a7e76",
+    "spectrum --p 5 --m 3 --max-conductor 5": "7d1c9d4d8457b6bb121ff73d46f7d16c93e507cbb24eb6a7c1f8010bb2163f76",
+    "spectrum --p 7 --m 2 --max-conductor 4": "ff0edcea60de262a4d2ca5e277a0a5b01aae6c2ca6deba2c12968e69ddd625c6",
+    "det --p 2 --m 100": "a287477eea1ba41639b1fe71c4df1ab72082502ce39805e039a5087825a4cd82",
+    "det --p 3 --m 100": "1d27bb87bafef7b8112522f53e9c35ce49d1eba8f24ed3e9de5eadb1007e884c",
+    "det --p 5 --m 100": "8817902eaa59b268b0712b43188c819d0dbde99f489d2a4cabafa87f0076cabc",
+    "det --p 7 --m 100": "17997bc04e80b6b4e0db63620e80dc447f9e98933e05c50041f11c65b0175b21",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -114,3 +128,12 @@ def test_ladder_dump_files_are_byte_identical(tmp_path):
     assert _sha256(out.getvalue().encode()) == LADDER_STDOUT_SHA256["matrix --p 5 --m 2 --level 3"]
     for suffix, digest in LADDER_DUMP_SHA256.items():
         assert _sha256((tmp_path / ("mx" + suffix)).read_bytes()) == digest, suffix
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_STDOUT_SHA256))
+def test_sweep_stdout_is_byte_identical(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command.split() + ["--format", "json"])
+    assert code == 0
+    assert _sha256(out.getvalue().encode()) == SWEEP_STDOUT_SHA256[command]
