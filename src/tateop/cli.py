@@ -292,7 +292,7 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
     try:
         value = two_point(x1, x2, delta, ctx)
     except OverflowError as exc:
-        raise UsageError(f"--delta {delta:g}: the two-point value overflows a float") from exc
+        raise UsageError(f"--delta {delta!r}: the two-point value overflows a float") from exc
     at_one = two_point(x1, x2, 1.0, ctx)
     kernel = float(kernel_H(x1, x2, KernelContext(ctx)))
     kernel_ok = abs(at_one - kernel) <= 1e-12 * (1 + abs(kernel))

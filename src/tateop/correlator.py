@@ -108,9 +108,16 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float, ctx: PrimeParams) -> f
         return float(exact)
     lp = math.log(p)
     first = math.exp(delta * (2 * vd - v1 - v2) * lp)
-    second = (
-        math.exp(delta * (v2 - v1) * lp) + math.exp(delta * (v1 - v2) * lp)
-    ) / math.expm1(m * delta * lp)
+    try:
+        second = (
+            math.exp(delta * (v2 - v1) * lp) + math.exp(delta * (v1 - v2) * lp)
+        ) / math.expm1(m * delta * lp)
+    except OverflowError:
+        # p^(m delta) is past the float range.  As |v1 - v2| < m the second
+        # term is below 2 p^(-delta): log(p^r + p^-r) - log(p^c - 1), in logs.
+        r = abs(v1 - v2) * delta * lp
+        c = m * delta * lp
+        second = math.exp(r + math.log1p(math.exp(-2 * r)) - c - math.log(-math.expm1(-c)))
     return first + second
 
 

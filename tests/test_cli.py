@@ -154,6 +154,26 @@ def test_usage_errors_exit_2():
     assert run_cli(["nope"])[0] == 2
 
 
+def test_correlator_at_a_non_integer_dimension_past_the_float_range():
+    # p^(m delta) overflows a float, but the value is 1 to the last bit.
+    for delta in ("400.5", "10000000.5"):
+        code, out, err = run_cli(
+            ["correlator", "--p", "3", "--m", "2", "--x1", "1", "--x2", "2", "--delta", delta]
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["two_point"] == 1.0
+        assert doc["delta"] == float(delta)
+
+
+def test_correlator_overflow_names_the_dimension_exactly():
+    code, _, err = run_cli(
+        ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1", "--delta", "10000000.5"]
+    )
+    assert code == 2
+    assert "--delta 10000000.5:" in err
+
+
 def test_correlator_at_a_huge_dimension_is_fast():
     # Both points are units, so the first term is exactly 1 and the second
     # is far below its last bit: nothing near p^(m delta) is built.

@@ -83,6 +83,48 @@ def test_integer_dimensions_round_like_the_exact_value(p, m, a, b, deltas):
         assert two_point(x1, x2, 1075, ctx) == 5e-324
 
 
+def _float_two_point(x1, x2, delta, ctx):
+    """The non-integer expression, term by term in floats."""
+    p, m = ctx.p, ctx.m
+    v1, v2, vd = x1.v, x2.v, valuation(x1.value - x2.value, p)
+    lp = math.log(p)
+    first = math.exp(delta * (2 * vd - v1 - v2) * lp)
+    return first + (
+        math.exp(delta * (v2 - v1) * lp) + math.exp(delta * (v1 - v2) * lp)
+    ) / math.expm1(m * delta * lp)
+
+
+@pytest.mark.parametrize("a,b", [("4", "1"), ("7", "1"), ("5", "2"), ("7", "4"), ("8", "5"), ("2", "5")])
+def test_non_integer_dimensions_keep_the_float_expression(a, b):
+    # Wherever p^(m delta) fits a float the value is the plain expression.
+    ctx = PrimeParams(3, 2)
+    x1, x2 = point(Fraction(a), ctx), point(Fraction(b), ctx)
+    for delta in (0.25, 0.5, 1.5, 3.5, 120.5, 322.5):
+        assert two_point(x1, x2, delta, ctx) == _float_two_point(x1, x2, delta, ctx), delta
+
+
+@pytest.mark.parametrize(
+    "p,m,a,b",
+    [(3, 2, 1, 2), (3, 2, 3, 1), (2, 3, 1, 2), (2, 3, 1, 6), (5, 4, 1, 50)],
+)
+def test_non_integer_dimension_past_the_float_range_of_p_to_the_m_delta(p, m, a, b):
+    # p^(m delta) overflows a float while the value itself does not: the
+    # second term, at most 2 p^(delta (|v1 - v2| - m)), is taken in log space.
+    ctx = PrimeParams(p, m)
+    x1, x2 = point(a, ctx), point(b, ctx)
+    v1, v2, vd = x1.v, x2.v, valuation(x1.value - x2.value, p)
+    lp = math.log(p)
+    for delta in (1030.5 / (m * lp), 400.5, 1e4 + 0.5, 1e7 + 0.5):
+        if delta * (2 * vd - v1 - v2) * lp > 700:
+            continue
+        r = abs(v1 - v2) * delta * lp
+        c = m * delta * lp
+        first = math.exp(delta * (2 * vd - v1 - v2) * lp)
+        # (p^(r) + p^(-r)) / (p^c - 1), every factor below 1 in size.
+        second = math.exp(r - c) * (1 + math.exp(-2 * r)) / -math.expm1(-c)
+        assert two_point(x1, x2, delta, ctx) == pytest.approx(first + second, rel=1e-12), delta
+
+
 def test_mass_dimension_relation_round_trip():
     ctx = PrimeParams(3, 1)
     sd = delta_from_mass(0.0, ctx)
