@@ -108,14 +108,13 @@ def unit_log(p: int, n: int, u: int):
 def root_of_unity(turns: Fraction):
     """e^(2 pi i turns), exact (Fraction or exact imaginary) at quarter turns."""
     r = Fraction(turns) % 1
-    if r == 0:
+    den = r.denominator
+    if den == 1:
         return Fraction(1)
-    if r == Fraction(1, 2):
+    if den == 2:
         return Fraction(-1)
-    if r == Fraction(1, 4):
-        return 1j
-    if r == Fraction(3, 4):
-        return -1j
+    if den == 4:
+        return 1j if r.numerator == 1 else -1j
     return cmath.exp(2j * cmath.pi * float(r))
 
 
@@ -127,8 +126,8 @@ class UnitCharacter:
     For odd p the index a is an exponent relative to a fixed primitive
     root; for p = 2 and n >= 3 the pair (eps, a) refers to the
     generators (-1, 3), while n = 2 carries only the sign bit eps.
-    The stored data may be imprimitive: the true conductor is computed
-    by evaluation and may be smaller than n.
+    The stored data may be imprimitive: the true conductor follows from
+    the indices (see :func:`_conductor_of`) and may be smaller than n.
     """
 
     p: int
@@ -194,24 +193,25 @@ class UnitCharacter:
         return self.conductor == 0
 
 
-def _level_generators(p: int, n: int, f: int) -> tuple[int, ...]:
-    """Generators of the subgroup (1 + p^f Z_p) inside (Z/p^n)^x; f = 0
-    means the whole unit group."""
-    if n == 0:
-        return ()
-    if f == 0 or (p == 2 and f == 1):
-        if p != 2:
-            return (primitive_root(p) % p**n,)
-        return (3,) if n == 2 else (2**n - 1, 3)
-    return (1 + p**f,)
-
-
 @lru_cache(maxsize=None)
 def _conductor_of(chi: UnitCharacter) -> int:
-    for f in range(chi.n + 1):
-        if all(chi.exponent(g) == 0 for g in _level_generators(chi.p, chi.n, f)):
-            return f
-    return chi.n
+    """Smallest f with chi trivial on 1 + p^f Z_p, read off the indices.
+
+    For odd p, 1 + p^f Z_p is generated by g^((p-1) p^(f-1)), so chi = g^a
+    dies on it exactly when p^(n-f) divides a.  For p = 2 the index a of the
+    generator 3 plays that part from f = 3 on; below it the generators
+    interact (5 = -3 mod 8), so that a = 2^(n-3) with the sign bit set is
+    trivial on 1 + 4 Z_2 and has conductor 2.
+    """
+    p, n, a, eps = chi.p, chi.n, chi.a, chi.eps
+    if p != 2:
+        return 0 if a == 0 else max(1, n - int_valuation(a, p))
+    if n == 2:
+        return 2 if eps else 0
+    if a == 0:
+        return 3 if eps else 0
+    f = n - int_valuation(a, 2)
+    return 2 if f == 3 and eps else f
 
 
 def character_value(chi: UnitCharacter, u):
@@ -223,37 +223,50 @@ def character_value(chi: UnitCharacter, u):
 
 
 def enumerate_conductor(p: int, n: int) -> tuple[UnitCharacter, ...]:
-    """All characters of exact conductor n, with the count checked."""
+    """All characters of exact conductor n, with the count checked.
+
+    The index sets of :func:`_conductor_of`, in a fixed order: for odd p
+    the exponents a prime to p (at n = 1 that is 1..p-2); for p = 2 the
+    sign character at n = 2, the pair (a, eps) = (1, 0), (0, 1) at n = 3
+    (the generators interact there), and odd a for each sign bit from
+    n = 4 on.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError("conductor must be >= 0")
     if n == 0:
         return (UnitCharacter.trivial(p),)
-    candidates: list[UnitCharacter] = []
     if p == 2:
-        if n == 2:
-            candidates.append(UnitCharacter(2, 2, 0, 1))
-        elif n >= 3:
-            # The generators interact (e.g. 1 + 4 = -3 mod 8), so the
-            # exact conductor is decided by evaluation, not by the index.
-            candidates.extend(
-                UnitCharacter(2, n, a, eps)
-                for eps in (0, 1)
-                for a in range(2 ** (n - 2))
+        if n == 1:
+            chars = ()
+        elif n == 2:
+            chars = (UnitCharacter(2, 2, 0, 1),)
+        elif n == 3:
+            chars = (UnitCharacter(2, 3, 1), UnitCharacter(2, 3, 0, 1))
+        else:
+            chars = tuple(
+                UnitCharacter(2, n, a, eps) for eps in (0, 1) for a in range(1, 2 ** (n - 2), 2)
             )
         expected = 0 if n == 1 else (1 if n == 2 else 2 ** (n - 2))
     else:
-        candidates.extend(
-            UnitCharacter(p, n, a) for a in range(1, unit_group_order(p, n))
-        )
+        chars = tuple(UnitCharacter(p, n, a) for a in range(1, unit_group_order(p, n)) if a % p)
         expected = p - 2 if n == 1 else (p - 1) ** 2 * p ** (n - 2)
-    chars = tuple(chi for chi in candidates if chi.conductor == n)
     if len(chars) != expected:
         raise ArithmeticError(
             f"{len(chars)} characters of conductor {n} mod {p}^{n}, expected {expected}"
         )
     return chars
+
+
+def primitive_character(p: int, n: int) -> UnitCharacter | None:
+    """The first character of :func:`enumerate_conductor` (p, n), built
+    alone; None where conductor n has no character (p = 2, n = 1)."""
+    if n == 0:
+        return UnitCharacter.trivial(p)
+    if p == 2 and n <= 2:
+        return UnitCharacter(2, 2, 0, 1) if n == 2 else None
+    return UnitCharacter(p, n, 1)
 
 
 @dataclass(frozen=True)
@@ -309,16 +322,19 @@ def eigenvalue_radial_integral(
         raise ValueError("character data does not match the prime context")
     if chi.is_trivial:
         raise ValueError("trivial radial character: use eigenvalue_angular")
-    p, m = ctx.p, ctx.m
-    n_lvl = max(chi.n, 1)
-    p_n = p**n_lvl
+    p, m, n = ctx.p, ctx.m, chi.n
+    p_n = p**n
+    phi = unit_group_order(p, n)
+    # chi(u) = e^(2 pi i j / phi), j = chi.turns(log u) mod phi: one table of
+    # the phi roots, indexed through the discrete logs.
+    roots = [complex(root_of_unity(Fraction(j, phi))) for j in range(phi)]
     mu_units = Fraction(p - 1, p)
     s_main = 0j
     s_hat = 0j
     for u in range(1, p_n):
         if u % p == 0:
             continue
-        val = complex(chi.value(u))
+        val = roots[chi.turns(unit_log(p, n, u)) % phi]
         s_hat += val / p_n
         if u != 1:
             s_main += p ** (2 * int_valuation(u - 1, p)) * (1 - val) / p_n
@@ -327,6 +343,34 @@ def eigenvalue_radial_integral(
         w = complex(zeta.value(v))
         total += shell_coupling(p, m, v) * (complex(mu_units) - w * s_hat)
     return complex(c_p_const(p)) * total
+
+
+def eigenvalue_radial_exact(chi: UnitCharacter, ctx: PrimeParams) -> Fraction:
+    """The defining sum of :func:`eigenvalue_radial_integral`, exactly, in O(n).
+
+    By orthogonality on U_t = 1 + p^t Z_p (U_0 the whole unit group), chi
+    sums to |U_t| over U_t mod p^n when t >= its conductor f, and to 0
+    below it.  So the unit average is 0, the angular part drops out, and
+    the singular sum collects p^(2t) (A_t - A_(t+1)) / p^n over the layers
+    v(u - 1) = t, where A_t = sum over U_t of (1 - chi(u)) is |U_t| for
+    t < f and 0 from f on.
+    """
+    if chi.p != ctx.p:
+        raise ValueError("character data does not match the prime context")
+    if chi.is_trivial:
+        raise ValueError("trivial radial character: use eigenvalue_angular")
+    p, f = ctx.p, chi.conductor
+    # A_t / p^n: |U_0| = (p - 1) p^(n-1), |U_t| = p^(n-t) for t >= 1.
+    share = [Fraction(p - 1, p)] + [Fraction(1, p**t) for t in range(1, f)] + [Fraction(0)]
+    s_main = sum(p ** (2 * t) * (share[t] - share[t + 1]) for t in range(f))
+    return c_p_const(p) * (s_main + Fraction(p - 1, p) * _coupling_total(p, ctx.m))
+
+
+@lru_cache(maxsize=None)
+def _coupling_total(p: int, m: int) -> Fraction:
+    """2/(q - 1) plus the shell couplings to the other m - 1 shells: the
+    weight of the unit measure in the defining sums."""
+    return Fraction(2, p**m - 1) + sum(shell_coupling(p, m, v) for v in range(1, m))
 
 
 _EXACT_TWO_COS = {
@@ -341,42 +385,59 @@ _EXACT_TWO_COS = {
 }
 
 
-def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
-    """Defining sum for an angular eigenvalue, evaluated shell by shell."""
-    p, m = ctx.p, ctx.m
-    zeta = AngularCharacter(m, l)
-    mu_units = Fraction(p - 1, p)
-    total = 0j
-    for v in range(1, m):
-        total += (
-            shell_coupling(p, m, v)
-            * (complex(zeta.value(v)) - 1)
-            * complex(mu_units)
-        )
-    return -complex(c_p_const(p)) * total
+def angular_sums(ls, ctx: PrimeParams) -> list[complex]:
+    """Defining sums of the angular eigenvalues at each l, shell by shell.
 
-
-def eigenvalue_angular(l: int, ctx: PrimeParams):
-    """p(p-1)(2-c)/(p^2 - pc + 1) with c = 2 cos(2 pi l/m); exact when c is.
-
-    Cross-evaluated against the defining sum to 1e-10 on every call.
+    One pass: the shell couplings are converted to float once, and the
+    character values come from one table of the m roots of unity.
     """
     p, m = ctx.p, ctx.m
-    if not 0 <= l % m < m:
-        raise ValueError("angular index out of range")
+    mu_units = complex(Fraction(p - 1, p))
+    couplings = [complex(shell_coupling(p, m, v)) for v in range(1, m)]
+    roots = [complex(root_of_unity(Fraction(k, m))) for k in range(m)]
+    scale = -complex(c_p_const(p))
+    sums = []
+    for l in ls:
+        total = 0j
+        for v, coupling in enumerate(couplings, 1):
+            total += coupling * (roots[l * v % m] - 1) * mu_units
+        sums.append(scale * total)
+    return sums
+
+
+def _angular_closed(l: int, ctx: PrimeParams):
+    """p(p-1)(2-c)/(p^2 - pc + 1) with c = 2 cos(2 pi l/m); exact when c is."""
+    p, m = ctx.p, ctx.m
     turns = Fraction(l % m, m)
     c = _EXACT_TWO_COS.get(turns)
     if c is not None:
-        lam = Fraction(p * (p - 1) * (2 - c), p * p - p * c + 1)
-    else:
-        cf = 2.0 * cmath.cos(2 * cmath.pi * float(turns)).real
-        lam = p * (p - 1) * (2 - cf) / (p * p - p * cf + 1)
-    check = eigenvalue_angular_sum(l, ctx)
-    if abs(complex(lam) - check) > 1e-10:
-        raise ArithmeticError(
-            f"angular eigenvalue mismatch at l={l}: closed {lam}, sum {check}"
-        )
-    return lam
+        return Fraction(p * (p - 1) * (2 - c), p * p - p * c + 1)
+    cf = 2.0 * cmath.cos(2 * cmath.pi * float(turns)).real
+    return p * (p - 1) * (2 - cf) / (p * p - p * cf + 1)
+
+
+def angular_eigenvalues(ls, ctx: PrimeParams) -> list:
+    """The closed form at each l, each cross-evaluated against its defining
+    sum to 1e-10; the sums are taken in one pass."""
+    out = []
+    for l, check in zip(ls, angular_sums(ls, ctx)):
+        lam = _angular_closed(l, ctx)
+        if abs(complex(lam) - check) > 1e-10:
+            raise ArithmeticError(
+                f"angular eigenvalue mismatch at l={l}: closed {lam}, sum {check}"
+            )
+        out.append(lam)
+    return out
+
+
+def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
+    """Defining sum for one angular eigenvalue."""
+    return angular_sums((l,), ctx)[0]
+
+
+def eigenvalue_angular(l: int, ctx: PrimeParams):
+    """The closed form at l, cross-evaluated against the defining sum to 1e-10."""
+    return angular_eigenvalues((l,), ctx)[0]
 
 
 def multiplicity(kind: str, index: int, ctx: PrimeParams) -> int:
@@ -434,12 +495,9 @@ def enumerate_spectrum(max_conductor: int, ctx: PrimeParams) -> tuple[SpectrumEn
         raise ValueError("max conductor must be >= 1")
     p, m = ctx.p, ctx.m
     entries = [SpectrumEntry("zero", 0, Fraction(0), 1)]
-    for l in range(1, m // 2 + 1):
-        entries.append(
-            SpectrumEntry(
-                "angular", l, eigenvalue_angular(l, ctx), multiplicity("angular", l, ctx)
-            )
-        )
+    ls = range(1, m // 2 + 1)
+    for l, lam in zip(ls, angular_eigenvalues(ls, ctx)):
+        entries.append(SpectrumEntry("angular", l, lam, multiplicity("angular", l, ctx)))
     for n in range(1, max_conductor + 1):
         mult = multiplicity("radial", n, ctx)
         if mult == 0:

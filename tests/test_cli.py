@@ -223,3 +223,22 @@ def test_matrix_cap_env(monkeypatch):
     assert "cap" in err
     monkeypatch.delenv("TATE_MAX_DIM")
     assert run_cli(["matrix", "--p", "3", "--m", "2", "--level", "2"])[0] == 0
+
+
+def test_det_at_a_large_period_is_fast(run_python):
+    # The m - 1 angular guards take one pass over the shells, not one each.
+    start = time.perf_counter()
+    proc = run_python("-m", "tateop", "det", "--p", "2", "--m", "1100")
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True
+
+
+def test_spectrum_at_a_large_conductor_is_fast(run_python):
+    # The exact radial identity runs at every conductor, in O(n) each, and
+    # no conductor's characters are enumerated.
+    start = time.perf_counter()
+    proc = run_python("-m", "tateop", "spectrum", "--p", "2", "--m", "1", "--max-conductor", "60")
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True

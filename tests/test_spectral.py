@@ -1,12 +1,15 @@
 """Characters, eigenvalues, spectrum enumeration, Weyl count, DtN identity."""
 
 import cmath
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tateop import cli, determinant, spectral
 from tateop.padic import PrimeParams
 from tateop.spectral import (
     AngularCharacter,
@@ -14,19 +17,24 @@ from tateop.spectral import (
     OutOfRegimeError,
     SpectrumEntry,
     UnitCharacter,
+    angular_eigenvalues,
+    angular_sums,
     character_value,
     dtn_cross_check,
     eigenvalue_angular,
     eigenvalue_angular_sum,
     eigenvalue_for_label,
     eigenvalue_radial_closed,
+    eigenvalue_radial_exact,
     eigenvalue_radial_integral,
     enumerate_conductor,
     enumerate_spectrum,
     multiplicity,
+    primitive_character,
     primitive_root,
     root_of_unity,
     spectral_gap,
+    unit_group_order,
     weyl_count,
 )
 
@@ -249,3 +257,154 @@ def test_eigenvalue_for_label_dispatch():
     assert eigenvalue_for_label(lab_ang, ctx) == Fraction(3, 2)
     lab_zero = CharacterLabel(AngularCharacter(2, 0), UnitCharacter.trivial(3))
     assert eigenvalue_for_label(lab_zero, ctx) == 0
+
+
+# --- Oracles for the closed-form conductor indices -------------------------
+
+
+def _level_generators(p, n, f):
+    """Generators of the subgroup (1 + p^f Z_p) inside (Z/p^n)^x; f = 0
+    means the whole unit group."""
+    if n == 0:
+        return ()
+    if f == 0 or (p == 2 and f == 1):
+        if p != 2:
+            return (primitive_root(p) % p**n,)
+        return (3,) if n == 2 else (2**n - 1, 3)
+    return (1 + p**f,)
+
+
+def _conductor_by_evaluation(chi):
+    """The smallest f with chi trivial on the generators of 1 + p^f Z_p."""
+    for f in range(chi.n + 1):
+        if all(chi.exponent(g) == 0 for g in _level_generators(chi.p, chi.n, f)):
+            return f
+    return chi.n
+
+
+def _all_characters(p, n):
+    """Every character data (a, eps) at level n, eps-major for p = 2."""
+    if n == 0:
+        return [UnitCharacter.trivial(p)]
+    if p == 2:
+        if n == 2:
+            return [UnitCharacter(2, 2, 0, eps) for eps in (0, 1)]
+        return [UnitCharacter(2, n, a, eps) for eps in (0, 1) for a in range(2 ** (n - 2))]
+    return [UnitCharacter(p, n, a) for a in range(unit_group_order(p, n))]
+
+
+ORACLE_LEVELS = (
+    [(p, n) for p in (3, 5, 7) for n in range(5)]
+    + [(11, n) for n in range(4)]
+    + [(2, n) for n in (0, *range(2, 12))]
+)
+
+
+def test_conductor_index_rule_matches_evaluation():
+    checked = 0
+    for p, n in ORACLE_LEVELS:
+        for chi in _all_characters(p, n):
+            assert chi.conductor == _conductor_by_evaluation(chi), chi
+            checked += 1
+    assert checked == 6485
+
+
+def test_enumerate_conductor_matches_the_evaluation_filter_in_order():
+    for p, n in ORACLE_LEVELS:
+        if n == 0:
+            continue
+        old = tuple(chi for chi in _all_characters(p, n) if _conductor_by_evaluation(chi) == n)
+        assert enumerate_conductor(p, n) == old, (p, n)
+        first = old[0] if old else None
+        assert primitive_character(p, n) == first, (p, n)
+
+
+def test_primitive_character_has_its_conductor_at_large_levels():
+    for p, n in [(2, 40), (2, 3), (3, 25), (5, 12), (13, 6)]:
+        chi = primitive_character(p, n)
+        assert chi.conductor == n
+    assert primitive_character(2, 1) is None
+    assert len(enumerate_conductor(2, 16)) == 2**14
+
+
+def _radial_oracle_characters():
+    """Primitive and imprimitive characters of level n <= 5 with p^n small
+    enough for the float integral."""
+    for p, n_max in [(2, 5), (3, 5), (5, 3), (7, 3)]:
+        for n in range(1, n_max + 1):
+            if p == 2 and n == 1:
+                continue
+            chars = [chi for chi in _all_characters(p, n) if not chi.is_trivial]
+            yield from chars[:: max(1, len(chars) // 10)]
+
+
+def test_exact_radial_identity_matches_the_float_integral():
+    chars = list(_radial_oracle_characters())
+    assert len(chars) >= 120
+    assert any(chi.conductor < chi.n for chi in chars)
+    for chi in chars:
+        for m in (1, 2, 3):
+            ctx = PrimeParams(chi.p, m)
+            exact = eigenvalue_radial_exact(chi, ctx)
+            assert exact == eigenvalue_radial_closed(chi.conductor, ctx)
+            for ell in range(m):
+                got = eigenvalue_radial_integral(chi, AngularCharacter(m, ell), ctx)
+                assert abs(got - complex(float(exact))) < 1e-10, (chi, m, ell)
+
+
+def test_exact_radial_identity_rejects_bad_input():
+    with pytest.raises(ValueError):
+        eigenvalue_radial_exact(UnitCharacter.trivial(3), PrimeParams(3, 2))
+    with pytest.raises(ValueError):
+        eigenvalue_radial_exact(UnitCharacter(5, 1, 1), PrimeParams(3, 2))
+
+
+def test_one_pass_angular_sums_match_the_single_sums():
+    for p, m in [(2, 1), (2, 7), (3, 12), (5, 9), (7, 30)]:
+        ctx = PrimeParams(p, m)
+        ls = list(range(-1, m + 2))
+        for ell, got in zip(ls, angular_sums(ls, ctx)):
+            assert abs(got - eigenvalue_angular_sum(ell, ctx)) < 1e-12
+        assert angular_eigenvalues(ls, ctx) == [eigenvalue_angular(ell, ctx) for ell in ls]
+
+
+def _off_by(delta, fn):
+    def wrong(*args):
+        return fn(*args) + delta
+
+    return wrong
+
+
+def _cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_a_wrong_angular_closed_form_raises_from_the_guard(monkeypatch):
+    monkeypatch.setattr(spectral, "_angular_closed", _off_by(1e-8, spectral._angular_closed))
+    ctx = PrimeParams(3, 7)
+    with pytest.raises(ArithmeticError, match="angular eigenvalue mismatch"):
+        angular_eigenvalues(range(1, 7), ctx)
+    with pytest.raises(ArithmeticError):
+        determinant.angular_determinant(ctx)
+    with pytest.raises(ArithmeticError):
+        enumerate_spectrum(2, ctx)
+    assert _cli(["det", "--p", "3", "--m", "7"])[0] == 1
+
+
+def test_a_wrong_radial_closed_form_fails_the_exact_check(monkeypatch):
+    # 2^13 is past the float integral's modulus cap, so only the exact
+    # identity sees conductor 13; the Weyl check reads conductor 14.
+    code, out = _cli(["spectrum", "--p", "2", "--m", "1", "--max-conductor", "14"])
+    assert code == 0
+    closed = spectral.eigenvalue_radial_closed
+
+    def wrong(n, ctx):
+        return closed(n, ctx) + (1 if n == 13 else 0)
+
+    monkeypatch.setattr(cli, "eigenvalue_radial_closed", wrong)
+    code, out_wrong = _cli(["spectrum", "--p", "2", "--m", "1", "--max-conductor", "14"])
+    assert code == 1
+    assert out_wrong == out.replace('"all_pass": true', '"all_pass": false')
