@@ -107,7 +107,9 @@ def unit_log(p: int, n: int, u: int):
 
 def root_of_unity(turns: Fraction):
     """e^(2 pi i turns), exact (Fraction or exact imaginary) at quarter turns."""
-    r = Fraction(turns) % 1
+    r = Fraction(turns)
+    if not 0 <= r.numerator < r.denominator:
+        r %= 1
     den = r.denominator
     if den == 1:
         return Fraction(1)
