@@ -18,16 +18,17 @@ def angular_determinant(ctx: PrimeParams) -> Fraction:
     """Product of the nonzero angular eigenvalues:
     m^2 (p-1)^(m+1) p^(m-1) / (p^m - 1)^2, exactly.
 
-    The float product over l = 1..m-1 is recomputed as a guard; the two
-    must agree to 1e-9 relative.  Each factor is checked against its
-    defining sum, all m - 1 sums in one pass.
+    The product of the float eigenvalues over l = 1..m-1 is recomputed as
+    a guard, in log space: |sum of log lambda_l - log closed| <= 1e-9, to
+    first order the relative 1e-9 bound on the product, with no float
+    underflow at large m.  Each factor is checked against its defining
+    sum, all m - 1 sums in one pass.
     """
     p, m = ctx.p, ctx.m
     closed = Fraction(m * m * (p - 1) ** (m + 1) * p ** (m - 1), (p**m - 1) ** 2)
-    product = 1.0
-    for lam in angular_eigenvalues(range(1, m), ctx):
-        product *= float(lam)
-    if abs(product - float(closed)) > 1e-9 * abs(float(closed)):
+    log_product = math.fsum(math.log(float(lam)) for lam in angular_eigenvalues(range(1, m), ctx))
+    log_closed = math.log(closed.numerator) - math.log(closed.denominator)
+    if abs(log_product - log_closed) > 1e-9:
         raise ArithmeticError("angular product disagrees with its closed form")
     return closed
 

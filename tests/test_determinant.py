@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tateop import determinant
 from tateop.determinant import (
     angular_determinant,
     det_D,
@@ -14,7 +15,7 @@ from tateop.determinant import (
     zeta_prime_at_zero,
 )
 from tateop.padic import PrimeParams
-from tateop.spectral import eigenvalue_angular
+from tateop.spectral import angular_eigenvalues, eigenvalue_angular
 
 
 def test_angular_determinant_oracles():
@@ -119,3 +120,22 @@ def test_zeta_closed_form_wrapper():
     with pytest.raises(ValueError):  # the pole at s = 1
         zeta_pi_value(1, ctx)
     assert abs(zeta_pi_series(2.0, ctx) - zeta_pi_value(2, ctx)) < 1e-12
+
+
+def test_angular_product_guard_past_the_float_range():
+    # At p = 2 the closed form m^2 2^(m-1) / (2^m - 1)^2 is subnormal near
+    # m = 1080 and 0 as a float from about m = 1085 on.
+    for m in (1080, 1100):
+        ctx = PrimeParams(2, m)
+        assert angular_determinant(ctx) == Fraction(m * m * 2 ** (m - 1), (2**m - 1) ** 2)
+
+
+def test_angular_product_guard_sees_a_wrong_factor(monkeypatch):
+    def skewed(ls, ctx):
+        lams = angular_eigenvalues(ls, ctx)
+        return [lams[0] * (1 + 1e-7)] + lams[1:]
+
+    monkeypatch.setattr(determinant, "angular_eigenvalues", skewed)
+    for m in (5, 1100):
+        with pytest.raises(ArithmeticError, match="angular product"):
+            angular_determinant(PrimeParams(2, m))
