@@ -262,10 +262,8 @@ def enumerate_conductor(p: int, n: int) -> tuple[UnitCharacter, ...]:
 
 
 def primitive_character(p: int, n: int) -> UnitCharacter | None:
-    """The first character of :func:`enumerate_conductor` (p, n), built
-    alone; None where conductor n has no character (p = 2, n = 1)."""
-    if n == 0:
-        return UnitCharacter.trivial(p)
+    """The first character of :func:`enumerate_conductor` (p, n), n >= 1,
+    built alone; None where conductor n has no character (p = 2, n = 1)."""
     if p == 2 and n <= 2:
         return UnitCharacter(2, 2, 0, 1) if n == 2 else None
     return UnitCharacter(p, n, 1)

@@ -368,13 +368,6 @@ def test_one_pass_angular_sums_match_the_single_sums():
         assert angular_eigenvalues(ls, ctx) == [eigenvalue_angular(ell, ctx) for ell in ls]
 
 
-def _off_by(delta, fn):
-    def wrong(*args):
-        return fn(*args) + delta
-
-    return wrong
-
-
 def _cli(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -383,7 +376,8 @@ def _cli(argv):
 
 
 def test_a_wrong_angular_closed_form_raises_from_the_guard(monkeypatch):
-    monkeypatch.setattr(spectral, "_angular_closed", _off_by(1e-8, spectral._angular_closed))
+    closed = spectral._angular_closed
+    monkeypatch.setattr(spectral, "_angular_closed", lambda l, ctx: closed(l, ctx) + 1e-8)
     ctx = PrimeParams(3, 7)
     with pytest.raises(ArithmeticError, match="angular eigenvalue mismatch"):
         angular_eigenvalues(range(1, 7), ctx)
