@@ -114,9 +114,10 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float, ctx: PrimeParams) -> f
         ) / math.expm1(m * delta * lp)
     except OverflowError:
         # p^(m delta) is past the float range.  As |v1 - v2| < m the second
-        # term is below 2 p^(-delta): log(p^r + p^-r) - log(p^c - 1), in logs.
-        r = abs(v1 - v2) * delta * lp
-        c = m * delta * lp
+        # term, (p^R + p^-R) / (p^C - 1) with R = |v1 - v2| delta and
+        # C = m delta, is below 2 p^-delta: take it through its logarithm.
+        r = abs(v1 - v2) * delta * lp  # log p^R
+        c = m * delta * lp  # log p^C
         second = math.exp(r + math.log1p(math.exp(-2 * r)) - c - math.log(-math.expm1(-c)))
     return first + second
 
