@@ -144,8 +144,13 @@ def cmd_greens(args: argparse.Namespace) -> Report:
         if args.expect is not None
         else -Fraction(ctx.p, ctx.m * (ctx.p - 1))
     )
+    points = height_check_points(ctx, args.max_vdist)
+    if not points:
+        raise UsageError(
+            f"--max-vdist {args.max_vdist} samples no point at p={ctx.p}, m={ctx.m}; raise it"
+        )
     rows = []
-    for x in height_check_points(ctx, args.max_vdist):
+    for x in points:
         value = apply_D_height(x, kc)
         cells = (
             format_rational(x.value),
@@ -199,7 +204,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
             }
         )
     lam_top = eigenvalue_radial_closed(max_conductor, ctx)
-    count = weyl_count(lam_top, ctx)
+    count = weyl_count(lam_top, ctx, entries)
     weyl_ok = count == ctx.m * lam_top
     checks_pass = checks_pass and weyl_ok
     total = sum(e.multiplicity for e in entries)
@@ -210,7 +215,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
         "max_conductor": max_conductor,
         "entries": [e.to_json_dict() for e in entries],
         "total_multiplicity": total,
-        "spectral_gap": spectral_gap(ctx),
+        "spectral_gap": spectral_gap(ctx, entries),
         "weyl": {
             "lambda": lam_top,
             "count": count,

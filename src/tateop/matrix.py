@@ -27,7 +27,7 @@ from .spectral import (
     enumerate_conductor,
     enumerate_spectrum,
     eigenvalue_for_label,
-    root_of_unity,
+    root_table,
     unit_group_order,
     unit_log,
 )
@@ -256,9 +256,7 @@ def label_vectors(mx: OperatorMatrix):
         n, phi = chi.n, unit_group_order(p, chi.n)
         if n not in logs:
             logs[n] = np.array([unit_log(p, n, c % p**n) if n else 0 for c in units]).T
-            roots[n] = np.array(
-                [complex(root_of_unity(Fraction(j, m * phi))) for j in range(m * phi)]
-            )
+            roots[n] = np.array(root_table(m * phi))
         radial = np.broadcast_to(m * chi.turns(logs[n]), len(units))
         angular = l * phi * np.arange(m)
         yield label, roots[n][(angular[:, None] + radial).ravel() % (m * phi)]

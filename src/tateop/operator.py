@@ -8,7 +8,6 @@ are evaluated and compared once per distinct triple and then cached.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -16,9 +15,7 @@ from functools import lru_cache
 from .domain import (
     Ball,
     HeightProfile,
-    ShellPartition,
     StepFunction,
-    geom_sum,
     local_height,
     total_volume,
 )
@@ -37,9 +34,14 @@ def c_p_const(p: int) -> Fraction:
     return raw
 
 
+def coupling_weight(p: int, m: int, u: int) -> int:
+    """p^(m-u) + p^u: the shell coupling times q - 1."""
+    return p ** (m - u) + p**u
+
+
 def shell_coupling(p: int, m: int, u: int) -> Fraction:
     """(p^(m-u) + p^u) / (q - 1): the kernel between shells u apart, 0 < u < m."""
-    return Fraction(p ** (m - u) + p**u, p**m - 1)
+    return Fraction(coupling_weight(p, m, u), p**m - 1)
 
 
 @lru_cache(maxsize=None)
@@ -135,57 +137,52 @@ def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
     sums that close in elementary form; the remaining shells contribute
     finitely many terms.  The result is the constant -p / (m (p - 1)),
     i.e. minus the reciprocal of the total volume.
+
+    Every term is an integer numerator over one denominator,
+    p^(ell+1) (q - 1) 2m (p - 1) with ell = v(x - 1) on the unit shell and
+    ell = 0 elsewhere; each comment gives the term as a rational.
     """
     p, m = kc.ctx.p, kc.ctx.m
     if x.value == 1:
         raise ValueError("height is singular at the identity")
     vx = x.v
-    two_over = Fraction(2, p**m - 1)
-    total = Fraction(0)
+    q1 = p**m - 1
+    two_m = 2 * m
+    ell = valuation(x.value - 1, p) if vx == 0 else 0
+    p_ell = p**ell
+    num = 0
     if vx == 0:
-        ell = valuation(x.value - 1, p)
         # Shell of x.  Stratify z by t = v(z - x) >= 0 and compare
         # v(z - 1) against ell; the t = ell stratum needs the inner
         # geometric sums.
-        i0 = Fraction(0)
         if p > 2:
-            i0 += Fraction(p - 2, p) * (1 + two_over) * (0 - ell)
+            # (p - 2)/p (1 + 2/(q - 1)) (0 - ell)
+            num += (p - 2) * (q1 + 2) * (0 - ell) * p_ell * two_m * (p - 1)
         for t in range(1, ell):
-            i0 += (
-                Fraction(p - 1, p)
-                * Fraction(1, p**t)
-                * (Fraction(p ** (2 * t)) + two_over)
-                * (t - ell)
-            )
-        tail = geom_sum(1, ell + 1, Fraction(1, p)) - ell * geom_sum(
-            0, ell + 1, Fraction(1, p)
-        )
-        i0 += Fraction(p - 1, p) * (Fraction(p ** (2 * ell)) + two_over) * tail
-        total += i0
+            # (p - 1)/p p^-t (p^(2t) + 2/(q - 1)) (t - ell)
+            num += (p - 1) ** 2 * (p ** (2 * t) * q1 + 2) * (t - ell) * p ** (ell - t) * two_m
+        # (p - 1)/p (p^(2 ell) + 2/(q - 1)) tail, where the tail is the
+        # geom_sum sum_{j > ell} j p^-j less ell sum_{j > ell} p^-j; over
+        # p^ell (p - 1)^2 these read (ell + 1)(p - 1) + 1 and ell (p - 1).
+        tail = (ell + 1) * (p - 1) + 1 - ell * (p - 1)
+        num += (p ** (2 * ell) * q1 + 2) * tail * two_m
         for v in range(1, m):
-            total += (
-                Fraction(p - 1, p)
-                * shell_coupling(p, m, v)
-                * (Fraction(v * (v - m), 2 * m) - ell)
-            )
+            # (p - 1)/p shell_coupling(v) (v (v - m)/(2m) - ell)
+            num += (p - 1) ** 2 * coupling_weight(p, m, v) * (v * (v - m) - two_m * ell) * p_ell
     else:
-        a_x = Fraction(vx * (vx - m), 2 * m)
+        a_x = vx * (vx - m)  # 2m times the height's v-part at x
         # The height difference vanishes identically on the shell of x,
         # so that shell drops out.  On the unit shell the v(z - 1) profile
         # integrates to 1/(p - 1); the remaining shells are constant.
-        i0 = shell_coupling(p, m, vx) * (
-            Fraction(1, p - 1) - Fraction(p - 1, p) * a_x
-        )
-        total += i0
+        # shell_coupling(vx) (1/(p - 1) - (p - 1)/p a_x/(2m))
+        num += coupling_weight(p, m, vx) * (two_m * p - (p - 1) ** 2 * a_x)
         for v in range(1, m):
             if v == vx:
                 continue
-            total += (
-                Fraction(p - 1, p)
-                * shell_coupling(p, m, abs(v - vx))
-                * (Fraction(v * (v - m), 2 * m) - a_x)
-            )
-    return -kc.c_p * total
+            # (p - 1)/p shell_coupling(|v - vx|) (v (v - m) - a_x)/(2m)
+            num += (p - 1) ** 2 * coupling_weight(p, m, abs(v - vx)) * (v * (v - m) - a_x)
+    den = p * p_ell * q1 * two_m * (p - 1)
+    return Fraction(-kc.c_p.numerator * num, kc.c_p.denominator * den)
 
 
 def greens_function(

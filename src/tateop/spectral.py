@@ -14,6 +14,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .domain import canonical_center
 from .operator import c_p_const, shell_coupling
@@ -118,6 +119,28 @@ def root_of_unity(turns: Fraction):
     if den == 4:
         return 1j if r.numerator == 1 else -1j
     return cmath.exp(2j * cmath.pi * float(r))
+
+
+@lru_cache(maxsize=None)
+def root_table(n: int) -> tuple:
+    """complex(root_of_unity(Fraction(j, n))) for j in range(n), built directly.
+
+    The reduced denominator n / gcd(j, n) picks the exact values at 1, 2
+    and 4; elsewhere j / n is the same correctly rounded float as the
+    reduced fraction's, so every entry has the same bits.
+    """
+    out = []
+    for j in range(n):
+        den = n // gcd(j, n)
+        if den == 1:
+            out.append(1 + 0j)
+        elif den == 2:
+            out.append(-1 + 0j)
+        elif den == 4:
+            out.append(1j if 4 * j == n else -1j)
+        else:
+            out.append(cmath.exp(2j * cmath.pi * (j / n)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -327,8 +350,8 @@ def eigenvalue_radial_integral(
     phi = unit_group_order(p, n)
     # chi(u) = e^(2 pi i j / phi), j = chi.turns(log u) mod phi: one table of
     # the phi roots, indexed through the discrete logs.
-    roots = [complex(root_of_unity(Fraction(j, phi))) for j in range(phi)]
-    mu_units = Fraction(p - 1, p)
+    roots = root_table(phi)
+    mu_units = complex(Fraction(p - 1, p))
     s_main = 0j
     s_hat = 0j
     for u in range(1, p_n):
@@ -338,11 +361,18 @@ def eigenvalue_radial_integral(
         s_hat += val / p_n
         if u != 1:
             s_main += p ** (2 * int_valuation(u - 1, p)) * (1 - val) / p_n
-    total = s_main + Fraction(2, p**m - 1) * (complex(mu_units) - s_hat)
-    for v in range(1, m):
-        w = complex(zeta.value(v))
-        total += shell_coupling(p, m, v) * (complex(mu_units) - w * s_hat)
+    total = s_main + Fraction(2, p**m - 1) * (mu_units - s_hat)
+    # zeta(v) is the (l v mod m)-th of the m roots.
+    angular = root_table(m)
+    for v, coupling in enumerate(_float_couplings(p, m), 1):
+        total += coupling * (mu_units - angular[zeta.l * v % m] * s_hat)
     return complex(c_p_const(p)) * total
+
+
+@lru_cache(maxsize=None)
+def _float_couplings(p: int, m: int) -> tuple:
+    """The shell couplings to shells 1..m - 1, converted to float once."""
+    return tuple(complex(shell_coupling(p, m, v)) for v in range(1, m))
 
 
 def eigenvalue_radial_exact(chi: UnitCharacter, ctx: PrimeParams) -> Fraction:
@@ -393,8 +423,8 @@ def angular_sums(ls, ctx: PrimeParams) -> list[complex]:
     """
     p, m = ctx.p, ctx.m
     mu_units = complex(Fraction(p - 1, p))
-    couplings = [complex(shell_coupling(p, m, v)) for v in range(1, m)]
-    roots = [complex(root_of_unity(Fraction(k, m))) for k in range(m)]
+    couplings = _float_couplings(p, m)
+    roots = root_table(m)
     scale = -complex(c_p_const(p))
     sums = []
     for l in ls:
@@ -509,28 +539,34 @@ def enumerate_spectrum(max_conductor: int, ctx: PrimeParams) -> tuple[SpectrumEn
     return tuple(entries)
 
 
-def spectral_gap(ctx: PrimeParams):
+def spectral_gap(ctx: PrimeParams, entries=None):
     """Smallest positive eigenvalue by the closed forms.
 
     For m >= 2 this is the fundamental angular eigenvalue, checked to lie
-    below the radial floor p - 1; for m = 1 it is p - 1 itself.
+    below the radial floor p - 1; for m = 1 it is p - 1 itself.  It is read
+    off ``entries``, an :func:`enumerate_spectrum` result, when given.
     """
     p, m = ctx.p, ctx.m
     if m == 1:
         return Fraction(p - 1)
-    gap = eigenvalue_angular(1, ctx)
+    if entries is None:
+        gap = eigenvalue_angular(1, ctx)
+    else:
+        gap = next(e.eigenvalue for e in entries if e.kind == "angular" and e.index == 1)
     if not gap < p - 1:
         raise ArithmeticError("angular gap is not below the radial floor")
     return gap
 
 
-def weyl_count(lam: Rational, ctx: PrimeParams) -> int:
+def weyl_count(lam: Rational, ctx: PrimeParams, entries=None) -> int:
     """Number of eigenvalues <= lam, counted with multiplicity.
 
     Valid once lam clears every angular eigenvalue, i.e. lam >= p - 1;
     then the count is m (p-1) p^(M-1) = m * lambda_M with M the largest
     radial level at or below lam.  Computed by the closed formula and by
-    enumeration, which must agree.
+    enumeration, which must agree.  ``entries``, an
+    :func:`enumerate_spectrum` result reaching level M, is counted instead
+    of a new enumeration when given.
     """
     p, m = ctx.p, ctx.m
     bound = Fraction(lam)
@@ -543,9 +579,11 @@ def weyl_count(lam: Rational, ctx: PrimeParams) -> int:
         big_m += 1
     formula = m * (p - 1) ** 2 * sum(p**i for i in range(big_m - 1)) + m * (p - 2) + m
     expected = m * (p - 1) * p ** (big_m - 1)
-    enumerated = sum(
-        e.multiplicity for e in enumerate_spectrum(big_m, ctx) if e.eigenvalue <= bound
-    )
+    if entries is None:
+        entries = enumerate_spectrum(big_m, ctx)
+    elif sum(e.multiplicity for e in entries) < expected:
+        raise ValueError(f"the entries stop below radial level {big_m}")
+    enumerated = sum(e.multiplicity for e in entries if e.eigenvalue <= bound)
     if formula != expected or enumerated != expected:
         raise ArithmeticError("eigenvalue count mismatch between formula and enumeration")
     return formula

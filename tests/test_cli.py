@@ -154,6 +154,17 @@ def test_usage_errors_exit_2():
     assert run_cli(["nope"])[0] == 2
 
 
+def test_greens_with_no_sample_point_is_a_usage_error():
+    # At p = 2 no unit x has v(x - 1) = 0, and m = 1 has no other shell:
+    # nothing would be checked, so the input is refused.
+    code, out, err = run_cli(["greens", "--p", "2", "--m", "1", "--max-vdist", "0"])
+    assert code == 2
+    assert out == ""
+    assert "--max-vdist" in err
+    assert run_cli(["greens", "--p", "2", "--m", "1", "--max-vdist", "1"])[0] == 0
+    assert run_cli(["greens", "--p", "2", "--m", "2", "--max-vdist", "0"])[0] == 0
+
+
 def test_correlator_at_a_non_integer_dimension_past_the_float_range():
     # p^(m delta) overflows a float, but the value is 1 to the last bit.
     for delta in ("400.5", "10000000.5"):

@@ -1,5 +1,7 @@
 """The nonlocal operator: kernel identities, height Green's function, delta check."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -7,12 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tateop import cli, operator
 from tateop.domain import (
     Ball,
     HeightProfile,
     PrimeParams,
     ShellPartition,
     StepFunction,
+    geom_sum,
     local_height,
     total_volume,
 )
@@ -25,9 +29,10 @@ from tateop.operator import (
     height_check_points,
     integrate_H_over_ball,
     kernel_H,
+    shell_coupling,
     weak_delta_check,
 )
-from tateop.padic import norm, point, tate_div, tate_inv
+from tateop.padic import norm, point, tate_div, tate_inv, valuation
 
 configs = st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 2)])
 
@@ -156,6 +161,75 @@ def test_height_is_greens_function_spot_checks():
         expected = -Fraction(p, m * (p - 1))
         for x in height_check_points(ctx, max_vdist=3):
             assert apply_D_height(x, kc) == expected
+
+
+def apply_D_height_oracle(x, kc):
+    """The stratified sum of apply_D_height term by term in Fraction
+    arithmetic, with the t = ell tails as geom_sum values."""
+    p, m = kc.ctx.p, kc.ctx.m
+    vx = x.v
+    two_over = Fraction(2, p**m - 1)
+    total = Fraction(0)
+    if vx == 0:
+        ell = valuation(x.value - 1, p)
+        i0 = Fraction(0)
+        if p > 2:
+            i0 += Fraction(p - 2, p) * (1 + two_over) * (0 - ell)
+        for t in range(1, ell):
+            i0 += (
+                Fraction(p - 1, p)
+                * Fraction(1, p**t)
+                * (Fraction(p ** (2 * t)) + two_over)
+                * (t - ell)
+            )
+        tail = geom_sum(1, ell + 1, Fraction(1, p)) - ell * geom_sum(
+            0, ell + 1, Fraction(1, p)
+        )
+        i0 += Fraction(p - 1, p) * (Fraction(p ** (2 * ell)) + two_over) * tail
+        total += i0
+        for v in range(1, m):
+            total += (
+                Fraction(p - 1, p)
+                * shell_coupling(p, m, v)
+                * (Fraction(v * (v - m), 2 * m) - ell)
+            )
+    else:
+        a_x = Fraction(vx * (vx - m), 2 * m)
+        total += shell_coupling(p, m, vx) * (Fraction(1, p - 1) - Fraction(p - 1, p) * a_x)
+        for v in range(1, m):
+            if v == vx:
+                continue
+            total += (
+                Fraction(p - 1, p)
+                * shell_coupling(p, m, abs(v - vx))
+                * (Fraction(v * (v - m), 2 * m) - a_x)
+            )
+    return -kc.c_p * total
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_integer_height_kernel_matches_the_fraction_oracle(p):
+    # max_vdist = 100 samples every point of the smaller max_vdist as well.
+    for m in range(1, 6):
+        kc = kc_of(p, m)
+        pts = height_check_points(kc.ctx, max_vdist=100)
+        assert {valuation(x.value - 1, p) for x in pts if x.v == 0} == set(range(101)) - (
+            {0} if p == 2 else set()
+        )
+        for x in pts:
+            assert apply_D_height(x, kc) == apply_D_height_oracle(x, kc)
+
+
+def test_a_skewed_shell_coupling_fails_greens(monkeypatch):
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(argv)
+
+    argv = ["greens", "--p", "3", "--m", "3", "--max-vdist", "4"]
+    assert run(argv) == 0
+    weight = operator.coupling_weight
+    monkeypatch.setattr(operator, "coupling_weight", lambda p, m, u: weight(p, m, u) + 1)
+    assert run(argv) == 1
 
 
 def test_height_check_points_cover_all_strata():

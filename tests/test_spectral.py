@@ -33,6 +33,7 @@ from tateop.spectral import (
     primitive_character,
     primitive_root,
     root_of_unity,
+    root_table,
     spectral_gap,
     unit_group_order,
     weyl_count,
@@ -402,3 +403,41 @@ def test_a_wrong_radial_closed_form_fails_the_exact_check(monkeypatch):
     code, out_wrong = _cli(["spectrum", "--p", "2", "--m", "1", "--max-conductor", "14"])
     assert code == 1
     assert out_wrong == out.replace('"all_pass": true', '"all_pass": false')
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 6, 8, 12, 15, 100, 1458, 2048, 2058, 2187, 2500, 4096, 4999, 5000]
+)
+def test_root_table_has_the_bits_of_root_of_unity(n):
+    table = root_table(n)
+    assert len(table) == n
+    for j, z in enumerate(table):
+        assert repr(z) == repr(complex(root_of_unity(Fraction(j, n)))), (j, n)
+
+
+def test_spectrum_runs_one_angular_pass(monkeypatch):
+    calls = []
+    sums = spectral.angular_sums
+
+    def counted(ls, ctx):
+        calls.append(list(ls))
+        return sums(ls, ctx)
+
+    monkeypatch.setattr(spectral, "angular_sums", counted)
+    for p, m, n in [(3, 2, 2), (2, 7, 4), (5, 12, 3), (2, 1, 3)]:
+        calls.clear()
+        code, _ = _cli(["spectrum", "--p", str(p), "--m", str(m), "--max-conductor", str(n)])
+        assert code == 0
+        assert calls == [list(range(1, m // 2 + 1))]
+
+
+def test_counts_read_off_given_entries_match_a_fresh_enumeration():
+    for p, m in [(2, 1), (2, 6), (3, 2), (5, 3)]:
+        ctx = PrimeParams(p, m)
+        entries = enumerate_spectrum(4, ctx)
+        assert spectral_gap(ctx, entries) == spectral_gap(ctx)
+        for n in range(1, 5):
+            lam = eigenvalue_radial_closed(n, ctx)
+            assert weyl_count(lam, ctx, entries) == weyl_count(lam, ctx)
+        with pytest.raises(ValueError, match="radial level 5"):
+            weyl_count(eigenvalue_radial_closed(5, ctx), ctx, entries)
