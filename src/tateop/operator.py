@@ -158,9 +158,12 @@ def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
         if p > 2:
             # (p - 2)/p (1 + 2/(q - 1)) (0 - ell)
             num += (p - 2) * (q1 + 2) * (0 - ell) * p_ell * two_m * (p - 1)
+        strata = 0
         for t in range(1, ell):
-            # (p - 1)/p p^-t (p^(2t) + 2/(q - 1)) (t - ell)
-            num += (p - 1) ** 2 * (p ** (2 * t) * q1 + 2) * (t - ell) * p ** (ell - t) * two_m
+            # (p - 1)/p p^-t (p^(2t) + 2/(q - 1)) (t - ell), without the
+            # common factor (p - 1)^2 2m
+            strata += (p ** (2 * t) * q1 + 2) * (t - ell) * p ** (ell - t)
+        num += (p - 1) ** 2 * two_m * strata
         # (p - 1)/p (p^(2 ell) + 2/(q - 1)) tail, where the tail is the
         # geom_sum sum_{j > ell} j p^-j less ell sum_{j > ell} p^-j; over
         # p^ell (p - 1)^2 these read (ell + 1)(p - 1) + 1 and ell (p - 1).

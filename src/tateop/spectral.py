@@ -544,15 +544,15 @@ def spectral_gap(ctx: PrimeParams, entries=None):
 
     For m >= 2 this is the fundamental angular eigenvalue, checked to lie
     below the radial floor p - 1; for m = 1 it is p - 1 itself.  It is read
-    off ``entries``, an :func:`enumerate_spectrum` result, when given.
+    off ``entries``, an :func:`enumerate_spectrum` result, enumerated here
+    when not given.
     """
     p, m = ctx.p, ctx.m
     if m == 1:
         return Fraction(p - 1)
     if entries is None:
-        gap = eigenvalue_angular(1, ctx)
-    else:
-        gap = next(e.eigenvalue for e in entries if e.kind == "angular" and e.index == 1)
+        entries = enumerate_spectrum(1, ctx)
+    gap = next(e.eigenvalue for e in entries if e.kind == "angular" and e.index == 1)
     if not gap < p - 1:
         raise ArithmeticError("angular gap is not below the radial floor")
     return gap
