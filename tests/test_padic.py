@@ -51,6 +51,33 @@ def test_valuation_oracles():
         int_valuation(0, 5)
 
 
+def _int_valuation_by_division(n: int, p: int) -> int:
+    """The one-factor-at-a-time loop: the reference for int_valuation."""
+    n, v = abs(n), 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(
+    primes,
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=-(10**60), max_value=10**60).filter(lambda u: u != 0),
+)
+def test_int_valuation_matches_division_loop(p, k, u):
+    n = p**k * u
+    assert int_valuation(n, p) == _int_valuation_by_division(n, p)
+    assert int_valuation(n, p) == k + _int_valuation_by_division(u, p)
+
+
+def test_int_valuation_at_exact_powers():
+    for p in (2, 3, 5, 7):
+        for k in (0, 1, 2, 3, 7, 8, 63, 64, 65, 600, 1023, 1024, 4097):
+            for u in (1, -1, p - 1, p + 1, -(p**3 + 1)):
+                assert int_valuation(p**k * u, p) == k + _int_valuation_by_division(u, p)
+
+
 def test_norm_oracles():
     assert norm(12, 3) == Fraction(1, 3)
     assert norm(Fraction(1, 6), 2) == 2
