@@ -12,9 +12,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .correlator import height_limit_check, two_point
@@ -28,6 +28,7 @@ from .operator import (
 )
 from .padic import (
     PrimeParams,
+    Record,
     format_float,
     format_rational,
     parse_rational,
@@ -54,17 +55,29 @@ class UsageError(Exception):
     """Invalid arguments that argparse alone cannot catch."""
 
 
-@dataclass
-class Report:
+class Report(Record):
     """One command's payload: canonical JSON data plus a flat projection.
 
     The exit code follows ``data["all_pass"]``; a report without one passes.
+    Unlike the other records it is mutable, and so unhashable.
     """
 
+    __slots__ = _fields = ("data", "columns", "rows", "raw_text")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
     data: dict
     columns: tuple[str, ...]
     rows: list[tuple]
-    raw_text: str | None = field(default=None)
+    raw_text: str | None
+
+    def __init__(
+        self, data: dict, columns: tuple[str, ...], rows: list[tuple], raw_text: str | None = None
+    ) -> None:
+        self.data = data
+        self.columns = columns
+        self.rows = rows
+        self.raw_text = raw_text
 
     @property
     def code(self) -> int:
@@ -293,6 +306,8 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
         x2 = point(parse_rational(args.x2), ctx)
     except ValueError as exc:
         raise UsageError(f"bad point: {exc}") from exc
+    if not math.isfinite(delta):
+        raise UsageError(f"--delta {delta!r} is not a finite number")
     if delta <= 0:
         raise UsageError("--delta must be positive")
     if x1.value == x2.value:

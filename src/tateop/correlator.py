@@ -10,24 +10,26 @@ the degeneration to the kernel at dimension 1 is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .domain import local_height
-from .padic import PrimeParams, TatePoint, tate_div, valuation
+from .padic import PrimeParams, Record, TatePoint, tate_div, valuation
 
 
-@dataclass(frozen=True)
-class ScalingDimension:
+class ScalingDimension(Record):
     """The two real roots of the mass relation, delta_plus + delta_minus = 1."""
 
+    __slots__ = _fields = ("delta_plus", "delta_minus", "mass_squared")
     delta_plus: float
     delta_minus: float
     mass_squared: float
 
-    def __post_init__(self) -> None:
-        if abs(self.delta_plus + self.delta_minus - 1.0) > 1e-9:
+    def __init__(self, delta_plus: float, delta_minus: float, mass_squared: float) -> None:
+        if abs(delta_plus + delta_minus - 1.0) > 1e-9:
             raise ValueError("scaling dimensions must sum to 1")
+        object.__setattr__(self, "delta_plus", delta_plus)
+        object.__setattr__(self, "delta_minus", delta_minus)
+        object.__setattr__(self, "mass_squared", mass_squared)
 
 
 def mass_from_delta(delta: float, ctx: PrimeParams) -> float:

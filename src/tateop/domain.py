@@ -9,13 +9,13 @@ one geometric tail near the height singularity, which has a closed form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .padic import (
     PrimeParams,
     Rational,
+    Record,
     TatePoint,
     format_rational,
     parse_rational,
@@ -56,27 +56,30 @@ def canonical_center(u: Rational, k: int, p: int) -> int:
     return frac.numerator * pow(frac.denominator, -1, mod) % mod
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Record):
     """Unit coset {p^v u : u = center mod p^k}, the atom of step functions.
 
     The center is canonical: the least positive integer representative of
     the unit class mod p^k, so equal balls compare and hash equal.
     """
 
+    __slots__ = _fields = ("ctx", "v", "k", "center")
     ctx: PrimeParams
     v: int
     k: int
     center: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.v < self.ctx.m:
-            raise ValueError(f"shell index {self.v} outside [0, {self.ctx.m})")
-        if self.k < 1:
+    def __init__(self, ctx: PrimeParams, v: int, k: int, center: int) -> None:
+        if not 0 <= v < ctx.m:
+            raise ValueError(f"shell index {v} outside [0, {ctx.m})")
+        if k < 1:
             raise ValueError("level k must be >= 1")
-        c = self.center % self.ctx.p**self.k
-        if c % self.ctx.p == 0:
+        c = center % ctx.p**k
+        if c % ctx.p == 0:
             raise ValueError("ball center must be a p-adic unit")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "center", c)
 
     def measure(self) -> Fraction:
@@ -102,22 +105,22 @@ class Ball:
         return f"v{self.v}.k{self.k}.c{self.center}"
 
 
-@dataclass(frozen=True)
-class ShellPartition:
+class ShellPartition(Record):
     """Pairwise-disjoint balls whose union is the whole fundamental domain."""
 
+    __slots__ = ("ctx", "balls", "_index", "_levels")
+    _fields = ("ctx", "balls")
     ctx: PrimeParams
     balls: tuple[Ball, ...]
 
-    def __post_init__(self) -> None:
-        balls = tuple(self.balls)
-        object.__setattr__(self, "balls", balls)
+    def __init__(self, ctx: PrimeParams, balls) -> None:
+        balls = tuple(balls)
         if not balls:
             raise ValueError("a partition needs at least one ball")
         index: dict[tuple[int, int, int], int] = {}
         by_level: dict[tuple[int, int], set[int]] = {}
         for i, b in enumerate(balls):
-            if b.ctx != self.ctx:
+            if b.ctx != ctx:
                 raise ValueError("mixed prime contexts in partition")
             key = (b.v, b.k, b.center)
             if key in index:
@@ -129,10 +132,12 @@ class ShellPartition:
         for b in balls:
             for k2 in range(1, b.k):
                 centers = by_level.get((b.v, k2))
-                if centers and b.center % self.ctx.p**k2 in centers:
+                if centers and b.center % ctx.p**k2 in centers:
                     raise ValueError(f"overlapping balls at {b.label()}")
-        if sum(b.measure() for b in balls) != total_volume(self.ctx):
+        if sum(b.measure() for b in balls) != total_volume(ctx):
             raise ValueError("balls do not exactly cover the domain")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "balls", balls)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_levels", sorted({b.k for b in balls}))
 
@@ -150,8 +155,8 @@ class ShellPartition:
         return cls(ctx, balls)
 
     def find_index(self, x: TatePoint) -> int:
-        index: dict = self._index  # type: ignore[attr-defined]
-        for k in self._levels:  # type: ignore[attr-defined]
+        index = self._index
+        for k in self._levels:
             c = canonical_center(x.unit_part(), k, self.ctx.p)
             i = index.get((x.v, k, c))
             if i is not None:
@@ -164,8 +169,7 @@ class ShellPartition:
         return ShellPartition(self.ctx, balls[:i] + balls[i].children() + balls[i + 1 :])
 
 
-@dataclass(frozen=True)
-class StepFunction:
+class StepFunction(Record):
     """Finitely many disjoint balls covering the domain, one value per ball.
 
     Values are exact rationals in all the identity checks; complex values
@@ -173,13 +177,15 @@ class StepFunction:
     machinery.
     """
 
+    __slots__ = _fields = ("partition", "values")
     partition: ShellPartition
     values: tuple
 
-    def __post_init__(self) -> None:
-        vals = tuple(Fraction(v) if isinstance(v, int) else v for v in self.values)
-        if len(vals) != len(self.partition.balls):
+    def __init__(self, partition: ShellPartition, values) -> None:
+        vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
+        if len(vals) != len(partition.balls):
             raise ValueError("one value per ball required")
+        object.__setattr__(self, "partition", partition)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -267,11 +273,14 @@ def local_height(w: TatePoint) -> Fraction:
     return j + Fraction(w.v * (w.v - m), 2 * m) + Fraction(m, 12)
 
 
-@dataclass(frozen=True)
-class HeightProfile:
+class HeightProfile(Record):
     """The translated local height x -> h(x / base), exact away from the base."""
 
+    __slots__ = _fields = ("base",)
     base: TatePoint
+
+    def __init__(self, base: TatePoint) -> None:
+        object.__setattr__(self, "base", base)
 
     @property
     def ctx(self) -> PrimeParams:

@@ -14,13 +14,12 @@ needs it, and importing it is most of the CLI's start-up time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
 from .domain import Ball, ShellPartition, StepFunction
 from .operator import KernelContext, _kernel_by_valuations, apply_D_step
-from .padic import PrimeParams, format_rational
+from .padic import PrimeParams, Record, format_rational
 from .spectral import (
     AngularCharacter,
     CharacterLabel,
@@ -54,16 +53,36 @@ def matrix_dimension(level: int, ctx: PrimeParams) -> int:
     return ctx.m * (ctx.p - 1) * ctx.p ** (level - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorMatrix:
+class OperatorMatrix(Record):
     """Exact matrix of the operator restricted to level-k steps: entry
-    (i, j) is values[index[i, j]], and the values are pairwise distinct."""
+    (i, j) is values[index[i, j]], and the values are pairwise distinct.
 
+    Matrices compare by identity; ``__dict__`` holds ``float_entries``.
+    """
+
+    __slots__ = ("kc", "level", "basis", "values", "index", "__dict__")
+    _fields = ("kc", "level", "basis", "values", "index")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
     kc: KernelContext
     level: int
     basis: tuple[Ball, ...]
     values: tuple[Fraction, ...]
     index: np.ndarray
+
+    def __init__(
+        self,
+        kc: KernelContext,
+        level: int,
+        basis: tuple[Ball, ...],
+        values: tuple[Fraction, ...],
+        index: np.ndarray,
+    ) -> None:
+        object.__setattr__(self, "kc", kc)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "index", index)
 
     @property
     def ctx(self) -> PrimeParams:
@@ -191,11 +210,24 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
     return OperatorMatrix(kc, level, basis, values, index)
 
 
-@dataclass(frozen=True)
-class MatrixReport:
+class MatrixReport(Record):
     """Structural and spectral checks of one assembled matrix, with the
     ascending eigenvalues they were made on."""
 
+    __slots__ = _fields = (
+        "eigenvalues",
+        "dimension",
+        "symmetric",
+        "row_sums_zero",
+        "min_eigenvalue",
+        "positive_semidefinite",
+        "kernel_dimension",
+        "multiset_deviation",
+        "spectrum_match",
+        "eigenfunction_residual",
+        "eigenfunctions_ok",
+        "failures",
+    )
     eigenvalues: list[float]
     dimension: int
     symmetric: bool
@@ -209,13 +241,41 @@ class MatrixReport:
     eigenfunctions_ok: bool
     failures: tuple[str, ...]
 
+    def __init__(
+        self,
+        eigenvalues,
+        dimension,
+        symmetric,
+        row_sums_zero,
+        min_eigenvalue,
+        positive_semidefinite,
+        kernel_dimension,
+        multiset_deviation,
+        spectrum_match,
+        eigenfunction_residual,
+        eigenfunctions_ok,
+        failures,
+    ) -> None:
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "row_sums_zero", row_sums_zero)
+        object.__setattr__(self, "min_eigenvalue", min_eigenvalue)
+        object.__setattr__(self, "positive_semidefinite", positive_semidefinite)
+        object.__setattr__(self, "kernel_dimension", kernel_dimension)
+        object.__setattr__(self, "multiset_deviation", multiset_deviation)
+        object.__setattr__(self, "spectrum_match", spectrum_match)
+        object.__setattr__(self, "eigenfunction_residual", eigenfunction_residual)
+        object.__setattr__(self, "eigenfunctions_ok", eigenfunctions_ok)
+        object.__setattr__(self, "failures", failures)
+
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_json_dict(self) -> dict:
         """Every field after the eigenvalues, in order, then the verdict."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        data = {name: getattr(self, name) for name in self._fields[1:]}
         return {**data, "failures": list(self.failures), "passed": self.passed}
 
 

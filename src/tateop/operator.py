@@ -8,7 +8,6 @@ are evaluated and compared once per distinct triple and then cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,7 +18,7 @@ from .domain import (
     local_height,
     total_volume,
 )
-from .padic import PrimeParams, TatePoint, point, tate_div, valuation
+from .padic import PrimeParams, Record, TatePoint, point, tate_div, valuation
 
 
 def c_p_const(p: int) -> Fraction:
@@ -80,15 +79,16 @@ def kernel_H(z: TatePoint, x: TatePoint, kc: "KernelContext") -> Fraction:
     return _kernel_by_valuations(kc.ctx.p, kc.ctx.m, x.v, z.v, vdiff)
 
 
-@dataclass(frozen=True)
-class KernelContext:
+class KernelContext(Record):
     """Prime data plus the derived normalization constant."""
 
+    __slots__ = _fields = ("ctx", "c_p")
     ctx: PrimeParams
-    c_p: Fraction = field(init=False)
+    c_p: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c_p", c_p_const(self.ctx.p))
+    def __init__(self, ctx: PrimeParams) -> None:
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "c_p", c_p_const(ctx.p))
 
 
 def integrate_H_over_ball(b: Ball, x: TatePoint, kc: KernelContext) -> Fraction:

@@ -10,7 +10,6 @@ of every report (exact rationals, 15-digit floats) live here too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -49,18 +48,56 @@ def format_float(x: float) -> str:
     return format(float(x), ".15g")
 
 
-@dataclass(frozen=True)
-class PrimeParams:
+class Record:
+    """Base of the package's records: an immutable value made of the slots
+    named in ``_fields``.
+
+    Equality (between records of the same class only), hashing and repr
+    read the field tuple, as a frozen dataclass's do; further slots hold
+    values derived from it.  ``__init__`` sets every slot through
+    ``object.__setattr__``; afterwards no attribute can be assigned or
+    deleted.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PrimeParams(Record):
     """Prime p and period exponent m; the curve is Q_p^* modulo powers of q = p^m."""
 
+    __slots__ = _fields = ("p", "m")
     p: int
     m: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not is_prime(self.p):
-            raise ValueError(f"p = {self.p!r} is not a prime integer")
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"m = {self.m!r} must be an integer >= 1")
+    def __init__(self, p: int, m: int) -> None:
+        if not isinstance(p, int) or not is_prime(p):
+            raise ValueError(f"p = {p!r} is not a prime integer")
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"m = {m!r} must be an integer >= 1")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
 
     @property
     def q(self) -> int:
@@ -71,11 +108,19 @@ def int_valuation(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer."""
     if n == 0:
         raise ValueError("valuation of zero undefined")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return 0
+    # Strip p, p^2, p^4, ... while they divide; what is left has valuation
+    # below the last square tried, and comes off those powers in reverse.
+    powers = [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        powers.append(powers[-1] * powers[-1])
+    v = (1 << (len(powers) - 1)) - 1
+    for i in range(len(powers) - 2, -1, -1):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 
@@ -97,35 +142,38 @@ def norm(x: Rational, p: int) -> Fraction:
     return norm_from_valuation(valuation(x, p), p)
 
 
-@dataclass(frozen=True)
-class TatePoint:
+class TatePoint(Record):
     """Canonical representative of a curve point: nonzero rational with 0 <= v < m.
 
     ``v`` is the valuation of ``value``; it is computed when not given.
     Callers that pass it (reduction, ball centers) already know it.
     """
 
+    __slots__ = ("value", "ctx", "v", "_unit")
+    _fields = ("value", "ctx", "v")
     value: Fraction
     ctx: PrimeParams
-    v: int | None = None
+    v: int
 
-    def __post_init__(self) -> None:
-        value = Fraction(self.value)
+    def __init__(self, value: Rational, ctx: PrimeParams, v: int | None = None) -> None:
+        value = Fraction(value)
         if value == 0:
             raise ValueError("zero is not a point of the multiplicative curve")
-        v = valuation(value, self.ctx.p) if self.v is None else self.v
-        if not 0 <= v < self.ctx.m:
-            raise ValueError(f"representative has valuation {v}, outside [0, {self.ctx.m})")
+        if v is None:
+            v = valuation(value, ctx.p)
+        if not 0 <= v < ctx.m:
+            raise ValueError(f"representative has valuation {v}, outside [0, {ctx.m})")
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "_unit", value * Fraction(self.ctx.p) ** (-v))
+        object.__setattr__(self, "_unit", value * Fraction(ctx.p) ** (-v))
 
     def norm(self) -> Fraction:
         return norm_from_valuation(self.v, self.ctx.p)
 
     def unit_part(self) -> Fraction:
         """x / p^v(x), a p-adic unit."""
-        return self._unit  # type: ignore[attr-defined]
+        return self._unit
 
 
 def reduce_to_E(x: "TatePoint | Rational", ctx: PrimeParams | None = None) -> TatePoint:

@@ -11,14 +11,13 @@ boundary-operator comparison all live here.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from .domain import canonical_center
 from .operator import c_p_const, shell_coupling
-from .padic import PrimeParams, Rational, format_rational, int_valuation, is_prime
+from .padic import PrimeParams, Rational, Record, format_rational, int_valuation, is_prime
 
 DLOG_TABLE_LIMIT = 10**6
 
@@ -143,8 +142,7 @@ def root_table(n: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class UnitCharacter:
+class UnitCharacter(Record):
     """Character of the unit group mod p^n.
 
     n is the level of the defining data; n = 0 is the trivial character.
@@ -155,27 +153,29 @@ class UnitCharacter:
     the indices (see :func:`_conductor_of`) and may be smaller than n.
     """
 
+    __slots__ = _fields = ("p", "n", "a", "eps")
     p: int
     n: int
-    a: int = 0
-    eps: int = 0
+    a: int
+    eps: int
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.n < 0:
+    def __init__(self, p: int, n: int, a: int = 0, eps: int = 0) -> None:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if n < 0:
             raise ValueError("level must be >= 0")
-        if self.p == 2 and self.n == 1:
+        if p == 2 and n == 1:
             raise ValueError("the unit group mod 2 is trivial; use level 0 or >= 2")
-        a, eps = self.a, self.eps
-        if self.n == 0:
+        if n == 0:
             a, eps = 0, 0
-        elif self.p == 2:
+        elif p == 2:
             eps %= 2
-            a = a % 2 ** (self.n - 2) if self.n >= 3 else 0
+            a = a % 2 ** (n - 2) if n >= 3 else 0
         else:
             eps = 0
-            a %= unit_group_order(self.p, self.n)
+            a %= unit_group_order(p, n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "eps", eps)
 
@@ -292,17 +292,18 @@ def primitive_character(p: int, n: int) -> UnitCharacter | None:
     return UnitCharacter(p, n, 1)
 
 
-@dataclass(frozen=True)
-class AngularCharacter:
+class AngularCharacter(Record):
     """Character of Z/mZ acting on the valuation class: v -> e^(2 pi i l v / m)."""
 
+    __slots__ = _fields = ("m", "l")
     m: int
     l: int
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, m: int, l: int) -> None:
+        if m < 1:
             raise ValueError("modulus must be >= 1")
-        object.__setattr__(self, "l", self.l % self.m)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "l", l % m)
 
     def exponent(self, v: int) -> Fraction:
         return Fraction(self.l * v, self.m) % 1
@@ -315,12 +316,16 @@ class AngularCharacter:
         return self.l == 0
 
 
-@dataclass(frozen=True)
-class CharacterLabel:
+class CharacterLabel(Record):
     """A joint character: angular part on the valuation, radial part on units."""
 
+    __slots__ = _fields = ("angular", "radial")
     angular: AngularCharacter
     radial: UnitCharacter
+
+    def __init__(self, angular: AngularCharacter, radial: UnitCharacter) -> None:
+        object.__setattr__(self, "angular", angular)
+        object.__setattr__(self, "radial", radial)
 
 
 def eigenvalue_radial_closed(n: int, ctx: PrimeParams) -> Fraction:
@@ -490,14 +495,20 @@ def multiplicity(kind: str, index: int, ctx: PrimeParams) -> int:
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(Record):
     """One eigenvalue with its multiplicity and its character label data."""
 
+    __slots__ = _fields = ("kind", "index", "eigenvalue", "multiplicity")
     kind: str
     index: int
     eigenvalue: object
     multiplicity: int
+
+    def __init__(self, kind: str, index: int, eigenvalue, multiplicity: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "eigenvalue", eigenvalue)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
     def to_json_dict(self) -> dict:
         lam = (

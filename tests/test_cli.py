@@ -43,7 +43,7 @@ def test_documented_commands_pass_and_are_deterministic(argv):
 
 
 # Imports the package and the CLI, runs main() on each argv given as JSON,
-# then prints whether numpy was loaded.
+# then prints whether numpy, dataclasses and inspect were loaded.
 STARTUP_PROBE = """
 import contextlib, io, json, sys
 import tateop, tateop.cli
@@ -51,7 +51,7 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         if tateop.cli.main(argv) != 0:
             raise SystemExit(f"{argv} did not pass")
-print("numpy" in sys.modules)
+print(*(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
 """
 
 
@@ -59,10 +59,12 @@ def test_only_matrix_loads_numpy(run_python):
     others = [argv for argv in DOCUMENTED if argv[0] != "matrix"]
     matrix = [argv for argv in DOCUMENTED if argv[0] == "matrix"]
     assert len(others) == 7 and len(matrix) == 1
-    for argvs, loaded in ((others, b"False"), (matrix, b"True")):
-        proc = run_python("-c", STARTUP_PROBE, json.dumps(argvs))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == loaded
+    proc = run_python("-c", STARTUP_PROBE, json.dumps(others))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"False", b"False", b"False"]
+    proc = run_python("-c", STARTUP_PROBE, json.dumps(matrix))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == b"True"
 
 
 def test_greens_payload():
@@ -152,6 +154,17 @@ def test_usage_errors_exit_2():
         ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1", "--delta", "120"]
     )[0] == 0
     assert run_cli(["nope"])[0] == 2
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_non_finite_delta_is_a_usage_error(delta):
+    # NaN and Infinity are not JSON, and no scaling dimension is either.
+    code, out, err = run_cli(
+        ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1", "--delta", delta]
+    )
+    assert code == 2
+    assert out == ""
+    assert "--delta" in err
 
 
 def test_greens_with_no_sample_point_is_a_usage_error():

@@ -1,6 +1,5 @@
 """Exact operator matrices on full partitions and their verification report."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -205,7 +204,7 @@ def test_verify_reports_a_corrupted_entry():
     mx = build_matrix(2, kc_of(3, 2))
     index = mx.index.copy()
     index[0, 1] = index[0, 0]
-    rep = verify_matrix(replace(mx, index=index), PrimeParams(3, 2))
+    rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, index), PrimeParams(3, 2))
     assert "symmetry" in rep.failures and "row sums" in rep.failures
     assert rep.passed is False
 
@@ -241,7 +240,7 @@ def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):
             return a
 
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
-        rep = verify_matrix(replace(mx), ctx)
+        rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, mx.index), ctx)
         assert 1e-10 < rep.eigenfunction_residual
         assert rep.failures == failures
 
@@ -264,6 +263,6 @@ def test_multiset_bound_scales_with_the_largest_eigenvalue(monkeypatch):
             return a
 
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
-        rep = verify_matrix(replace(mx), ctx)
+        rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, mx.index), ctx)
         assert 1e-8 < rep.multiset_deviation
         assert rep.failures == failures
