@@ -83,6 +83,14 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __setstate__(self, state: tuple) -> None:
+        # copy and pickle restore the slots here, as __setattr__ refuses them.
+        instance_dict, slots = state
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+        if instance_dict:
+            vars(self).update(instance_dict)
+
 
 class PrimeParams(Record):
     """Prime p and period exponent m; the curve is Q_p^* modulo powers of q = p^m."""

@@ -1,6 +1,8 @@
 """Value semantics of the package's records: equality, hashing, immutability
 and repr, which the caches, the partitions and every context check rely on."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -167,6 +169,9 @@ def test_frozen_record_semantics(cls, args, kwargs, fields, text):
             delattr(a, name)
     assert repr(a) == text and a == b
 
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and repr(twin) == text
+
 
 def test_operator_matrix_compares_by_identity():
     mx = build_matrix(1, KernelContext(C2))
@@ -186,6 +191,9 @@ def test_operator_matrix_compares_by_identity():
     # The float copy is built once per matrix and shared.
     assert mx.float_entries is mx.float_entries
     assert mx.float_entries is not twin.float_entries
+    for clone in (copy.copy(mx), pickle.loads(pickle.dumps(mx))):
+        assert clone != mx and repr(clone) == repr(mx)
+        assert clone.float_entries.tolist() == mx.float_entries.tolist()
 
 
 def test_cli_report_is_a_mutable_record():
@@ -196,6 +204,7 @@ def test_cli_report_is_a_mutable_record():
     assert a != type("Other", (Report,), {})({"a": 1}, ("q",), [(1,)])
     with pytest.raises(TypeError):
         hash(a)
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
     a.raw_text = "x"
     assert a.raw_text == "x" and a != b
     assert a.code == 0
