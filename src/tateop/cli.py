@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -53,6 +54,16 @@ INTEGRAL_CHECK_MODULUS_CAP = 5000
 
 class UsageError(Exception):
     """Invalid arguments that argparse alone cannot catch."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a token such as ``-1/2`` or ``-1e7`` after an option as its
+    value, as newer argparse does; older versions take only a plain
+    negative decimal so, and call any other ``-`` token an option."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 class Report(Record):
@@ -276,13 +287,12 @@ def cmd_matrix(args: argparse.Namespace) -> Report:
         except ValueError as exc:
             raise UsageError(f"TATE_MAX_DIM must be an integer, got {cap_env!r}") from exc
     mx = build_matrix(args.level, KernelContext(ctx), cap)
-    report = verify_matrix(mx, ctx)
     if args.dump:
-        with open(args.dump + ".csv", "w") as fh:
-            fh.write(mx.to_csv())
-        with open(args.dump + ".basis.json", "w") as fh:
-            json.dump(_json_ready(mx.basis_manifest()), fh, indent=2)
-            fh.write("\n")
+        # Written before the verification, which costs far more than the build.
+        _write("--dump", args.dump + ".csv", mx.to_csv())
+        manifest = json.dumps(_json_ready(mx.basis_manifest()), indent=2)
+        _write("--dump", args.dump + ".basis.json", manifest + "\n")
+    report = verify_matrix(mx, ctx)
     checks = report.to_json_dict()
     data = {
         "command": "matrix",
@@ -349,6 +359,14 @@ def cmd_tree(args: argparse.Namespace) -> Report:
     return Report({"command": "tree"}, (), [], raw_text=dot)
 
 
+def _write(option: str, path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"{option} cannot write {path!r}: {exc.strerror}") from exc
+
+
 HANDLERS = {
     "greens": cmd_greens,
     "spectrum": cmd_spectrum,
@@ -360,7 +378,7 @@ HANDLERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, required=True, help="prime p")
     common.add_argument("--m", type=int, required=True, help="period exponent m >= 1")
     common.add_argument(
@@ -370,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default json)",
     )
     common.add_argument("--out", default=None, help="write output to this path")
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tateop",
         description="Exact computations for the nonlocal boundary operator on the Tate curve domain.",
     )
@@ -413,17 +431,16 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         report = HANDLERS[args.command](args)
+        text = render(report, args.format)
+        if args.out:
+            _write("--out", args.out, text)
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"math check failed: {exc}", file=sys.stderr)
         return 1
-    text = render(report, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return report.code
 

@@ -27,9 +27,7 @@ class ScalingDimension(Record):
     def __init__(self, delta_plus: float, delta_minus: float, mass_squared: float) -> None:
         if abs(delta_plus + delta_minus - 1.0) > 1e-9:
             raise ValueError("scaling dimensions must sum to 1")
-        object.__setattr__(self, "delta_plus", delta_plus)
-        object.__setattr__(self, "delta_minus", delta_minus)
-        object.__setattr__(self, "mass_squared", mass_squared)
+        self._bind(delta_plus, delta_minus, mass_squared)
 
 
 def mass_from_delta(delta: float, ctx: PrimeParams) -> float:

@@ -77,10 +77,7 @@ class Ball(Record):
         c = center % ctx.p**k
         if c % ctx.p == 0:
             raise ValueError("ball center must be a p-adic unit")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "center", c)
+        self._bind(ctx, v, k, c)
 
     def measure(self) -> Fraction:
         """Multiplicative Haar measure p^-k, independent of the shell."""
@@ -136,10 +133,7 @@ class ShellPartition(Record):
                     raise ValueError(f"overlapping balls at {b.label()}")
         if sum(b.measure() for b in balls) != total_volume(ctx):
             raise ValueError("balls do not exactly cover the domain")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "balls", balls)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_levels", sorted({b.k for b in balls}))
+        self._bind(ctx, balls, index, sorted({b.k for b in balls}))
 
     @classmethod
     def full(cls, ctx: PrimeParams, level: int) -> "ShellPartition":
@@ -185,8 +179,7 @@ class StepFunction(Record):
         vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
         if len(vals) != len(partition.balls):
             raise ValueError("one value per ball required")
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "values", vals)
+        self._bind(partition, vals)
 
     @property
     def ctx(self) -> PrimeParams:
@@ -278,9 +271,6 @@ class HeightProfile(Record):
 
     __slots__ = _fields = ("base",)
     base: TatePoint
-
-    def __init__(self, base: TatePoint) -> None:
-        object.__setattr__(self, "base", base)
 
     @property
     def ctx(self) -> PrimeParams:

@@ -70,20 +70,6 @@ class OperatorMatrix(Record):
     values: tuple[Fraction, ...]
     index: np.ndarray
 
-    def __init__(
-        self,
-        kc: KernelContext,
-        level: int,
-        basis: tuple[Ball, ...],
-        values: tuple[Fraction, ...],
-        index: np.ndarray,
-    ) -> None:
-        object.__setattr__(self, "kc", kc)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "index", index)
-
     @property
     def ctx(self) -> PrimeParams:
         return self.kc.ctx
@@ -240,34 +226,6 @@ class MatrixReport(Record):
     eigenfunction_residual: float
     eigenfunctions_ok: bool
     failures: tuple[str, ...]
-
-    def __init__(
-        self,
-        eigenvalues,
-        dimension,
-        symmetric,
-        row_sums_zero,
-        min_eigenvalue,
-        positive_semidefinite,
-        kernel_dimension,
-        multiset_deviation,
-        spectrum_match,
-        eigenfunction_residual,
-        eigenfunctions_ok,
-        failures,
-    ) -> None:
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "symmetric", symmetric)
-        object.__setattr__(self, "row_sums_zero", row_sums_zero)
-        object.__setattr__(self, "min_eigenvalue", min_eigenvalue)
-        object.__setattr__(self, "positive_semidefinite", positive_semidefinite)
-        object.__setattr__(self, "kernel_dimension", kernel_dimension)
-        object.__setattr__(self, "multiset_deviation", multiset_deviation)
-        object.__setattr__(self, "spectrum_match", spectrum_match)
-        object.__setattr__(self, "eigenfunction_residual", eigenfunction_residual)
-        object.__setattr__(self, "eigenfunctions_ok", eigenfunctions_ok)
-        object.__setattr__(self, "failures", failures)
 
     @property
     def passed(self) -> bool:

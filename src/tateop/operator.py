@@ -87,8 +87,7 @@ class KernelContext(Record):
     c_p: Fraction
 
     def __init__(self, ctx: PrimeParams) -> None:
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "c_p", c_p_const(ctx.p))
+        self._bind(ctx, c_p_const(ctx.p))
 
 
 def integrate_H_over_ball(b: Ball, x: TatePoint, kc: KernelContext) -> Fraction:

@@ -54,13 +54,36 @@ class Record:
 
     Equality (between records of the same class only), hashing and repr
     read the field tuple, as a frozen dataclass's do; further slots hold
-    values derived from it.  ``__init__`` sets every slot through
-    ``object.__setattr__``; afterwards no attribute can be assigned or
+    values derived from it.  The base ``__init__`` takes the fields by
+    position or keyword; a record that validates or derives writes its own
+    and ends in one ``_bind``.  Afterwards no attribute can be assigned or
     deleted.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, name = self._fields, self.__class__.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        self._bind(*[values[key] for key in fields])
+
+    def _bind(self, *values) -> None:
+        """Set the first ``len(values)`` slots, in ``__slots__`` order; every
+        constructor ends here."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -104,8 +127,7 @@ class PrimeParams(Record):
             raise ValueError(f"p = {p!r} is not a prime integer")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"m = {m!r} must be an integer >= 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
+        self._bind(p, m)
 
     @property
     def q(self) -> int:
@@ -171,10 +193,7 @@ class TatePoint(Record):
             v = valuation(value, ctx.p)
         if not 0 <= v < ctx.m:
             raise ValueError(f"representative has valuation {v}, outside [0, {ctx.m})")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "_unit", value * Fraction(ctx.p) ** (-v))
+        self._bind(value, ctx, v, value * Fraction(ctx.p) ** (-v))
 
     def norm(self) -> Fraction:
         return norm_from_valuation(self.v, self.ctx.p)

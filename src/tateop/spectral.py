@@ -174,10 +174,7 @@ class UnitCharacter(Record):
         else:
             eps = 0
             a %= unit_group_order(p, n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "eps", eps)
+        self._bind(p, n, a, eps)
 
     @classmethod
     def trivial(cls, p: int) -> "UnitCharacter":
@@ -302,8 +299,7 @@ class AngularCharacter(Record):
     def __init__(self, m: int, l: int) -> None:
         if m < 1:
             raise ValueError("modulus must be >= 1")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "l", l % m)
+        self._bind(m, l % m)
 
     def exponent(self, v: int) -> Fraction:
         return Fraction(self.l * v, self.m) % 1
@@ -322,10 +318,6 @@ class CharacterLabel(Record):
     __slots__ = _fields = ("angular", "radial")
     angular: AngularCharacter
     radial: UnitCharacter
-
-    def __init__(self, angular: AngularCharacter, radial: UnitCharacter) -> None:
-        object.__setattr__(self, "angular", angular)
-        object.__setattr__(self, "radial", radial)
 
 
 def eigenvalue_radial_closed(n: int, ctx: PrimeParams) -> Fraction:
@@ -503,12 +495,6 @@ class SpectrumEntry(Record):
     index: int
     eigenvalue: object
     multiplicity: int
-
-    def __init__(self, kind: str, index: int, eigenvalue, multiplicity: int) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "eigenvalue", eigenvalue)
-        object.__setattr__(self, "multiplicity", multiplicity)
 
     def to_json_dict(self) -> dict:
         lam = (

@@ -240,6 +240,37 @@ def test_out_redirects_to_file(tmp_path):
     assert json.loads(target.read_text())["det"] == "27/8"
 
 
+def test_unwritable_output_path_is_a_usage_error(tmp_path, monkeypatch):
+    missing = tmp_path / "missing" / "x"
+    code, out, err = run_cli(["det", "--p", "3", "--m", "2", "--out", f"{missing}.json"])
+    assert (code, out) == (2, "")
+    assert f"--out cannot write '{missing}.json'" in err
+    # The dump is written before the verification, so a bad prefix fails fast.
+    monkeypatch.setattr("tateop.cli.verify_matrix", lambda *args: pytest.fail("verified first"))
+    code, out, err = run_cli(
+        ["matrix", "--p", "3", "--m", "2", "--level", "1", "--dump", str(missing)]
+    )
+    assert (code, out) == (2, "")
+    assert f"--dump cannot write '{missing}.csv'" in err
+
+
+def test_negative_values_parse_in_the_documented_spelling():
+    head = ["correlator", "--p", "3", "--m", "2"]
+    assert run_cli(head + ["--x1", "-1/2", "--x2", "1"]) == run_cli(
+        head + ["--x1=-1/2", "--x2=1"]
+    )
+    code, out, _ = run_cli(head + ["--x1", "-1/2", "--x2", "1"])
+    assert code == 0 and json.loads(out)["x1"] == "-1/2"
+    code, _, err = run_cli(head + ["--x1", "4", "--x2", "1", "--delta", "-1e7"])
+    assert code == 2 and "--delta must be positive" in err
+    code, _, err = run_cli(head + ["--x1", "4", "--x2", "1", "--delta", "-.5"])
+    assert code == 2 and "--delta must be positive" in err
+    assert run_cli(["greens", "--p", "3", "--m", "2", "--expect", "-3/4"]) == run_cli(
+        ["greens", "--p", "3", "--m", "2", "--expect=-3/4"]
+    )
+    assert run_cli(["greens", "--p", "3", "--m", "2", "--expect", "-3/4"])[0] == 0
+
+
 def test_matrix_cap_env(monkeypatch):
     monkeypatch.setenv("TATE_MAX_DIM", "4")
     code, _, err = run_cli(["matrix", "--p", "3", "--m", "2", "--level", "2"])

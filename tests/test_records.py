@@ -12,7 +12,7 @@ from tateop.correlator import ScalingDimension
 from tateop.domain import Ball, HeightProfile, ShellPartition, StepFunction
 from tateop.matrix import MatrixReport, OperatorMatrix, build_matrix
 from tateop.operator import KernelContext
-from tateop.padic import PrimeParams, TatePoint
+from tateop.padic import PrimeParams, Record, TatePoint
 from tateop.spectral import (
     AngularCharacter,
     CharacterLabel,
@@ -171,6 +171,30 @@ def test_frozen_record_semantics(cls, args, kwargs, fields, text):
 
     for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert twin == a and repr(twin) == text
+
+
+PURE_DATA = (HeightProfile, CharacterLabel, SpectrumEntry, MatrixReport, OperatorMatrix)
+MX = build_matrix(1, KernelContext(C2))
+ARGUMENTS = [(cls, args, fields) for cls, args, _, fields, _ in FROZEN if cls in PURE_DATA]
+ARGUMENTS.append((OperatorMatrix, tuple(getattr(MX, f) for f in MX._fields), MX._fields))
+
+
+@pytest.mark.parametrize("cls, args, fields", ARGUMENTS, ids=lambda c: getattr(c, "__name__", ""))
+def test_pure_data_records_refuse_bad_arguments(cls, args, fields):
+    assert repr(cls(*args[:-1], **{fields[-1]: args[-1]})) == repr(cls(*args))
+    with pytest.raises(TypeError):  # a missing field
+        cls(*args[:-1])
+    with pytest.raises(TypeError):  # an extra positional argument
+        cls(*args, args[-1])
+    with pytest.raises(TypeError):  # an unknown keyword
+        cls(*args, extra=0)
+    with pytest.raises(TypeError):  # a field given twice
+        cls(*args, **{fields[0]: args[0]})
+
+
+def test_only_the_pure_data_records_take_the_base_init():
+    records = [row[0] for row in FROZEN] + [OperatorMatrix]
+    assert tuple(cls for cls in records if cls.__init__ is Record.__init__) == PURE_DATA
 
 
 def test_operator_matrix_compares_by_identity():
