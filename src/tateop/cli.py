@@ -322,10 +322,14 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
         raise UsageError("--delta must be positive")
     if x1.value == x2.value:
         raise UsageError("points must be distinct")
+    overflow = f"--delta {delta!r}: the two-point value overflows a float"
     try:
         value = two_point(x1, x2, delta, ctx)
     except OverflowError as exc:
-        raise UsageError(f"--delta {delta!r}: the two-point value overflows a float") from exc
+        raise UsageError(overflow) from exc
+    # A tiny delta makes the second term, about 2 / (m delta log p), infinite.
+    if not math.isfinite(value):
+        raise UsageError(overflow)
     at_one = two_point(x1, x2, 1.0, ctx)
     kernel = float(kernel_H(x1, x2, KernelContext(ctx)))
     kernel_ok = abs(at_one - kernel) <= 1e-12 * (1 + abs(kernel))

@@ -10,7 +10,6 @@ one geometric tail near the height singularity, which has a closed form).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .padic import (
     PrimeParams,

@@ -8,6 +8,12 @@ and on how many base-p digits the two centers share, so the matrix is
 held as its few distinct exact values plus an integer array that says
 which value each entry takes.
 
+The work after assembly grows with the distinct pieces of that structure,
+not with the rows and labels: the exact row sums are taken once per
+distinct row profile (how many entries take each value), and the
+character vectors are built from per-conductor-level tables.  Only the
+float checks are per label: one matrix-vector product on each vector.
+
 numpy is imported inside the functions that use it: no other subcommand
 needs it, and importing it is most of the CLI's start-up time.
 """
@@ -36,14 +42,29 @@ from .spectral import (
 DEFAULT_DIM_CAP = 3072
 
 
-def _row_totals(index: np.ndarray, values) -> list[Fraction]:
-    """Exact sum of each row, from how many of its entries take each value."""
+def _profile_totals(index: np.ndarray, values) -> tuple[list[Fraction], list[int]]:
+    """Exact row sums, one per distinct row profile: how many entries of a
+    row take each value.  Returns the totals, profiles in order of first
+    appearance, and each row's position in them.
+
+    Rows with the same profile have the same sum, so each profile (one per
+    shell in an assembled matrix) is summed once.
+    """
     import numpy as np
 
     k = len(values)
     cells = np.arange(len(index))[:, None] * k + index
     counts = np.bincount(cells.ravel(), minlength=len(index) * k).reshape(-1, k)
-    return [sum((c * x for c, x in zip(r, values) if c), Fraction(0)) for r in counts.tolist()]
+    profiles: dict[tuple[int, ...], int] = {}
+    rows = [profiles.setdefault(tuple(r), len(profiles)) for r in counts.tolist()]
+    totals = [sum((c * x for c, x in zip(r, values) if c), Fraction(0)) for r in profiles]
+    return totals, rows
+
+
+def _row_totals(index: np.ndarray, values) -> list[Fraction]:
+    """Exact sum of each row."""
+    totals, rows = _profile_totals(index, values)
+    return [totals[i] for i in rows]
 
 
 def matrix_dimension(level: int, ctx: PrimeParams) -> int:
@@ -189,8 +210,9 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
             index[v * n : (v + 1) * n, w * n : (w + 1) * n] = block
     # The diagonal points past the table at a zero while the rows are summed.
     np.fill_diagonal(index, len(slots))
-    off_diagonal = _row_totals(index, (*slots, Fraction(0)))
-    np.fill_diagonal(index, [slots.setdefault(-t, len(slots)) for t in off_diagonal])
+    off_diagonal, rows = _profile_totals(index, (*slots, Fraction(0)))
+    diagonal = [slots.setdefault(-t, len(slots)) for t in off_diagonal]
+    np.fill_diagonal(index, [diagonal[i] for i in rows])
     values = tuple(slots)
     index = index.astype(np.min_scalar_type(len(values) - 1))
     return OperatorMatrix(kc, level, basis, values, index)
@@ -239,17 +261,15 @@ class MatrixReport(Record):
 
 def spectrum_labels(level: int, ctx: PrimeParams) -> tuple[CharacterLabel, ...]:
     """Every character label resolved at level k: radial conductor <= k
-    crossed with all m angular indices.  Exactly dim-many labels."""
+    crossed with all m angular indices.  Exactly dim-many labels, in runs
+    of m per radial character (l = 0..m-1), conductors ascending."""
     radials = []
     for n in range(level + 1):
         if ctx.p == 2 and n == 1:
             continue
         radials.extend(enumerate_conductor(ctx.p, n))
-    labels = tuple(
-        CharacterLabel(AngularCharacter(ctx.m, l), chi)
-        for chi in radials
-        for l in range(ctx.m)
-    )
+    angulars = [AngularCharacter(ctx.m, l) for l in range(ctx.m)]
+    labels = tuple(CharacterLabel(angular, chi) for chi in radials for angular in angulars)
     if len(labels) != matrix_dimension(level, ctx):
         raise ArithmeticError("character count does not match the basis dimension")
     return labels
@@ -261,23 +281,30 @@ def label_vectors(mx: OperatorMatrix):
     The label (l, chi) with chi of level n takes the value
     e^(2 pi i j / N) at ball (v, c), N = m |(Z/p^n)^x| and
     j = l v |(Z/p^n)^x| + m chi.turns(log c): the same rational turn as
-    its exponents, looked up in a table of the N roots built once per N.
+    its exponents, looked up in a table of the N roots.  The logs, the
+    roots and the angular offsets l v |(Z/p^n)^x| are built once per
+    level n, and each label is one lookup into a fresh 1-D C-contiguous
+    vector (a lookup per character would hold m vectors at once, dim^2
+    complex entries where m is about dim).
     """
     import numpy as np
 
     p, m = mx.ctx.p, mx.ctx.m
     units = [b.center for b in mx.basis if b.v == 0]
-    logs: dict[int, np.ndarray] = {}
-    roots: dict[int, np.ndarray] = {}
-    for label in spectrum_labels(mx.level, mx.ctx):
-        chi, l = label.radial, label.angular.l
-        n, phi = chi.n, unit_group_order(p, chi.n)
-        if n not in logs:
-            logs[n] = np.array([unit_log(p, n, c % p**n) if n else 0 for c in units]).T
-            roots[n] = np.array(root_table(m * phi))
-        radial = np.broadcast_to(m * chi.turns(logs[n]), len(units))
-        angular = l * phi * np.arange(m)
-        yield label, roots[n][(angular[:, None] + radial).ravel() % (m * phi)]
+    labels = spectrum_labels(mx.level, mx.ctx)
+    n = None
+    for start in range(0, len(labels), m):
+        chi = labels[start].radial
+        if chi.n != n:
+            n, phi = chi.n, unit_group_order(p, chi.n)
+            roots = np.array(root_table(m * phi))
+            # offsets[l, v] = l v phi, the angular part of the turn.
+            offsets = phi * np.outer(range(m), range(m))[:, :, None]
+            logs = np.array([unit_log(p, n, c % p**n) if n else 0 for c in units]).T
+        # The trivial character's turns are a scalar 0; its logs are the zeros.
+        radial = m * chi.turns(logs) if n else logs
+        for label, offset in zip(labels[start : start + m], offsets):
+            yield label, roots[(offset + radial) % (m * phi)].ravel()
 
 
 def verify_matrix(mx: OperatorMatrix, ctx: PrimeParams) -> MatrixReport:
@@ -320,9 +347,15 @@ def verify_matrix(mx: OperatorMatrix, ctx: PrimeParams) -> MatrixReport:
     # gives the same bits without a copy per label.
     mc = mx.float_entries.astype(complex)
     worst = 0.0
+    # The eigenvalue depends on a label only through its conductor and l,
+    # and the radial characters of level n all have conductor n.
+    lams: dict[tuple[int, int], float] = {}
     for label, vec in label_vectors(mx):
-        lam = float(eigenvalue_for_label(label, ctx))
-        residual = float(np.max(np.abs(mc @ vec - lam * vec)))
+        key = (label.radial.n, label.angular.l)
+        lam = lams.get(key)
+        if lam is None:
+            lam = lams[key] = float(eigenvalue_for_label(label, ctx))
+        residual = float(np.abs(mc @ vec - lam * vec).max())
         worst = max(worst, residual)
     eigenfunctions_ok = worst < 1e-10 * scale
     if not eigenfunctions_ok:

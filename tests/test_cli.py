@@ -3,7 +3,6 @@
 import io
 import contextlib
 import json
-import os
 import time
 
 import pytest
@@ -165,6 +164,27 @@ def test_non_finite_delta_is_a_usage_error(delta):
     assert code == 2
     assert out == ""
     assert "--delta" in err
+
+
+@pytest.mark.parametrize("delta", ["5e-324", "1e-310", "4e-309"])
+def test_tiny_delta_whose_value_overflows_is_a_usage_error(delta):
+    # The second term, about 2 / (m delta log p), passes the float range:
+    # an infinity is not JSON.
+    code, out, err = run_cli(
+        ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1", "--delta", delta]
+    )
+    assert code == 2
+    assert out == ""
+    assert f"--delta {delta}: the two-point value overflows a float" in err
+
+
+def test_tiny_delta_whose_value_fits_a_float_prints_it():
+    for delta in ("1e-308", "1e-300"):
+        code, out, _ = run_cli(
+            ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1", "--delta", delta]
+        )
+        assert code == 0
+        assert 1e299 < json.loads(out)["two_point"] < 1e308
 
 
 def test_greens_with_no_sample_point_is_a_usage_error():

@@ -10,6 +10,7 @@ from tateop.domain import PrimeParams, ShellPartition, StepFunction
 from tateop.matrix import (
     DEFAULT_DIM_CAP,
     OperatorMatrix,
+    _row_totals,
     build_matrix,
     galerkin_consistency_check,
     label_vectors,
@@ -177,13 +178,21 @@ def test_assembly_matches_ball_integrals(p, m, level):
         assert row[i] == -sum(x for j, x in enumerate(row) if j != i)
 
 
-@pytest.mark.parametrize("p,m,level", ORACLE_CONFIGS)
+# The benchmark's ladder rungs: the two-adic (s, t) logs at n >= 3, and
+# m > 1 at dimensions past the oracle configurations.
+LADDER_RUNGS = [(3, 3, 3), (2, 1, 8), (5, 2, 3)]
+
+
+@pytest.mark.parametrize("p,m,level", sorted(set(ORACLE_CONFIGS + LADDER_RUNGS)))
 def test_label_vectors_match_root_of_unity(p, m, level):
     ctx = PrimeParams(p, m)
     mx = build_matrix(level, kc_of(p, m))
     pairs = list(label_vectors(mx))
     assert [label for label, _ in pairs] == list(spectrum_labels(level, ctx))
     for label, vec in pairs:
+        # The residual's bits depend on the product's path: one 1-D
+        # C-contiguous vector per label.
+        assert vec.ndim == 1 and vec.flags.c_contiguous
         ang, chi = label.angular, label.radial
         expected = [
             complex(root_of_unity(ang.exponent(b.v) + chi.exponent(b.center)))
@@ -207,6 +216,35 @@ def test_verify_reports_a_corrupted_entry():
     rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, index), PrimeParams(3, 2))
     assert "symmetry" in rep.failures and "row sums" in rep.failures
     assert rep.passed is False
+
+
+def corrupt_symmetrically(mx, i, j):
+    """mx with entries (i, j) and (j, i) moved to the next value slot."""
+    index = mx.index.copy()
+    index[i, j] = index[j, i] = (index[i, j] + 1) % len(mx.values)
+    return OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, index)
+
+
+@pytest.mark.parametrize("p,m,level", ORACLE_CONFIGS)
+def test_row_totals_are_the_exact_row_sums(p, m, level):
+    mx = build_matrix(level, kc_of(p, m))
+    assert _row_totals(mx.index, mx.values) == [sum(row) for row in mx.entries]
+    if mx.dimension > 1:
+        # Rows 0 and 1 leave their shell's value counts and are summed alone.
+        bad = corrupt_symmetrically(mx, 0, 1)
+        totals = _row_totals(bad.index, bad.values)
+        assert totals == [sum(row) for row in bad.entries]
+        assert totals[0] != 0 and totals[1] != 0 and not any(totals[2:])
+
+
+@pytest.mark.parametrize("p,m,level", [(3, 2, 2), (2, 1, 3), (2, 3, 2), (5, 1, 2)])
+def test_verify_catches_rows_that_leave_their_shell_profile(p, m, level):
+    # A symmetric corruption keeps the index symmetric, so only the exact
+    # row sums (and the float spectrum) can see it.
+    mx = build_matrix(level, kc_of(p, m))
+    rep = verify_matrix(corrupt_symmetrically(mx, 0, mx.dimension - 1), PrimeParams(p, m))
+    assert rep.symmetric and not rep.row_sums_zero
+    assert rep.failures[0] == "row sums" and "symmetry" not in rep.failures
 
 
 def test_verify_builds_the_float_copy_once(monkeypatch):
