@@ -28,7 +28,13 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_the_check_sees_an_unused_import():
-    source = "from __future__ import annotations\nimport os\nimport json.decoder\nfrom typing import Sequence as S\njson.dumps\n"
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import os",
+        "import json.decoder",
+        "from typing import Sequence as S",
+        "json.dumps",
+    ])
     assert unused_imports(source) == ["os (line 2)", "S (line 4)"]
 
 
