@@ -4,29 +4,24 @@ Output is deterministic by construction: fixed key order, rationals as
 "a/b" strings, floats printed to 15 significant digits, and a fixed
 basis/entry ordering inherited from the library.  Exit codes: 0 when all
 checks pass, 1 when a mathematical check fails, 2 for usage errors.
+The package modules past ``padic`` load lazily, so a subcommand compiles
+and runs only the modules it uses: that is most of a short call's time.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
 import re
 import sys
+import types
 from fractions import Fraction
 
-from .correlator import height_limit_check, two_point
-from .determinant import det_factors, zeta_pi_series, zeta_pi_value
-from .matrix import build_matrix, verify_matrix
-from .operator import (
-    KernelContext,
-    apply_D_height,
-    height_check_points,
-    kernel_H,
-)
 from .padic import (
     PrimeParams,
     Record,
@@ -36,17 +31,35 @@ from .padic import (
     point,
     valuation,
 )
-from .spectral import (
-    enumerate_spectrum,
-    eigenvalue_radial_closed,
-    eigenvalue_radial_exact,
-    eigenvalue_radial_integral,
-    primitive_character,
-    spectral_gap,
-    weyl_count,
-    AngularCharacter,
-)
-from .tree import tree_quotient_dot
+
+
+def _lazy_module(name: str) -> types.ModuleType:
+    """The package module ``name``, registered in ``sys.modules`` and on the
+    package now, its body run on the first attribute access (the standard
+    library's ``LazyLoader`` recipe).  A module already imported is returned
+    as it is, so there is never a second copy with its own caches."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+# A subcommand runs only the modules it reads.  Every one is registered,
+# domain too though only the others read it, so a lookup in sys.modules
+# after `import tateop.cli` finds each.
+_lazy_module("domain")
+correlator = _lazy_module("correlator")
+determinant = _lazy_module("determinant")
+matrix = _lazy_module("matrix")
+operator = _lazy_module("operator")
+spectral = _lazy_module("spectral")
+tree = _lazy_module("tree")
 
 LIMIT_TOLERANCE = 1e-6
 INTEGRAL_CHECK_MODULUS_CAP = 5000
@@ -162,20 +175,20 @@ def cmd_greens(args: argparse.Namespace) -> Report:
     ctx = PrimeParams(args.p, args.m)
     if args.max_vdist < 0:
         raise UsageError("--max-vdist must be >= 0")
-    kc = KernelContext(ctx)
+    kc = operator.KernelContext(ctx)
     expected = (
         parse_rational(args.expect)
         if args.expect is not None
         else -Fraction(ctx.p, ctx.m * (ctx.p - 1))
     )
-    points = height_check_points(ctx, args.max_vdist)
+    points = operator.height_check_points(ctx, args.max_vdist)
     if not points:
         raise UsageError(
             f"--max-vdist {args.max_vdist} samples no point at p={ctx.p}, m={ctx.m}; raise it"
         )
     rows = []
     for x in points:
-        value = apply_D_height(x, kc)
+        value = operator.apply_D_height(x, kc)
         cells = (
             format_rational(x.value),
             x.v,
@@ -201,20 +214,20 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
     max_conductor = args.max_conductor
     if max_conductor < 1:
         raise UsageError("--max-conductor must be >= 1")
-    entries = enumerate_spectrum(max_conductor, ctx)
+    entries = spectral.enumerate_spectrum(max_conductor, ctx)
     integral_checks = []
     checks_pass = True
-    zeta = AngularCharacter(ctx.m, 1 % ctx.m)
+    zeta = spectral.AngularCharacter(ctx.m, 1 % ctx.m)
     for n in range(1, max_conductor + 1):
-        chi = primitive_character(ctx.p, n)
+        chi = spectral.primitive_character(ctx.p, n)
         if chi is None:
             continue
-        closed = eigenvalue_radial_closed(n, ctx)
+        closed = spectral.eigenvalue_radial_closed(n, ctx)
         # The exact defining sum at every conductor; a pass adds no bytes.
-        checks_pass = checks_pass and eigenvalue_radial_exact(chi, ctx) == closed
+        checks_pass = checks_pass and spectral.eigenvalue_radial_exact(chi, ctx) == closed
         if ctx.p**n > INTEGRAL_CHECK_MODULUS_CAP:
             continue
-        integral = eigenvalue_radial_integral(chi, zeta, ctx)
+        integral = spectral.eigenvalue_radial_integral(chi, zeta, ctx)
         err = abs(integral - complex(float(closed)))
         ok = err < 1e-10
         checks_pass = checks_pass and ok
@@ -227,8 +240,8 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
                 "pass": ok,
             }
         )
-    lam_top = eigenvalue_radial_closed(max_conductor, ctx)
-    count = weyl_count(lam_top, ctx, entries)
+    lam_top = spectral.eigenvalue_radial_closed(max_conductor, ctx)
+    count = spectral.weyl_count(lam_top, ctx, entries)
     weyl_ok = count == ctx.m * lam_top
     checks_pass = checks_pass and weyl_ok
     total = sum(e.multiplicity for e in entries)
@@ -239,7 +252,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
         "max_conductor": max_conductor,
         "entries": [e.to_json_dict() for e in entries],
         "total_multiplicity": total,
-        "spectral_gap": spectral_gap(ctx, entries),
+        "spectral_gap": spectral.spectral_gap(ctx, entries),
         "weyl": {
             "lambda": lam_top,
             "count": count,
@@ -255,11 +268,11 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
 
 def cmd_det(args: argparse.Namespace) -> Report:
     ctx = PrimeParams(args.p, args.m)
-    det, angular, radial, zeta_prime = det_factors(ctx)
+    det, angular, radial, zeta_prime = determinant.det_factors(ctx)
     series_checks = []
     for s in (2, 3, 4):
-        closed = zeta_pi_value(float(s), ctx)
-        series = zeta_pi_series(float(s), ctx)
+        closed = determinant.zeta_pi_value(float(s), ctx)
+        series = determinant.zeta_pi_series(float(s), ctx)
         err = abs(closed - series)
         series_checks.append(
             {"s": s, "closed": closed, "series": series, "abs_error": err, "pass": err < 1e-12}
@@ -286,13 +299,13 @@ def cmd_matrix(args: argparse.Namespace) -> Report:
             cap = int(cap_env)
         except ValueError as exc:
             raise UsageError(f"TATE_MAX_DIM must be an integer, got {cap_env!r}") from exc
-    mx = build_matrix(args.level, KernelContext(ctx), cap)
+    mx = matrix.build_matrix(args.level, operator.KernelContext(ctx), cap)
     if args.dump:
         # Written before the verification, which costs far more than the build.
         _write("--dump", args.dump + ".csv", mx.to_csv())
         manifest = json.dumps(_json_ready(mx.basis_manifest()), indent=2)
         _write("--dump", args.dump + ".basis.json", manifest + "\n")
-    report = verify_matrix(mx, ctx)
+    report = matrix.verify_matrix(mx, ctx)
     checks = report.to_json_dict()
     data = {
         "command": "matrix",
@@ -324,16 +337,16 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
         raise UsageError("points must be distinct")
     overflow = f"--delta {delta!r}: the two-point value overflows a float"
     try:
-        value = two_point(x1, x2, delta, ctx)
+        value = correlator.two_point(x1, x2, delta, ctx)
     except OverflowError as exc:
         raise UsageError(overflow) from exc
     # A tiny delta makes the second term, about 2 / (m delta log p), infinite.
     if not math.isfinite(value):
         raise UsageError(overflow)
-    at_one = two_point(x1, x2, 1.0, ctx)
-    kernel = float(kernel_H(x1, x2, KernelContext(ctx)))
+    at_one = correlator.two_point(x1, x2, 1.0, ctx)
+    kernel = float(operator.kernel_H(x1, x2, operator.KernelContext(ctx)))
     kernel_ok = abs(at_one - kernel) <= 1e-12 * (1 + abs(kernel))
-    estimate, target = height_limit_check(x1, x2, ctx)
+    estimate, target = correlator.height_limit_check(x1, x2, ctx)
     limit_ok = abs(estimate - target) < LIMIT_TOLERANCE * (1 + abs(target))
     head = {
         "command": "correlator",
@@ -359,7 +372,7 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
 def cmd_tree(args: argparse.Namespace) -> Report:
     if args.depth < 0:
         raise UsageError("--depth must be >= 0")
-    dot = tree_quotient_dot(args.p, args.m, args.depth)
+    dot = tree.tree_quotient_dot(args.p, args.m, args.depth)
     return Report({"command": "tree"}, (), [], raw_text=dot)
 
 

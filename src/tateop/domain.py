@@ -145,7 +145,12 @@ class ShellPartition(Record):
             for c in range(1, ctx.p**level)
             if c % ctx.p != 0
         )
-        return cls(ctx, balls)
+        # Disjoint and covering by construction, so the constructor's
+        # overlap scan and measure sum are skipped.
+        part = object.__new__(cls)
+        index = {(b.v, level, b.center): i for i, b in enumerate(balls)}
+        part._bind(ctx, balls, index, [level])
+        return part
 
     def find_index(self, x: TatePoint) -> int:
         index = self._index

@@ -172,8 +172,9 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
 
     Off the diagonal, entry (i, j) is -c_p p^-k K(v_i, v_j, vdiff), with
     vdiff = min(v_i, v_j) across shells and v + v_p(c_j - c_i) within
-    shell v (what integrate_H_over_ball evaluates).  Each distinct triple
-    is evaluated once; the diagonal makes the row sum zero.
+    shell v (what integrate_H_over_ball evaluates).  Each shell distance
+    and each (shell, vdiff) pair is evaluated once; the diagonal makes the
+    row sum zero.
     """
     import numpy as np
 
@@ -198,16 +199,23 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
         value = scale * _kernel_by_valuations(p, m, vx, vz, vdiff)
         return slots.setdefault(value, len(slots))
 
-    index = np.empty((dim, dim), dtype=np.intp)
+    # same[v, d] is shell v's slot at digit agreement d; same[v, level] is
+    # the diagonal's, set once the row sums are known.  A cross-shell value
+    # depends on the two shells only through their distance u (both of its
+    # forms do), so it is taken once per u, as by_distance[u].  The slots
+    # are made in the order the rows meet them: shell 0 meets every u.
+    same = np.zeros((m, level + 1), dtype=np.intp)
+    by_distance = np.zeros(m, dtype=np.intp)
     for v in range(m):
-        # same[d] is the slot at digit agreement d; same[level] is the
-        # diagonal's, set once the row sums are known.
-        same = np.zeros(level + 1, dtype=np.intp)
-        for d in agreements:
-            same[d] = slot(v, v, v + d)
-        for w in range(m):
-            block = same[agree] if w == v else slot(v, w, min(v, w))
-            index[v * n : (v + 1) * n, w * n : (w + 1) * n] = block
+        same[v, agreements] = [slot(v, v, v + d) for d in agreements]
+        if v == 0:
+            by_distance[1:] = [slot(0, u, 0) for u in range(1, m)]
+    shells = np.arange(m)
+    index = np.empty((dim, dim), dtype=np.intp)
+    # blocks[v, :, w, :] is the block of shell v's rows and shell w's columns.
+    blocks = index.reshape(m, n, m, n)
+    blocks[...] = by_distance[abs(shells[:, None] - shells)][:, None, :, None]
+    blocks[shells, :, shells, :] = same[:, agree]
     # The diagonal points past the table at a zero while the rows are summed.
     np.fill_diagonal(index, len(slots))
     off_diagonal, rows = _profile_totals(index, (*slots, Fraction(0)))

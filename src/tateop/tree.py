@@ -27,9 +27,15 @@ def tree_quotient(
         raise ValueError("cycle length must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    total = m * p**depth
+    # m p^depth, multiplied out only while it stays within the cap: at a
+    # large depth the product itself would cost seconds to form.
+    total = m
+    for _ in range(depth):
+        if total > node_cap:
+            break
+        total *= p
     if total > node_cap:
-        raise ValueError(f"{total} nodes exceeds cap {node_cap}")
+        raise ValueError(f"{m}*{p}^{depth} nodes exceeds the node cap of {node_cap}")
     nodes = [f"c{i}" for i in range(m)]
     edges = [(f"c{i}", f"c{(i + 1) % m}") for i in range(m)]
     frontier = list(nodes)

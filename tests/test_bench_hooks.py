@@ -42,3 +42,13 @@ def test_every_traced_name_resolves():
     for dotted in (tracer.KERNEL_CACHE, tracer.CONDUCTOR_CACHE):
         cache = _resolve(dotted)
         assert callable(cache.cache_info) and callable(cache.cache_clear), dotted
+
+
+def test_the_traced_modules_are_registered_once_the_cli_is_imported(run_python):
+    # The tracer looks each spanned module up in sys.modules right after
+    # `import tateop.cli`, before any subcommand has run.
+    modules = sorted({modname for modname, _ in _load_tracer().SPANNED})
+    probe = "import sys, tateop.cli; print(*(name in sys.modules for name in sys.argv[1:]))"
+    proc = run_python("-c", probe, *modules)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"True"] * len(modules)

@@ -66,6 +66,58 @@ def test_only_matrix_loads_numpy(run_python):
     assert proc.stdout.split()[0] == b"True"
 
 
+# Runs main() on the argv given as JSON, then prints the package modules
+# whose body ran: a module registered but not yet run is of a subclass of
+# ModuleType, and type() reads it without running it.
+MODULES_PROBE = """
+import contextlib, io, json, sys, types
+import tateop.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    if tateop.cli.main(json.loads(sys.argv[1])) != 0:
+        raise SystemExit("did not pass")
+print(*(n for n, mod in sys.modules.items() if n.split(".")[0] == "tateop" and type(mod) is types.ModuleType))
+"""
+RAN_BY_ALL = {"tateop", "tateop.cli", "tateop.padic"}
+RAN_BY = {
+    "greens": {"domain", "operator"},
+    "spectrum": {"domain", "operator", "spectral"},
+    "det": {"domain", "operator", "spectral", "determinant"},
+    "matrix": {"domain", "operator", "spectral", "matrix"},
+    "correlator": {"domain", "operator", "correlator"},
+    "tree": {"tree"},
+}
+
+
+@pytest.mark.parametrize("argv", DOCUMENTED, ids=lambda a: " ".join(a))
+def test_a_subcommand_runs_only_the_modules_it_uses(run_python, argv):
+    proc = run_python("-c", MODULES_PROBE, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    ran = set(proc.stdout.decode().split())
+    assert ran == RAN_BY_ALL | {f"tateop.{name}" for name in RAN_BY[argv[0]]}
+
+
+# Imports the two modules in the order given, then prints whether the
+# import, the cli, the package and sys.modules hold one spectral module,
+# and whether it ran.
+ONE_MODULE_PROBE = """
+import importlib, sys, types
+mods = {name: importlib.import_module(name) for name in sys.argv[1:]}
+import tateop
+spectral = mods["tateop.spectral"]
+print(
+    spectral is mods["tateop.cli"].spectral is tateop.spectral is sys.modules["tateop.spectral"],
+    type(spectral) is types.ModuleType,
+)
+"""
+
+
+@pytest.mark.parametrize("order", [("tateop.spectral", "tateop.cli"), ("tateop.cli", "tateop.spectral")])
+def test_one_module_object_whichever_is_imported_first(run_python, order):
+    proc = run_python("-c", ONE_MODULE_PROBE, *order)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"True", b"True"]
+
+
 def test_greens_payload():
     _, out, _ = run_cli(["greens", "--p", "3", "--m", "2"])
     doc = json.loads(out)
@@ -232,6 +284,14 @@ def test_correlator_at_a_huge_dimension_is_fast():
     assert doc["all_pass"] is True
 
 
+def test_tree_at_a_huge_depth_is_a_quick_usage_error():
+    start = time.perf_counter()
+    code, out, err = run_cli(["tree", "--p", "3", "--m", "2", "--depth", "10000000"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "exceeds the node cap of 20000" in err
+
+
 def test_induced_failure_exits_1():
     assert run_cli(["greens", "--p", "3", "--m", "2", "--expect=-1/2"])[0] == 1
     assert run_cli(["greens", "--p", "3", "--m", "2", "--expect=-3/4"])[0] == 0
@@ -266,7 +326,7 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, monkeypatch):
     assert (code, out) == (2, "")
     assert f"--out cannot write '{missing}.json'" in err
     # The dump is written before the verification, so a bad prefix fails fast.
-    monkeypatch.setattr("tateop.cli.verify_matrix", lambda *args: pytest.fail("verified first"))
+    monkeypatch.setattr("tateop.matrix.verify_matrix", lambda *args: pytest.fail("verified first"))
     code, out, err = run_cli(
         ["matrix", "--p", "3", "--m", "2", "--level", "1", "--dump", str(missing)]
     )

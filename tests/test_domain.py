@@ -93,6 +93,18 @@ def test_full_partition_counts_and_volume(cfg, level):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize(
+    "p,m,level", [(p, m, level) for p in (2, 3, 5) for m in (1, 2, 3) for level in (1, 2, 3)]
+)
+def test_full_partition_equals_the_checked_constructor(p, m, level):
+    ctx = PrimeParams(p, m)
+    full = ShellPartition.full(ctx, level)
+    checked = ShellPartition(ctx, full.balls)
+    assert full == checked
+    assert full._index == checked._index
+    assert full._levels == checked._levels
+
+
 def test_partition_find_index_and_refine():
     ctx = PrimeParams(3, 2)
     part = ShellPartition.full(ctx, 1)

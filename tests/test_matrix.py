@@ -19,7 +19,12 @@ from tateop.matrix import (
     spectrum_labels,
     verify_matrix,
 )
-from tateop.operator import KernelContext, apply_D_step, integrate_H_over_ball
+from tateop.operator import (
+    KernelContext,
+    _kernel_by_valuations,
+    apply_D_step,
+    integrate_H_over_ball,
+)
 from tateop.spectral import enumerate_spectrum, root_of_unity
 
 # Small configurations for the oracles of the fast paths: p in {2, 3, 5},
@@ -161,6 +166,16 @@ def test_dimension_cap_enforced():
     with pytest.raises(ValueError):
         build_matrix(3, kc, dim_cap=2)
     assert DEFAULT_DIM_CAP >= 1024
+
+
+def test_level_one_assembly_evaluates_each_shell_distance_once():
+    # A cross-shell entry depends only on the shell distance, so a level-1
+    # matrix at large m takes O(m) kernel values, not one per shell pair.
+    m = 256
+    _kernel_by_valuations.cache_clear()
+    mx = build_matrix(1, kc_of(2, m))
+    assert mx.dimension == m
+    assert _kernel_by_valuations.cache_info().currsize <= 2 * m
 
 
 @pytest.mark.parametrize("p,m,level", ORACLE_CONFIGS)

@@ -394,12 +394,14 @@ def test_a_wrong_radial_closed_form_fails_the_exact_check(monkeypatch):
     # identity sees conductor 13; the Weyl check reads conductor 14.
     code, out = _cli(["spectrum", "--p", "2", "--m", "1", "--max-conductor", "14"])
     assert code == 0
-    closed = spectral.eigenvalue_radial_closed
+    # One side of the identity is made wrong at conductor 13: the exact sum,
+    # which `spectrum` alone reads, so the printed entries stay as they are.
+    exact = spectral.eigenvalue_radial_exact
 
-    def wrong(n, ctx):
-        return closed(n, ctx) + (1 if n == 13 else 0)
+    def wrong(chi, ctx):
+        return exact(chi, ctx) + (1 if chi.conductor == 13 else 0)
 
-    monkeypatch.setattr(cli, "eigenvalue_radial_closed", wrong)
+    monkeypatch.setattr(spectral, "eigenvalue_radial_exact", wrong)
     code, out_wrong = _cli(["spectrum", "--p", "2", "--m", "1", "--max-conductor", "14"])
     assert code == 1
     assert out_wrong == out.replace('"all_pass": true', '"all_pass": false')
