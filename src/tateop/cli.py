@@ -11,10 +11,7 @@ and runs only the modules it uses: that is most of a short call's time.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.util
-import io
-import json
 import math
 import os
 import re
@@ -51,8 +48,12 @@ def _lazy_module(name: str) -> types.ModuleType:
 
 
 # A subcommand runs only the modules it reads.  Every one is registered,
-# domain too though only the others read it, so a lookup in sys.modules
-# after `import tateop.cli` finds each.
+# angular and domain too though only the others read them: a module that
+# imports them later then finds them in sys.modules, and no import sets a
+# new attribute on the package while a caller iterates over its attributes
+# (as bench/tracer.py does).  A lookup in sys.modules after
+# `import tateop.cli` finds each.
+_lazy_module("angular")
 _lazy_module("domain")
 correlator = _lazy_module("correlator")
 determinant = _lazy_module("determinant")
@@ -145,9 +146,15 @@ def _cell(x) -> str:
 def render(report: Report, fmt: str) -> str:
     if report.raw_text is not None:
         return report.raw_text
+    # json and csv are imported for the format that needs them only.
     if fmt == "json":
+        import json
+
         return json.dumps(_json_ready(report.data), indent=2) + "\n"
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(report.columns)
@@ -301,6 +308,8 @@ def cmd_matrix(args: argparse.Namespace) -> Report:
             raise UsageError(f"TATE_MAX_DIM must be an integer, got {cap_env!r}") from exc
     mx = matrix.build_matrix(args.level, operator.KernelContext(ctx), cap)
     if args.dump:
+        import json
+
         # Written before the verification, which costs far more than the build.
         _write("--dump", args.dump + ".csv", mx.to_csv())
         manifest = json.dumps(_json_ready(mx.basis_manifest()), indent=2)

@@ -1,5 +1,5 @@
-"""Boundary two-point function, the mass-dimension relation, and the
-small-dimension limit that recovers the height.
+"""Boundary two-point function and the small-dimension limit that
+recovers the height.
 
 Floating point throughout: the scaling dimension is a continuous
 parameter and log p is transcendental.  The one exception: integer
@@ -12,54 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .domain import local_height
-from .padic import PrimeParams, Record, TatePoint, tate_div, valuation
-
-
-class ScalingDimension(Record):
-    """The two real roots of the mass relation, delta_plus + delta_minus = 1."""
-
-    __slots__ = _fields = ("delta_plus", "delta_minus", "mass_squared")
-    delta_plus: float
-    delta_minus: float
-    mass_squared: float
-
-    def __init__(self, delta_plus: float, delta_minus: float, mass_squared: float) -> None:
-        if abs(delta_plus + delta_minus - 1.0) > 1e-9:
-            raise ValueError("scaling dimensions must sum to 1")
-        self._bind(delta_plus, delta_minus, mass_squared)
-
-
-def mass_from_delta(delta: float, ctx: PrimeParams) -> float:
-    """Bulk mass squared: p^(1-delta) + p^delta - p - 1."""
-    p = ctx.p
-    return float(p) ** (1 - delta) + float(p) ** delta - p - 1
-
-
-def real_dimension_threshold(ctx: PrimeParams) -> float:
-    """Smallest mass squared with real dimensions: 2 sqrt(p) - p - 1."""
-    return 2 * math.sqrt(ctx.p) - ctx.p - 1
-
-
-def delta_from_mass(msq: float, ctx: PrimeParams) -> ScalingDimension:
-    """Solve t + p/t = msq + p + 1 for t = p^delta; the two roots give
-    delta_plus >= 1/2 >= delta_minus."""
-    p = ctx.p
-    if msq < real_dimension_threshold(ctx) - 1e-12:
-        raise ValueError(
-            "mass squared below 2 sqrt(p) - p - 1: complex-dimension regime"
-        )
-    b = msq + p + 1
-    disc = max(b * b - 4 * p, 0.0)
-    t_plus = (b + math.sqrt(disc)) / 2
-    t_minus = p / t_plus
-    lp = math.log(p)
-    delta_plus = math.log(t_plus) / lp
-    delta_minus = math.log(t_minus) / lp
-    for d in (delta_plus, delta_minus):
-        if abs(mass_from_delta(d, ctx) - msq) > 1e-12 * (1 + abs(msq)):
-            raise ArithmeticError("dimension does not reproduce the mass relation")
-    return ScalingDimension(delta_plus, delta_minus, msq)
+from .padic import PrimeParams, TatePoint, local_height, tate_div, valuation
 
 
 def _pair_valuations(x1: TatePoint, x2: TatePoint) -> tuple[int, int, int]:
@@ -120,24 +73,6 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float, ctx: PrimeParams) -> f
         c = m * delta * lp  # log p^C
         second = math.exp(r + math.log1p(math.exp(-2 * r)) - c - math.log(-math.expm1(-c)))
     return first + second
-
-
-def limit_finite_part(x1: TatePoint, x2: TatePoint, ctx: PrimeParams) -> float:
-    """The explicit four-term finite part of the small-dimension expansion,
-    assembled literally from the logarithms of the norms."""
-    p, m = ctx.p, ctx.m
-    v1, v2, vd = _pair_valuations(x1, x2)
-    lp = math.log(p)
-    log_n1 = -v1 * lp
-    log_n2 = -v2 * lp
-    log_nd = -vd * lp
-    inner = (
-        -log_nd / lp
-        + (log_n1 + log_n2) / (2 * lp)
-        + (log_n1 - log_n2) ** 2 / (2 * m * lp * lp)
-        + m / 12
-    )
-    return 2 * lp * inner
 
 
 _RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .padic import PrimeParams
-from .spectral import angular_eigenvalues
+from .angular import angular_eigenvalues
 
 
 def angular_determinant(ctx: PrimeParams) -> Fraction:
@@ -94,11 +94,6 @@ def _radial_factor(ctx: PrimeParams, zeta_prime: float) -> Fraction:
     return closed
 
 
-def radial_det_contribution(ctx: PrimeParams) -> Fraction:
-    """exp(-zeta'(0)) resummed over the radial tower: (p/(p-1))^m exactly."""
-    return _radial_factor(ctx, zeta_prime_at_zero(ctx))
-
-
 def det_factors(ctx: PrimeParams) -> tuple[Fraction, Fraction, Fraction, float]:
     """(det D, angular factor, radial factor, zeta'(0)), each computed once.
 
@@ -113,8 +108,3 @@ def det_factors(ctx: PrimeParams) -> tuple[Fraction, Fraction, Fraction, float]:
     if closed != angular * radial:
         raise ArithmeticError("determinant does not factor as angular x radial")
     return closed, angular, radial, zeta_prime
-
-
-def det_D(ctx: PrimeParams) -> Fraction:
-    """m^2 (1 - 1/p) / (1 - p^(-m))^2; equals angular x radial exactly."""
-    return det_factors(ctx)[0]

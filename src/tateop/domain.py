@@ -1,58 +1,21 @@
-"""Balls, Haar measure, step functions, and the local height on the domain.
+"""Balls, Haar measure and partitions of the domain.
 
 The atoms are multiplicative unit cosets p^v (c + p^k Z_p) with c a unit mod
-p^k.  Every locally constant function manipulated here is a finite exact
-combination of their indicators, and every integral against the
-multiplicative Haar measure d*x = dx/|x| is a finite sum of rationals (plus
-one geometric tail near the height singularity, which has a closed form).
+p^k.  A partition of the fundamental domain into finitely many of them is
+the basis of the exact Galerkin matrix, and every ball integral against the
+multiplicative Haar measure d*x = dx/|x| is an exact rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import (
-    PrimeParams,
-    Rational,
-    Record,
-    TatePoint,
-    format_rational,
-    parse_rational,
-    tate_div,
-    valuation,
-)
+from .padic import PrimeParams, Record, TatePoint, canonical_center
 
 
 def total_volume(ctx: PrimeParams) -> Fraction:
     """Multiplicative Haar volume of the fundamental domain: m (p-1)/p."""
     return Fraction(ctx.m * (ctx.p - 1), ctx.p)
-
-
-def geom_sum(degree: int, start: int, ratio: Rational) -> Fraction:
-    """Exact value of sum_{j >= start} j^degree ratio^j for degree 0 or 1.
-
-    degree 0: t^J / (1 - t).
-    degree 1: t^J (J (1 - t) + t) / (1 - t)^2.
-    """
-    t = Fraction(ratio)
-    if degree not in (0, 1):
-        raise ValueError("degree must be 0 or 1")
-    if start < 0:
-        raise ValueError("start must be >= 0")
-    if abs(t) >= 1:
-        raise ValueError("ratio must satisfy |t| < 1")
-    if degree == 0:
-        return t**start / (1 - t)
-    return t**start * (start * (1 - t) + t) / (1 - t) ** 2
-
-
-def canonical_center(u: Rational, k: int, p: int) -> int:
-    """Least positive residue of a unit rational mod p^k."""
-    frac = Fraction(u)
-    if frac.numerator % p == 0 or frac.denominator % p == 0:
-        raise ValueError("center must be a p-adic unit")
-    mod = p**k
-    return frac.numerator * pow(frac.denominator, -1, mod) % mod
 
 
 class Ball(Record):
@@ -165,145 +128,3 @@ class ShellPartition(Record):
         """Replace ball i by its p children."""
         balls = self.balls
         return ShellPartition(self.ctx, balls[:i] + balls[i].children() + balls[i + 1 :])
-
-
-class StepFunction(Record):
-    """Finitely many disjoint balls covering the domain, one value per ball.
-
-    Values are exact rationals in all the identity checks; complex values
-    are admitted so multiplicative characters can be applied to the same
-    machinery.
-    """
-
-    __slots__ = _fields = ("partition", "values")
-    partition: ShellPartition
-    values: tuple
-
-    def __init__(self, partition: ShellPartition, values) -> None:
-        vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
-        if len(vals) != len(partition.balls):
-            raise ValueError("one value per ball required")
-        self._bind(partition, vals)
-
-    @property
-    def ctx(self) -> PrimeParams:
-        return self.partition.ctx
-
-    def value_at(self, x: TatePoint):
-        return self.values[self.partition.find_index(x)]
-
-    def integral(self):
-        """Integral against d*x: sum of value * measure over the balls."""
-        return sum(val * b.measure() for b, val in zip(self.partition.balls, self.values))
-
-    def refine_ball(self, i: int) -> "StepFunction":
-        vals = self.values[:i] + (self.values[i],) * self.ctx.p + self.values[i + 1 :]
-        return StepFunction(self.partition.refine_ball(i), vals)
-
-    def dilated(self, lam: TatePoint) -> "StepFunction":
-        """Precompose with multiplication: result(x) = self(lam * x)."""
-        p, m = self.ctx.p, self.ctx.m
-        new_balls = []
-        for b in self.partition.balls:
-            mod = p**b.k
-            lam_c = canonical_center(lam.unit_part(), b.k, p)
-            c = b.center * pow(lam_c, -1, mod) % mod
-            new_balls.append(Ball(self.ctx, (b.v - lam.v) % m, b.k, c))
-        return StepFunction(ShellPartition(self.ctx, tuple(new_balls)), self.values)
-
-    def inverted(self) -> "StepFunction":
-        """Precompose with the reciprocal: result(x) = self(1/x)."""
-        p, m = self.ctx.p, self.ctx.m
-        new_balls = [
-            Ball(self.ctx, (-b.v) % m, b.k, pow(b.center, -1, p**b.k))
-            for b in self.partition.balls
-        ]
-        return StepFunction(ShellPartition(self.ctx, tuple(new_balls)), self.values)
-
-    @classmethod
-    def constant(cls, ctx: PrimeParams, value, level: int = 1) -> "StepFunction":
-        part = ShellPartition.full(ctx, level)
-        return cls(part, (value,) * len(part.balls))
-
-    @classmethod
-    def indicator_shell(cls, ctx: PrimeParams, v: int, level: int = 1) -> "StepFunction":
-        """Indicator of the shell p^v Z_p^x."""
-        part = ShellPartition.full(ctx, level)
-        return cls(part, tuple(Fraction(1 if b.v == v else 0) for b in part.balls))
-
-    def to_json_dict(self) -> dict:
-        for val in self.values:
-            if not isinstance(val, Fraction):
-                raise ValueError("only rational-valued step functions serialize to JSON")
-        return {
-            "p": self.ctx.p,
-            "m": self.ctx.m,
-            "balls": [
-                {
-                    "v": b.v,
-                    "k": b.k,
-                    "center": format_rational(b.center),
-                    "value": format_rational(val),
-                }
-                for b, val in zip(self.partition.balls, self.values)
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StepFunction":
-        ctx = PrimeParams(data["p"], data["m"])
-        balls = []
-        values = []
-        for item in data["balls"]:
-            center = parse_rational(str(item["center"]))
-            balls.append(Ball(ctx, int(item["v"]), int(item["k"]), canonical_center(center, int(item["k"]), ctx.p)))
-            values.append(parse_rational(str(item["value"])))
-        return cls(ShellPartition(ctx, tuple(balls)), tuple(values))
-
-
-def local_height(w: TatePoint) -> Fraction:
-    """h(w) = v(w - 1) + v_w (v_w - m) / (2m) + m / 12, for w != 1."""
-    if w.value == 1:
-        raise ValueError("the height has a logarithmic singularity at the identity")
-    m = w.ctx.m
-    j = valuation(w.value - 1, w.ctx.p)
-    return j + Fraction(w.v * (w.v - m), 2 * m) + Fraction(m, 12)
-
-
-class HeightProfile(Record):
-    """The translated local height x -> h(x / base), exact away from the base."""
-
-    __slots__ = _fields = ("base",)
-    base: TatePoint
-
-    @property
-    def ctx(self) -> PrimeParams:
-        return self.base.ctx
-
-    def value_at(self, x: TatePoint) -> Fraction:
-        return local_height(tate_div(x, self.base))
-
-    def integrate_over_ball(self, b: Ball) -> Fraction:
-        """Exact integral of the profile over a ball against d*x.
-
-        The quadratic-in-valuation part of the height is constant on the
-        ball.  The v(w - 1) part is zero unless the ball sits in the base
-        point's shell; there it is constant unless the ball contains the
-        base, in which case the stratification by v(x - base) = t >= v + k
-        (each stratum of measure (1 - 1/p) p^(v - t)) leaves a geometric
-        tail with a closed form.
-        """
-        if b.ctx != self.ctx:
-            raise ValueError("mixed prime contexts")
-        p, m = self.ctx.p, self.ctx.m
-        y = self.base
-        v_w = (b.v - y.v) % m
-        out = (Fraction(v_w * (v_w - m), 2 * m) + Fraction(m, 12)) * b.measure()
-        if v_w != 0:
-            return out
-        if b.contains(y):
-            out += Fraction(p - 1, p) * geom_sum(1, b.k, Fraction(1, p))
-        else:
-            j = valuation(b.center_point().value - y.value, p) - y.v
-            out += j * b.measure()
-        return out

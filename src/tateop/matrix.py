@@ -23,8 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .domain import Ball, ShellPartition, StepFunction
-from .operator import KernelContext, _kernel_by_valuations, apply_D_step
+from .angular import angular_eigenvalues, root_table
+from .domain import Ball, ShellPartition
+from .operator import KernelContext, _kernel_by_valuations
 from .padic import PrimeParams, Record, format_rational
 from .spectral import (
     AngularCharacter,
@@ -32,7 +33,6 @@ from .spectral import (
     enumerate_conductor,
     enumerate_spectrum,
     eigenvalue_for_label,
-    root_table,
     unit_group_order,
     unit_log,
 )
@@ -99,11 +99,6 @@ class OperatorMatrix(Record):
     def dimension(self) -> int:
         return len(self.basis)
 
-    @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The dense exact matrix, one value per entry."""
-        return tuple(tuple(map(self.values.__getitem__, row)) for row in self.index.tolist())
-
     def as_float(self) -> np.ndarray:
         """Entry-wise float copy; each distinct value is converted once."""
         import numpy as np
@@ -119,15 +114,6 @@ class OperatorMatrix(Record):
         import numpy as np
 
         return [float(x) for x in np.linalg.eigvalsh(self.float_entries)]
-
-    def apply(self, values) -> tuple:
-        """Exact matrix-vector product on one value per basis ball."""
-        if len(values) != self.dimension:
-            raise ValueError("vector length does not match the basis")
-        return tuple(
-            sum(entry * val for entry, val in zip(row, values))
-            for row in self.entries
-        )
 
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(_row_totals(self.index, self.values))
@@ -331,8 +317,10 @@ def verify_matrix(mx: OperatorMatrix, ctx: PrimeParams) -> MatrixReport:
     row_sums_zero = all(s == 0 for s in mx.row_sums())
     if not row_sums_zero:
         failures.append("row sums")
+    # One pass gives the angular eigenvalues of the spectrum and of the labels.
+    angular = angular_eigenvalues(range(ctx.m), ctx)
     expected: list[float] = []
-    for entry in enumerate_spectrum(mx.level, ctx):
+    for entry in enumerate_spectrum(mx.level, ctx, angular):
         expected.extend([float(entry.eigenvalue)] * entry.multiplicity)
     expected.sort()
     # Float rounding in the eigen-solve and the products grows with the
@@ -356,8 +344,9 @@ def verify_matrix(mx: OperatorMatrix, ctx: PrimeParams) -> MatrixReport:
     mc = mx.float_entries.astype(complex)
     worst = 0.0
     # The eigenvalue depends on a label only through its conductor and l,
-    # and the radial characters of level n all have conductor n.
-    lams: dict[tuple[int, int], float] = {}
+    # and the radial characters of level n all have conductor n; at level
+    # 0 it is the angular eigenvalue at l.
+    lams = {(0, l): float(lam) for l, lam in enumerate(angular)}
     for label, vec in label_vectors(mx):
         key = (label.radial.n, label.angular.l)
         lam = lams.get(key)
@@ -381,22 +370,4 @@ def verify_matrix(mx: OperatorMatrix, ctx: PrimeParams) -> MatrixReport:
         eigenfunction_residual=worst,
         eigenfunctions_ok=eigenfunctions_ok,
         failures=tuple(failures),
-    )
-
-
-def prolong_values(coarse: ShellPartition, fine: ShellPartition, values) -> tuple:
-    """Embed a coarse step vector into a finer partition, value by ball."""
-    if len(values) != len(coarse.balls):
-        raise ValueError("vector length does not match the coarse partition")
-    return tuple(values[coarse.find_index(b.center_point())] for b in fine.balls)
-
-
-def galerkin_consistency_check(mx: OperatorMatrix, f: StepFunction) -> bool:
-    """Matrix action against the direct operator action at every center."""
-    if f.partition.balls != mx.basis:
-        raise ValueError("step function does not live on the matrix basis")
-    product = mx.apply(f.values)
-    return all(
-        product[i] == apply_D_step(f, b.center_point(), mx.kc)
-        for i, b in enumerate(mx.basis)
     )

@@ -1,5 +1,4 @@
-"""The nonlocal kernel operator, its closed-form action on heights, and the
-weak delta identity for its Green's function.
+"""The nonlocal kernel operator and its closed-form action on heights.
 
 Everything here is exact rational arithmetic.  The kernel value depends only
 on the three integers (v(x), v(z), v(x - z)), so the two equivalent formulas
@@ -10,37 +9,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .domain import (
-    Ball,
-    HeightProfile,
-    StepFunction,
-    local_height,
-    total_volume,
+from .padic import (
+    PrimeParams,
+    Record,
+    TatePoint,
+    c_p_const,
+    coupling_weight,
+    point,
+    shell_coupling,
+    valuation,
 )
-from .padic import PrimeParams, Record, TatePoint, point, tate_div, valuation
 
-
-def c_p_const(p: int) -> Fraction:
-    """Normalizing constant p (p - 1) / (p + 1).
-
-    Written as p (1 - 1/p)^2 / (1 - 1/p^2); the reduced form is checked
-    against it.
-    """
-    raw = p * (1 - Fraction(1, p)) ** 2 / (1 - Fraction(1, p * p))
-    if raw != Fraction(p * (p - 1), p + 1):
-        raise ArithmeticError(f"c_p at p={p}: {raw} differs from p(p-1)/(p+1)")
-    return raw
-
-
-def coupling_weight(p: int, m: int, u: int) -> int:
-    """p^(m-u) + p^u: the shell coupling times q - 1."""
-    return p ** (m - u) + p**u
-
-
-def shell_coupling(p: int, m: int, u: int) -> Fraction:
-    """(p^(m-u) + p^u) / (q - 1): the kernel between shells u apart, 0 < u < m."""
-    return Fraction(coupling_weight(p, m, u), p**m - 1)
+if TYPE_CHECKING:
+    from .domain import Ball
 
 
 @lru_cache(maxsize=None)
@@ -110,24 +93,6 @@ def integrate_H_over_ball(b: Ball, x: TatePoint, kc: KernelContext) -> Fraction:
     return _kernel_by_valuations(p, m, x.v, b.v, vdiff) * b.measure()
 
 
-def apply_D_step(f: StepFunction, x: TatePoint, kc: KernelContext) -> Fraction:
-    """(Df)(x) = -c_p * integral of H(z, x) (f(z) - f(x)) d*z, exactly.
-
-    x must not be a boundary case: the ball of the partition containing x
-    contributes nothing when f is constant on it, so the singular part
-    cancels and every remaining ball integral is finite.
-    """
-    fx = f.value_at(x)
-    total = Fraction(0)
-    for b, val in zip(f.partition.balls, f.values):
-        if val == fx:
-            continue
-        if b.contains(x):
-            raise ValueError("f must be constant near x with value f(x)")
-        total += integrate_H_over_ball(b, x, kc) * (val - fx)
-    return -kc.c_p * total
-
-
 def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
     """Exact action of the operator on the height profile h, at x != 1.
 
@@ -185,35 +150,6 @@ def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
             num += (p - 1) ** 2 * coupling_weight(p, m, abs(v - vx)) * (v * (v - m) - a_x)
     den = p * p_ell * q1 * two_m * (p - 1)
     return Fraction(-kc.c_p.numerator * num, kc.c_p.denominator * den)
-
-
-def greens_function(
-    x: TatePoint, y: TatePoint, ctx: PrimeParams | None = None
-) -> Fraction:
-    """Symmetric Green's function G(x, y) = h(x / y), x != y."""
-    if ctx is not None and (x.ctx != ctx or y.ctx != ctx):
-        raise ValueError("mixed prime contexts")
-    if x.value == y.value:
-        raise ValueError("Green's function is singular on the diagonal")
-    return local_height(tate_div(x, y))
-
-
-def weak_delta_check(
-    y: TatePoint, f: StepFunction, kc: KernelContext
-) -> tuple[Fraction, Fraction]:
-    """Both sides of int G(x, y) (Df)(x) d*x = f(y) - mean(f), exactly.
-
-    Df of a step function is again a step function on the same partition,
-    so the left side reduces to exact ball integrals of the height
-    profile centred at y.
-    """
-    prof = HeightProfile(y)
-    lhs = Fraction(0)
-    for b in f.partition.balls:
-        df_b = apply_D_step(f, b.center_point(), kc)
-        lhs += df_b * prof.integrate_over_ball(b)
-    rhs = f.value_at(y) - f.integral() / total_volume(kc.ctx)
-    return lhs, rhs
 
 
 def height_check_points(ctx: PrimeParams, max_vdist: int = 6) -> tuple[TatePoint, ...]:

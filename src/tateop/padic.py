@@ -4,7 +4,9 @@ Everything is ``fractions.Fraction`` based: valuations, norms, and the
 reduction into the fundamental domain E (the union of the shells
 p^i Z_p^x for 0 <= i < m) are computed exactly, so the identities asserted
 elsewhere in the package hold with zero tolerance.  The two number formats
-of every report (exact rationals, 15-digit floats) live here too.
+of every report (exact rationals, 15-digit floats) live here too, and so
+do the few functions of p, m and a point that several subcommands share:
+unit residues, the kernel's constants and the local height.
 """
 
 from __future__ import annotations
@@ -167,9 +169,35 @@ def norm_from_valuation(v: int, p: int) -> Fraction:
     return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
 
 
-def norm(x: Rational, p: int) -> Fraction:
-    """p-adic norm |x| = p^(-v(x)), exact."""
-    return norm_from_valuation(valuation(x, p), p)
+def canonical_center(u: Rational, k: int, p: int) -> int:
+    """Least positive residue of a unit rational mod p^k."""
+    frac = Fraction(u)
+    if frac.numerator % p == 0 or frac.denominator % p == 0:
+        raise ValueError("center must be a p-adic unit")
+    mod = p**k
+    return frac.numerator * pow(frac.denominator, -1, mod) % mod
+
+
+def c_p_const(p: int) -> Fraction:
+    """Normalizing constant p (p - 1) / (p + 1).
+
+    Written as p (1 - 1/p)^2 / (1 - 1/p^2); the reduced form is checked
+    against it.
+    """
+    raw = p * (1 - Fraction(1, p)) ** 2 / (1 - Fraction(1, p * p))
+    if raw != Fraction(p * (p - 1), p + 1):
+        raise ArithmeticError(f"c_p at p={p}: {raw} differs from p(p-1)/(p+1)")
+    return raw
+
+
+def coupling_weight(p: int, m: int, u: int) -> int:
+    """p^(m-u) + p^u: the shell coupling times q - 1."""
+    return p ** (m - u) + p**u
+
+
+def shell_coupling(p: int, m: int, u: int) -> Fraction:
+    """(p^(m-u) + p^u) / (q - 1): the kernel between shells u apart, 0 < u < m."""
+    return Fraction(coupling_weight(p, m, u), p**m - 1)
 
 
 class TatePoint(Record):
@@ -236,3 +264,12 @@ def tate_inv(x: TatePoint) -> TatePoint:
 
 def tate_div(x: TatePoint, y: TatePoint) -> TatePoint:
     return tate_mul(x, tate_inv(y))
+
+
+def local_height(w: TatePoint) -> Fraction:
+    """h(w) = v(w - 1) + v_w (v_w - m) / (2m) + m / 12, for w != 1."""
+    if w.value == 1:
+        raise ValueError("the height has a logarithmic singularity at the identity")
+    m = w.ctx.m
+    j = valuation(w.value - 1, w.ctx.p)
+    return j + Fraction(w.v * (w.v - m), 2 * m) + Fraction(m, 12)

@@ -2,22 +2,36 @@
 
 Radial characters (characters of the unit group mod p^n) are realized
 through discrete-log tables, angular characters are characters of Z/mZ
-acting on the valuation.  Eigenvalues come in a closed form per conductor
-and are cross-checked against the defining integrals; multiplicities,
-the spectral gap, the eigenvalue counting function, and the m = 1
-boundary-operator comparison all live here.
+acting on the valuation (their eigenvalues are in ``angular``).
+Eigenvalues come in a closed form per conductor and are cross-checked
+against the defining integrals; multiplicities, the spectral gap and the
+eigenvalue counting function live here too.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from .domain import canonical_center
-from .operator import c_p_const, shell_coupling
-from .padic import PrimeParams, Rational, Record, format_rational, int_valuation, is_prime
+from .angular import (
+    _float_couplings,
+    angular_eigenvalues,
+    angular_sums,
+    eigenvalue_angular,
+    root_of_unity,
+    root_table,
+)
+from .padic import (
+    PrimeParams,
+    Rational,
+    Record,
+    c_p_const,
+    canonical_center,
+    format_rational,
+    int_valuation,
+    is_prime,
+    shell_coupling,
+)
 
 DLOG_TABLE_LIMIT = 10**6
 
@@ -103,43 +117,6 @@ def unit_log(p: int, n: int, u: int):
     if n == 2:
         return 0 if u % 4 == 1 else 1
     return _two_adic_table(n)[u]
-
-
-def root_of_unity(turns: Fraction):
-    """e^(2 pi i turns), exact (Fraction or exact imaginary) at quarter turns."""
-    r = Fraction(turns)
-    if not 0 <= r.numerator < r.denominator:
-        r %= 1
-    den = r.denominator
-    if den == 1:
-        return Fraction(1)
-    if den == 2:
-        return Fraction(-1)
-    if den == 4:
-        return 1j if r.numerator == 1 else -1j
-    return cmath.exp(2j * cmath.pi * float(r))
-
-
-@lru_cache(maxsize=None)
-def root_table(n: int) -> tuple:
-    """complex(root_of_unity(Fraction(j, n))) for j in range(n), built directly.
-
-    The reduced denominator n / gcd(j, n) picks the exact values at 1, 2
-    and 4; elsewhere j / n is the same correctly rounded float as the
-    reduced fraction's, so every entry has the same bits.
-    """
-    out = []
-    for j in range(n):
-        den = n // gcd(j, n)
-        if den == 1:
-            out.append(1 + 0j)
-        elif den == 2:
-            out.append(-1 + 0j)
-        elif den == 4:
-            out.append(1j if 4 * j == n else -1j)
-        else:
-            out.append(cmath.exp(2j * cmath.pi * (j / n)))
-    return tuple(out)
 
 
 class UnitCharacter(Record):
@@ -234,14 +211,6 @@ def _conductor_of(chi: UnitCharacter) -> int:
         return 3 if eps else 0
     f = n - int_valuation(a, 2)
     return 2 if f == 3 and eps else f
-
-
-def character_value(chi: UnitCharacter, u):
-    """Value of a radial character at a unit; a root of unity."""
-    val = Fraction(u)
-    if val.numerator % chi.p == 0 or val.denominator % chi.p == 0:
-        raise ValueError("character argument must be a p-adic unit")
-    return chi.value(val)
 
 
 def enumerate_conductor(p: int, n: int) -> tuple[UnitCharacter, ...]:
@@ -366,12 +335,6 @@ def eigenvalue_radial_integral(
     return complex(c_p_const(p)) * total
 
 
-@lru_cache(maxsize=None)
-def _float_couplings(p: int, m: int) -> tuple:
-    """The shell couplings to shells 1..m - 1, converted to float once."""
-    return tuple(complex(shell_coupling(p, m, v)) for v in range(1, m))
-
-
 def eigenvalue_radial_exact(chi: UnitCharacter, ctx: PrimeParams) -> Fraction:
     """The defining sum of :func:`eigenvalue_radial_integral`, exactly, in O(n).
 
@@ -400,71 +363,9 @@ def _coupling_total(p: int, m: int) -> Fraction:
     return Fraction(2, p**m - 1) + sum(shell_coupling(p, m, v) for v in range(1, m))
 
 
-_EXACT_TWO_COS = {
-    Fraction(0): Fraction(2),
-    Fraction(1, 2): Fraction(-2),
-    Fraction(1, 3): Fraction(-1),
-    Fraction(2, 3): Fraction(-1),
-    Fraction(1, 4): Fraction(0),
-    Fraction(3, 4): Fraction(0),
-    Fraction(1, 6): Fraction(1),
-    Fraction(5, 6): Fraction(1),
-}
-
-
-def angular_sums(ls, ctx: PrimeParams) -> list[complex]:
-    """Defining sums of the angular eigenvalues at each l, shell by shell.
-
-    One pass: the shell couplings are converted to float once, and the
-    character values come from one table of the m roots of unity.
-    """
-    p, m = ctx.p, ctx.m
-    mu_units = complex(Fraction(p - 1, p))
-    couplings = _float_couplings(p, m)
-    roots = root_table(m)
-    scale = -complex(c_p_const(p))
-    sums = []
-    for l in ls:
-        total = 0j
-        for v, coupling in enumerate(couplings, 1):
-            total += coupling * (roots[l * v % m] - 1) * mu_units
-        sums.append(scale * total)
-    return sums
-
-
-def _angular_closed(l: int, ctx: PrimeParams):
-    """p(p-1)(2-c)/(p^2 - pc + 1) with c = 2 cos(2 pi l/m); exact when c is."""
-    p, m = ctx.p, ctx.m
-    turns = Fraction(l % m, m)
-    c = _EXACT_TWO_COS.get(turns)
-    if c is not None:
-        return Fraction(p * (p - 1) * (2 - c), p * p - p * c + 1)
-    cf = 2.0 * cmath.cos(2 * cmath.pi * float(turns)).real
-    return p * (p - 1) * (2 - cf) / (p * p - p * cf + 1)
-
-
-def angular_eigenvalues(ls, ctx: PrimeParams) -> list:
-    """The closed form at each l, each cross-evaluated against its defining
-    sum to 1e-10; the sums are taken in one pass."""
-    out = []
-    for l, check in zip(ls, angular_sums(ls, ctx)):
-        lam = _angular_closed(l, ctx)
-        if abs(complex(lam) - check) > 1e-10:
-            raise ArithmeticError(
-                f"angular eigenvalue mismatch at l={l}: closed {lam}, sum {check}"
-            )
-        out.append(lam)
-    return out
-
-
 def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
     """Defining sum for one angular eigenvalue."""
     return angular_sums((l,), ctx)[0]
-
-
-def eigenvalue_angular(l: int, ctx: PrimeParams):
-    """The closed form at l, cross-evaluated against the defining sum to 1e-10."""
-    return angular_eigenvalues((l,), ctx)[0]
 
 
 def multiplicity(kind: str, index: int, ctx: PrimeParams) -> int:
@@ -512,18 +413,24 @@ class SpectrumEntry(Record):
         return out
 
 
-def enumerate_spectrum(max_conductor: int, ctx: PrimeParams) -> tuple[SpectrumEntry, ...]:
+def enumerate_spectrum(
+    max_conductor: int, ctx: PrimeParams, angular=None
+) -> tuple[SpectrumEntry, ...]:
     """Zero mode, angular pairs, and radial levels up to the given conductor.
 
     The total multiplicity must equal m (p-1) p^(N-1), the dimension of
-    the level-N step-function space; anything else raises.
+    the level-N step-function space; anything else raises.  ``angular``,
+    the angular eigenvalues at l = 0, 1, ... up to at least m // 2 as
+    :func:`angular_eigenvalues` returns them, is read instead of a new
+    pass when given.
     """
     if max_conductor < 1:
         raise ValueError("max conductor must be >= 1")
     p, m = ctx.p, ctx.m
     entries = [SpectrumEntry("zero", 0, Fraction(0), 1)]
     ls = range(1, m // 2 + 1)
-    for l, lam in zip(ls, angular_eigenvalues(ls, ctx)):
+    lams = angular_eigenvalues(ls, ctx) if angular is None else [angular[l] for l in ls]
+    for l, lam in zip(ls, lams):
         entries.append(SpectrumEntry("angular", l, lam, multiplicity("angular", l, ctx)))
     for n in range(1, max_conductor + 1):
         mult = multiplicity("radial", n, ctx)
@@ -584,26 +491,6 @@ def weyl_count(lam: Rational, ctx: PrimeParams, entries=None) -> int:
     if formula != expected or enumerated != expected:
         raise ArithmeticError("eigenvalue count mismatch between formula and enumeration")
     return formula
-
-
-def dtn_cross_check(ctx: PrimeParams, n_max: int = 6) -> list[tuple[int, Fraction, Fraction]]:
-    """m = 1 comparison against the half-plane boundary operator.
-
-    The boundary operator's eigenvalue (p+1)p^(n-2) - 2/p, corrected by
-    the finite-volume term and scaled by c_p, must reproduce
-    (p-1)p^(n-1) exactly.
-    """
-    if ctx.m != 1:
-        raise ValueError("boundary-operator comparison is defined for m = 1 only")
-    p = ctx.p
-    cp = c_p_const(p)
-    out = []
-    for n in range(1, n_max + 1):
-        lam_prime = Fraction(p + 1) * Fraction(p) ** (n - 2) - Fraction(2, p)
-        lhs = cp * (lam_prime + Fraction(2, p - 1) * Fraction(p - 1, p))
-        rhs = Fraction((p - 1) * p ** (n - 1))
-        out.append((n, lhs, rhs))
-    return out
 
 
 def eigenvalue_for_label(label: CharacterLabel, ctx: PrimeParams):

@@ -1,0 +1,381 @@
+"""Exact reference computations that the tests check the package against.
+
+No subcommand runs these: they restate the operator's identities in their
+direct, slower form (step functions and their dense operator action, the
+weak delta identity of the Green's function, the mass-dimension relation,
+the determinant's radial factor), so the package's closed forms have
+something independent to agree with.  Importing this module also gives
+``OperatorMatrix`` its dense ``entries`` and ``apply``, which only the
+tests read.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from tateop.correlator import _pair_valuations
+from tateop.determinant import _radial_factor, det_factors, zeta_prime_at_zero
+from tateop.domain import Ball, ShellPartition, total_volume
+from tateop.matrix import OperatorMatrix
+from tateop.operator import KernelContext, integrate_H_over_ball
+from tateop.padic import (
+    PrimeParams,
+    Rational,
+    Record,
+    TatePoint,
+    c_p_const,
+    canonical_center,
+    format_rational,
+    local_height,
+    norm_from_valuation,
+    parse_rational,
+    tate_div,
+    valuation,
+)
+from tateop.spectral import UnitCharacter
+
+
+def norm(x: Rational, p: int) -> Fraction:
+    """p-adic norm |x| = p^(-v(x)), exact."""
+    return norm_from_valuation(valuation(x, p), p)
+
+
+def geom_sum(degree: int, start: int, ratio: Rational) -> Fraction:
+    """Exact value of sum_{j >= start} j^degree ratio^j for degree 0 or 1.
+
+    degree 0: t^J / (1 - t).
+    degree 1: t^J (J (1 - t) + t) / (1 - t)^2.
+    """
+    t = Fraction(ratio)
+    if degree not in (0, 1):
+        raise ValueError("degree must be 0 or 1")
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    if abs(t) >= 1:
+        raise ValueError("ratio must satisfy |t| < 1")
+    if degree == 0:
+        return t**start / (1 - t)
+    return t**start * (start * (1 - t) + t) / (1 - t) ** 2
+
+
+class StepFunction(Record):
+    """Finitely many disjoint balls covering the domain, one value per ball.
+
+    Values are exact rationals in all the identity checks; complex values
+    are admitted so multiplicative characters can be applied to the same
+    machinery.
+    """
+
+    __slots__ = _fields = ("partition", "values")
+    partition: ShellPartition
+    values: tuple
+
+    def __init__(self, partition: ShellPartition, values) -> None:
+        vals = tuple(Fraction(v) if isinstance(v, int) else v for v in values)
+        if len(vals) != len(partition.balls):
+            raise ValueError("one value per ball required")
+        self._bind(partition, vals)
+
+    @property
+    def ctx(self) -> PrimeParams:
+        return self.partition.ctx
+
+    def value_at(self, x: TatePoint):
+        return self.values[self.partition.find_index(x)]
+
+    def integral(self):
+        """Integral against d*x: sum of value * measure over the balls."""
+        return sum(val * b.measure() for b, val in zip(self.partition.balls, self.values))
+
+    def refine_ball(self, i: int) -> "StepFunction":
+        vals = self.values[:i] + (self.values[i],) * self.ctx.p + self.values[i + 1 :]
+        return StepFunction(self.partition.refine_ball(i), vals)
+
+    def dilated(self, lam: TatePoint) -> "StepFunction":
+        """Precompose with multiplication: result(x) = self(lam * x)."""
+        p, m = self.ctx.p, self.ctx.m
+        new_balls = []
+        for b in self.partition.balls:
+            mod = p**b.k
+            lam_c = canonical_center(lam.unit_part(), b.k, p)
+            c = b.center * pow(lam_c, -1, mod) % mod
+            new_balls.append(Ball(self.ctx, (b.v - lam.v) % m, b.k, c))
+        return StepFunction(ShellPartition(self.ctx, tuple(new_balls)), self.values)
+
+    def inverted(self) -> "StepFunction":
+        """Precompose with the reciprocal: result(x) = self(1/x)."""
+        p, m = self.ctx.p, self.ctx.m
+        new_balls = [
+            Ball(self.ctx, (-b.v) % m, b.k, pow(b.center, -1, p**b.k))
+            for b in self.partition.balls
+        ]
+        return StepFunction(ShellPartition(self.ctx, tuple(new_balls)), self.values)
+
+    @classmethod
+    def constant(cls, ctx: PrimeParams, value, level: int = 1) -> "StepFunction":
+        part = ShellPartition.full(ctx, level)
+        return cls(part, (value,) * len(part.balls))
+
+    @classmethod
+    def indicator_shell(cls, ctx: PrimeParams, v: int, level: int = 1) -> "StepFunction":
+        """Indicator of the shell p^v Z_p^x."""
+        part = ShellPartition.full(ctx, level)
+        return cls(part, tuple(Fraction(1 if b.v == v else 0) for b in part.balls))
+
+    def to_json_dict(self) -> dict:
+        for val in self.values:
+            if not isinstance(val, Fraction):
+                raise ValueError("only rational-valued step functions serialize to JSON")
+        return {
+            "p": self.ctx.p,
+            "m": self.ctx.m,
+            "balls": [
+                {
+                    "v": b.v,
+                    "k": b.k,
+                    "center": format_rational(b.center),
+                    "value": format_rational(val),
+                }
+                for b, val in zip(self.partition.balls, self.values)
+            ],
+        }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "StepFunction":
+        ctx = PrimeParams(data["p"], data["m"])
+        balls = []
+        values = []
+        for item in data["balls"]:
+            center = parse_rational(str(item["center"]))
+            balls.append(Ball(ctx, int(item["v"]), int(item["k"]), canonical_center(center, int(item["k"]), ctx.p)))
+            values.append(parse_rational(str(item["value"])))
+        return cls(ShellPartition(ctx, tuple(balls)), tuple(values))
+
+
+class HeightProfile(Record):
+    """The translated local height x -> h(x / base), exact away from the base."""
+
+    __slots__ = _fields = ("base",)
+    base: TatePoint
+
+    @property
+    def ctx(self) -> PrimeParams:
+        return self.base.ctx
+
+    def value_at(self, x: TatePoint) -> Fraction:
+        return local_height(tate_div(x, self.base))
+
+    def integrate_over_ball(self, b: Ball) -> Fraction:
+        """Exact integral of the profile over a ball against d*x.
+
+        The quadratic-in-valuation part of the height is constant on the
+        ball.  The v(w - 1) part is zero unless the ball sits in the base
+        point's shell; there it is constant unless the ball contains the
+        base, in which case the stratification by v(x - base) = t >= v + k
+        (each stratum of measure (1 - 1/p) p^(v - t)) leaves a geometric
+        tail with a closed form.
+        """
+        if b.ctx != self.ctx:
+            raise ValueError("mixed prime contexts")
+        p, m = self.ctx.p, self.ctx.m
+        y = self.base
+        v_w = (b.v - y.v) % m
+        out = (Fraction(v_w * (v_w - m), 2 * m) + Fraction(m, 12)) * b.measure()
+        if v_w != 0:
+            return out
+        if b.contains(y):
+            out += Fraction(p - 1, p) * geom_sum(1, b.k, Fraction(1, p))
+        else:
+            j = valuation(b.center_point().value - y.value, p) - y.v
+            out += j * b.measure()
+        return out
+
+
+def apply_D_step(f: StepFunction, x: TatePoint, kc: KernelContext) -> Fraction:
+    """(Df)(x) = -c_p * integral of H(z, x) (f(z) - f(x)) d*z, exactly.
+
+    x must not be a boundary case: the ball of the partition containing x
+    contributes nothing when f is constant on it, so the singular part
+    cancels and every remaining ball integral is finite.
+    """
+    fx = f.value_at(x)
+    total = Fraction(0)
+    for b, val in zip(f.partition.balls, f.values):
+        if val == fx:
+            continue
+        if b.contains(x):
+            raise ValueError("f must be constant near x with value f(x)")
+        total += integrate_H_over_ball(b, x, kc) * (val - fx)
+    return -kc.c_p * total
+
+
+def greens_function(
+    x: TatePoint, y: TatePoint, ctx: PrimeParams | None = None
+) -> Fraction:
+    """Symmetric Green's function G(x, y) = h(x / y), x != y."""
+    if ctx is not None and (x.ctx != ctx or y.ctx != ctx):
+        raise ValueError("mixed prime contexts")
+    if x.value == y.value:
+        raise ValueError("Green's function is singular on the diagonal")
+    return local_height(tate_div(x, y))
+
+
+def weak_delta_check(
+    y: TatePoint, f: StepFunction, kc: KernelContext
+) -> tuple[Fraction, Fraction]:
+    """Both sides of int G(x, y) (Df)(x) d*x = f(y) - mean(f), exactly.
+
+    Df of a step function is again a step function on the same partition,
+    so the left side reduces to exact ball integrals of the height
+    profile centred at y.
+    """
+    prof = HeightProfile(y)
+    lhs = Fraction(0)
+    for b in f.partition.balls:
+        df_b = apply_D_step(f, b.center_point(), kc)
+        lhs += df_b * prof.integrate_over_ball(b)
+    rhs = f.value_at(y) - f.integral() / total_volume(kc.ctx)
+    return lhs, rhs
+
+
+def character_value(chi: UnitCharacter, u):
+    """Value of a radial character at a unit; a root of unity."""
+    val = Fraction(u)
+    if val.numerator % chi.p == 0 or val.denominator % chi.p == 0:
+        raise ValueError("character argument must be a p-adic unit")
+    return chi.value(val)
+
+
+def dtn_cross_check(ctx: PrimeParams, n_max: int = 6) -> list[tuple[int, Fraction, Fraction]]:
+    """m = 1 comparison against the half-plane boundary operator.
+
+    The boundary operator's eigenvalue (p+1)p^(n-2) - 2/p, corrected by
+    the finite-volume term and scaled by c_p, must reproduce
+    (p-1)p^(n-1) exactly.
+    """
+    if ctx.m != 1:
+        raise ValueError("boundary-operator comparison is defined for m = 1 only")
+    p = ctx.p
+    cp = c_p_const(p)
+    out = []
+    for n in range(1, n_max + 1):
+        lam_prime = Fraction(p + 1) * Fraction(p) ** (n - 2) - Fraction(2, p)
+        lhs = cp * (lam_prime + Fraction(2, p - 1) * Fraction(p - 1, p))
+        rhs = Fraction((p - 1) * p ** (n - 1))
+        out.append((n, lhs, rhs))
+    return out
+
+
+class ScalingDimension(Record):
+    """The two real roots of the mass relation, delta_plus + delta_minus = 1."""
+
+    __slots__ = _fields = ("delta_plus", "delta_minus", "mass_squared")
+    delta_plus: float
+    delta_minus: float
+    mass_squared: float
+
+    def __init__(self, delta_plus: float, delta_minus: float, mass_squared: float) -> None:
+        if abs(delta_plus + delta_minus - 1.0) > 1e-9:
+            raise ValueError("scaling dimensions must sum to 1")
+        self._bind(delta_plus, delta_minus, mass_squared)
+
+
+def mass_from_delta(delta: float, ctx: PrimeParams) -> float:
+    """Bulk mass squared: p^(1-delta) + p^delta - p - 1."""
+    p = ctx.p
+    return float(p) ** (1 - delta) + float(p) ** delta - p - 1
+
+
+def real_dimension_threshold(ctx: PrimeParams) -> float:
+    """Smallest mass squared with real dimensions: 2 sqrt(p) - p - 1."""
+    return 2 * math.sqrt(ctx.p) - ctx.p - 1
+
+
+def delta_from_mass(msq: float, ctx: PrimeParams) -> ScalingDimension:
+    """Solve t + p/t = msq + p + 1 for t = p^delta; the two roots give
+    delta_plus >= 1/2 >= delta_minus."""
+    p = ctx.p
+    if msq < real_dimension_threshold(ctx) - 1e-12:
+        raise ValueError(
+            "mass squared below 2 sqrt(p) - p - 1: complex-dimension regime"
+        )
+    b = msq + p + 1
+    disc = max(b * b - 4 * p, 0.0)
+    t_plus = (b + math.sqrt(disc)) / 2
+    t_minus = p / t_plus
+    lp = math.log(p)
+    delta_plus = math.log(t_plus) / lp
+    delta_minus = math.log(t_minus) / lp
+    for d in (delta_plus, delta_minus):
+        if abs(mass_from_delta(d, ctx) - msq) > 1e-12 * (1 + abs(msq)):
+            raise ArithmeticError("dimension does not reproduce the mass relation")
+    return ScalingDimension(delta_plus, delta_minus, msq)
+
+
+def limit_finite_part(x1: TatePoint, x2: TatePoint, ctx: PrimeParams) -> float:
+    """The explicit four-term finite part of the small-dimension expansion,
+    assembled literally from the logarithms of the norms."""
+    p, m = ctx.p, ctx.m
+    v1, v2, vd = _pair_valuations(x1, x2)
+    lp = math.log(p)
+    log_n1 = -v1 * lp
+    log_n2 = -v2 * lp
+    log_nd = -vd * lp
+    inner = (
+        -log_nd / lp
+        + (log_n1 + log_n2) / (2 * lp)
+        + (log_n1 - log_n2) ** 2 / (2 * m * lp * lp)
+        + m / 12
+    )
+    return 2 * lp * inner
+
+
+def radial_det_contribution(ctx: PrimeParams) -> Fraction:
+    """exp(-zeta'(0)) resummed over the radial tower: (p/(p-1))^m exactly."""
+    return _radial_factor(ctx, zeta_prime_at_zero(ctx))
+
+
+def det_D(ctx: PrimeParams) -> Fraction:
+    """m^2 (1 - 1/p) / (1 - p^(-m))^2; equals angular x radial exactly."""
+    return det_factors(ctx)[0]
+
+
+def prolong_values(coarse: ShellPartition, fine: ShellPartition, values) -> tuple:
+    """Embed a coarse step vector into a finer partition, value by ball."""
+    if len(values) != len(coarse.balls):
+        raise ValueError("vector length does not match the coarse partition")
+    return tuple(values[coarse.find_index(b.center_point())] for b in fine.balls)
+
+
+def galerkin_consistency_check(mx: OperatorMatrix, f: StepFunction) -> bool:
+    """Matrix action against the direct operator action at every center."""
+    if f.partition.balls != mx.basis:
+        raise ValueError("step function does not live on the matrix basis")
+    product = mx.apply(f.values)
+    return all(
+        product[i] == apply_D_step(f, b.center_point(), mx.kc)
+        for i, b in enumerate(mx.basis)
+    )
+
+
+class _DenseOperatorMatrix:
+    """The dense exact matrix and product, set on OperatorMatrix below."""
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense exact matrix, one value per entry."""
+        return tuple(tuple(map(self.values.__getitem__, row)) for row in self.index.tolist())
+
+    def apply(self, values) -> tuple:
+        """Exact matrix-vector product on one value per basis ball."""
+        if len(values) != self.dimension:
+            raise ValueError("vector length does not match the basis")
+        return tuple(
+            sum(entry * val for entry, val in zip(row, values))
+            for row in self.entries
+        )
+
+
+OperatorMatrix.entries = _DenseOperatorMatrix.entries
+OperatorMatrix.apply = _DenseOperatorMatrix.apply

@@ -17,25 +17,21 @@ from tateop.cli import main as cli_main
 from tateop.correlator import height_limit_check, two_point
 from tateop.determinant import (
     angular_determinant,
-    det_D,
     zeta_pi_series,
     zeta_pi_value,
     zeta_prime_at_zero,
 )
-from tateop.domain import PrimeParams, ShellPartition, StepFunction, total_volume
+from tateop.domain import PrimeParams, ShellPartition, total_volume
 from tateop.matrix import build_matrix, spectrum_labels, verify_matrix
 from tateop.operator import (
     KernelContext,
     apply_D_height,
     height_check_points,
     kernel_H,
-    weak_delta_check,
 )
-from tateop.padic import norm, point, tate_div, tate_inv, valuation
+from tateop.padic import point, tate_div, tate_inv, valuation
 from tateop.spectral import (
     AngularCharacter,
-    character_value,
-    dtn_cross_check,
     eigenvalue_angular,
     eigenvalue_angular_sum,
     eigenvalue_radial_closed,
@@ -44,6 +40,8 @@ from tateop.spectral import (
     enumerate_spectrum,
     weyl_count,
 )
+
+from oracles import StepFunction, character_value, det_D, dtn_cross_check, norm, weak_delta_check
 
 GRID = [(p, m) for p in (2, 3, 5) for m in range(1, 6)]
 

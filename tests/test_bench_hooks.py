@@ -10,7 +10,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -48,6 +49,23 @@ def test_the_traced_modules_are_registered_once_the_cli_is_imported(run_python):
     # The tracer looks each spanned module up in sys.modules right after
     # `import tateop.cli`, before any subcommand has run.
     modules = sorted({modname for modname, _ in _load_tracer().SPANNED})
+    probe = "import sys, tateop.cli; print(*(name in sys.modules for name in sys.argv[1:]))"
+    proc = run_python("-c", probe, *modules)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"True"] * len(modules)
+
+
+def test_every_package_module_is_registered_once_the_cli_is_imported(run_python):
+    # The tracer iterates over the package's attributes and so runs the lazy
+    # modules; a module they import for the first time would set a new
+    # attribute on the package mid-iteration, a RuntimeError.  __main__.py is
+    # the `python -m tateop` entry point, which no module imports.
+    modules = sorted(
+        "tateop" if path.stem == "__init__" else f"tateop.{path.stem}"
+        for path in (ROOT / "src" / "tateop").glob("*.py")
+        if path.stem != "__main__"
+    )
+    assert "tateop.angular" in modules
     probe = "import sys, tateop.cli; print(*(name in sys.modules for name in sys.argv[1:]))"
     proc = run_python("-c", probe, *modules)
     assert proc.returncode == 0, proc.stderr

@@ -79,11 +79,11 @@ print(*(n for n, mod in sys.modules.items() if n.split(".")[0] == "tateop" and t
 """
 RAN_BY_ALL = {"tateop", "tateop.cli", "tateop.padic"}
 RAN_BY = {
-    "greens": {"domain", "operator"},
-    "spectrum": {"domain", "operator", "spectral"},
-    "det": {"domain", "operator", "spectral", "determinant"},
-    "matrix": {"domain", "operator", "spectral", "matrix"},
-    "correlator": {"domain", "operator", "correlator"},
+    "greens": {"operator"},
+    "spectrum": {"spectral", "angular"},
+    "det": {"determinant", "angular"},
+    "matrix": {"domain", "operator", "spectral", "matrix", "angular"},
+    "correlator": {"operator", "correlator"},
     "tree": {"tree"},
 }
 
@@ -94,6 +94,40 @@ def test_a_subcommand_runs_only_the_modules_it_uses(run_python, argv):
     assert proc.returncode == 0, proc.stderr
     ran = set(proc.stdout.decode().split())
     assert ran == RAN_BY_ALL | {f"tateop.{name}" for name in RAN_BY[argv[0]]}
+
+
+# Runs main() on the argv given as arguments, then prints whether json and
+# csv were loaded before main() ran, and whether main() loaded them.
+FORMAT_PROBE = """
+import contextlib, io, sys
+import tateop.cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    if tateop.cli.main(sys.argv[1:]) != 0:
+        raise SystemExit("did not pass")
+loaded = set(sys.modules) - before
+print(*(name in before for name in ("json", "csv")), *(name in loaded for name in ("json", "csv")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["det", "--p", "3", "--m", "2", "--format", "json"], [b"True", b"False"]),
+        (["det", "--p", "3", "--m", "2", "--format", "csv"], [b"False", b"True"]),
+        (["det", "--p", "3", "--m", "2", "--format", "pretty"], [b"False", b"False"]),
+        (["matrix", "--p", "3", "--m", "2", "--level", "1", "--format", "pretty"], [b"False", b"False"]),
+        (["matrix", "--p", "3", "--m", "2", "--level", "1", "--format", "pretty", "--dump"], [b"True", b"False"]),
+        (["tree", "--p", "2", "--m", "5", "--depth", "1", "--format", "csv"], [b"False", b"False"]),
+    ],
+    ids=lambda a: " ".join(a) if isinstance(a[0], str) else None,
+)
+def test_json_and_csv_load_only_for_the_output_that_needs_them(run_python, tmp_path, argv, loads):
+    if argv[-1] == "--dump":
+        argv = [*argv, str(tmp_path / "mx")]
+    proc = run_python("-c", FORMAT_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"False", b"False"] + loads
 
 
 # Imports the two modules in the order given, then prints whether the

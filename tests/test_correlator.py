@@ -7,16 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop.correlator import (
-    delta_from_mass,
-    height_limit_check,
-    limit_finite_part,
-    mass_from_delta,
-    real_dimension_threshold,
-    two_point,
-)
+from tateop.correlator import height_limit_check, two_point
 from tateop.operator import KernelContext, kernel_H
 from tateop.padic import PrimeParams, point, valuation
+
+from oracles import delta_from_mass, limit_finite_part, mass_from_delta, real_dimension_threshold
 
 
 def test_two_point_oracles():

@@ -8,14 +8,14 @@ import pytest
 from tateop import determinant
 from tateop.determinant import (
     angular_determinant,
-    det_D,
-    radial_det_contribution,
     zeta_pi_series,
     zeta_pi_value,
     zeta_prime_at_zero,
 )
 from tateop.padic import PrimeParams
 from tateop.spectral import angular_eigenvalues, eigenvalue_angular
+
+from oracles import det_D, radial_det_contribution
 
 
 def test_angular_determinant_oracles():

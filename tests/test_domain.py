@@ -6,17 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop.domain import (
-    Ball,
-    HeightProfile,
-    PrimeParams,
-    ShellPartition,
-    StepFunction,
-    geom_sum,
-    local_height,
-    total_volume,
-)
-from tateop.padic import point, tate_div, tate_inv, tate_mul
+from tateop.domain import Ball, PrimeParams, ShellPartition, total_volume
+from tateop.padic import local_height, point, tate_div, tate_inv, tate_mul
+
+from oracles import HeightProfile, StepFunction, geom_sum
 
 configs = st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 2)])
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)

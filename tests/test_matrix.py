@@ -6,26 +6,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop.domain import PrimeParams, ShellPartition, StepFunction
+from tateop import angular
+from tateop.domain import PrimeParams, ShellPartition
 from tateop.matrix import (
     DEFAULT_DIM_CAP,
     OperatorMatrix,
     _row_totals,
     build_matrix,
-    galerkin_consistency_check,
     label_vectors,
     matrix_dimension,
-    prolong_values,
     spectrum_labels,
     verify_matrix,
 )
 from tateop.operator import (
     KernelContext,
     _kernel_by_valuations,
-    apply_D_step,
     integrate_H_over_ball,
 )
 from tateop.spectral import enumerate_spectrum, root_of_unity
+
+from oracles import StepFunction, apply_D_step, galerkin_consistency_check, prolong_values
 
 # Small configurations for the oracles of the fast paths: p in {2, 3, 5},
 # m in {1, 2, 3}, level <= 3 (p = 2 at levels 1, 2 and 3), dimension <= 100.
@@ -273,6 +273,26 @@ def test_verify_builds_the_float_copy_once(monkeypatch):
     monkeypatch.setattr(OperatorMatrix, "as_float", counted)
     rep = verify_matrix(build_matrix(2, kc_of(3, 2)), PrimeParams(3, 2))
     assert rep.passed and len(calls) == 1
+
+
+def test_verify_takes_the_angular_eigenvalues_in_one_pass(monkeypatch):
+    # Level 1 has one label per angular index l; its eigenvalues and the
+    # spectrum's angular entries come from one pass of defining sums, not
+    # one pass per label.
+    calls = []
+    sums = angular.angular_sums
+
+    def counted(ls, ctx):
+        calls.append(list(ls))
+        return sums(ls, ctx)
+
+    monkeypatch.setattr(angular, "angular_sums", counted)
+    for p, m in [(2, 64), (3, 7), (5, 4), (7, 1)]:
+        ctx = PrimeParams(p, m)
+        mx = build_matrix(1, KernelContext(ctx))
+        calls.clear()
+        assert verify_matrix(mx, ctx).passed
+        assert calls == [list(range(m))]
 
 
 def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):

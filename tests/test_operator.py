@@ -10,29 +10,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tateop import cli, operator
-from tateop.domain import (
-    Ball,
-    HeightProfile,
-    PrimeParams,
-    ShellPartition,
-    StepFunction,
-    geom_sum,
-    local_height,
-    total_volume,
-)
+from tateop.domain import Ball, PrimeParams, ShellPartition, total_volume
 from tateop.operator import (
     KernelContext,
     apply_D_height,
-    apply_D_step,
     c_p_const,
-    greens_function,
     height_check_points,
     integrate_H_over_ball,
     kernel_H,
     shell_coupling,
+)
+from tateop.padic import local_height, point, tate_div, tate_inv, valuation
+
+from oracles import (
+    HeightProfile,
+    StepFunction,
+    apply_D_step,
+    geom_sum,
+    greens_function,
+    norm,
     weak_delta_check,
 )
-from tateop.padic import norm, point, tate_div, tate_inv, valuation
 
 configs = st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 2)])
 

@@ -11,7 +11,6 @@ from tateop.padic import (
     format_rational,
     int_valuation,
     is_prime,
-    norm,
     parse_rational,
     point,
     reduce_to_E,
@@ -20,6 +19,8 @@ from tateop.padic import (
     tate_mul,
     valuation,
 )
+
+from oracles import norm
 
 primes = st.sampled_from([2, 3, 5, 7])
 nonzero_rationals = st.fractions(

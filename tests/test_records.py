@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tateop.cli import Report
-from tateop.correlator import ScalingDimension
-from tateop.domain import Ball, HeightProfile, ShellPartition, StepFunction
+from tateop.domain import Ball, ShellPartition
 from tateop.matrix import MatrixReport, OperatorMatrix, build_matrix
 from tateop.operator import KernelContext
 from tateop.padic import PrimeParams, Record, TatePoint
@@ -20,6 +19,8 @@ from tateop.spectral import (
     UnitCharacter,
     _conductor_of,
 )
+
+from oracles import HeightProfile, ScalingDimension, StepFunction
 
 CTX = PrimeParams(3, 2)
 C2 = PrimeParams(2, 1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop import cli, determinant, spectral
+from tateop import angular, cli, determinant, spectral
 from tateop.padic import PrimeParams
 from tateop.spectral import (
     AngularCharacter,
@@ -19,8 +19,6 @@ from tateop.spectral import (
     UnitCharacter,
     angular_eigenvalues,
     angular_sums,
-    character_value,
-    dtn_cross_check,
     eigenvalue_angular,
     eigenvalue_angular_sum,
     eigenvalue_for_label,
@@ -38,6 +36,8 @@ from tateop.spectral import (
     unit_group_order,
     weyl_count,
 )
+
+from oracles import character_value, dtn_cross_check
 
 
 def test_root_of_unity_exact_on_axes():
@@ -377,8 +377,8 @@ def _cli(argv):
 
 
 def test_a_wrong_angular_closed_form_raises_from_the_guard(monkeypatch):
-    closed = spectral._angular_closed
-    monkeypatch.setattr(spectral, "_angular_closed", lambda l, ctx: closed(l, ctx) + 1e-8)
+    closed = angular._angular_closed
+    monkeypatch.setattr(angular, "_angular_closed", lambda l, ctx: closed(l, ctx) + 1e-8)
     ctx = PrimeParams(3, 7)
     with pytest.raises(ArithmeticError, match="angular eigenvalue mismatch"):
         angular_eigenvalues(range(1, 7), ctx)
@@ -419,13 +419,13 @@ def test_root_table_has_the_bits_of_root_of_unity(n):
 
 def test_spectrum_runs_one_angular_pass(monkeypatch):
     calls = []
-    sums = spectral.angular_sums
+    sums = angular.angular_sums
 
     def counted(ls, ctx):
         calls.append(list(ls))
         return sums(ls, ctx)
 
-    monkeypatch.setattr(spectral, "angular_sums", counted)
+    monkeypatch.setattr(angular, "angular_sums", counted)
     for p, m, n in [(3, 2, 2), (2, 7, 4), (5, 12, 3), (2, 1, 3)]:
         calls.clear()
         code, _ = _cli(["spectrum", "--p", str(p), "--m", str(m), "--max-conductor", str(n)])
