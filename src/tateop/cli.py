@@ -146,7 +146,8 @@ def _cell(x) -> str:
 def render(report: Report, fmt: str) -> str:
     if report.raw_text is not None:
         return report.raw_text
-    # json and csv are imported for the format that needs them only.
+    # Each of json and csv adds to every call's start-up, so it is imported
+    # only for the format that needs it.
     if fmt == "json":
         import json
 

@@ -10,8 +10,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "bench" / "tracer.py"
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -62,7 +61,7 @@ def test_every_package_module_is_registered_once_the_cli_is_imported(run_python)
     # the `python -m tateop` entry point, which no module imports.
     modules = sorted(
         "tateop" if path.stem == "__init__" else f"tateop.{path.stem}"
-        for path in (ROOT / "src" / "tateop").glob("*.py")
+        for path in (TRACER.parents[1] / "src" / "tateop").glob("*.py")
         if path.stem != "__main__"
     )
     assert "tateop.angular" in modules
