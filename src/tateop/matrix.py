@@ -26,7 +26,7 @@ from functools import cached_property
 from .angular import angular_eigenvalues, root_table
 from .domain import Ball, ShellPartition
 from .operator import KernelContext, _kernel_by_valuations
-from .padic import PrimeParams, Record, format_rational
+from .padic import PrimeParams, Record, capped_product, format_rational
 from .spectral import (
     AngularCharacter,
     CharacterLabel,
@@ -67,11 +67,21 @@ def _row_totals(index: np.ndarray, values) -> list[Fraction]:
     return [totals[i] for i in rows]
 
 
-def matrix_dimension(level: int, ctx: PrimeParams) -> int:
-    """Number of level-k balls across all shells: m (p-1) p^(k-1)."""
+def matrix_dimension(level: int, ctx: PrimeParams, cap: int | None = None) -> int:
+    """Number of level-k balls across all shells: m (p-1) p^(k-1).
+
+    A dimension over ``cap`` is a ValueError, found without forming the
+    power: at a huge level it would cost seconds and thousands of digits.
+    """
     if level < 1:
         raise ValueError("level must be >= 1")
-    return ctx.m * (ctx.p - 1) * ctx.p ** (level - 1)
+    p, m = ctx.p, ctx.m
+    if cap is None:
+        return m * (p - 1) * p ** (level - 1)
+    dim = capped_product(m * (p - 1), p, level - 1, cap)
+    if dim > cap:
+        raise ValueError(f"matrix dimension {m}*{p - 1}*{p}^{level - 1} exceeds cap {cap}")
+    return dim
 
 
 class OperatorMatrix(Record):
@@ -162,14 +172,11 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
     and each (shell, vdiff) pair is evaluated once; the diagonal makes the
     row sum zero.
     """
-    import numpy as np
-
     ctx = kc.ctx
     p, m = ctx.p, ctx.m
-    dim = matrix_dimension(level, ctx)
-    cap = DEFAULT_DIM_CAP if dim_cap is None else dim_cap
-    if dim > cap:
-        raise ValueError(f"matrix dimension {dim} exceeds cap {cap}")
+    dim = matrix_dimension(level, ctx, DEFAULT_DIM_CAP if dim_cap is None else dim_cap)
+    import numpy as np
+
     basis = ShellPartition.full(ctx, level).balls
     n = dim // m
     agree = _digit_agreement([b.center for b in basis[:n]], p, level)

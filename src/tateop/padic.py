@@ -32,6 +32,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def capped_product(head: int, p: int, n: int, cap: int) -> int:
+    """head * p^n when that is at most cap, else some value over cap.
+
+    The product is multiplied out only while it stays within the cap, so a
+    huge n costs about log_p(cap / head) steps, not a p^n of n digits.
+    """
+    total = head
+    for _ in range(n):
+        if total > cap:
+            break
+        total *= p
+    return total
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a base-10 rational written as ``a`` or ``a/b``."""
     text = text.strip()

@@ -9,7 +9,7 @@ the parent edge inside a branch, and the rest continue downward.
 
 from __future__ import annotations
 
-from .padic import is_prime
+from .padic import capped_product, is_prime
 
 DEFAULT_NODE_CAP = 20000
 
@@ -27,13 +27,7 @@ def tree_quotient(
         raise ValueError("cycle length must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    # m p^depth, multiplied out only while it stays within the cap: at a
-    # large depth the product itself would cost seconds to form.
-    total = m
-    for _ in range(depth):
-        if total > node_cap:
-            break
-        total *= p
+    total = capped_product(m, p, depth, node_cap)
     if total > node_cap:
         raise ValueError(f"{m}*{p}^{depth} nodes exceeds the node cap of {node_cap}")
     nodes = [f"c{i}" for i in range(m)]

@@ -57,8 +57,9 @@ def test_the_traced_modules_are_registered_once_the_cli_is_imported(run_python):
 def test_every_package_module_is_registered_once_the_cli_is_imported(run_python):
     # The tracer iterates over the package's attributes and so runs the lazy
     # modules; a module they import for the first time would set a new
-    # attribute on the package mid-iteration, a RuntimeError.  __main__.py is
-    # the `python -m tateop` entry point, which no module imports.
+    # attribute on the package mid-iteration, a RuntimeError.  __main__.py
+    # holds the entry function of `python -m tateop` and of the console
+    # script, which no package module imports.
     modules = sorted(
         "tateop" if path.stem == "__init__" else f"tateop.{path.stem}"
         for path in (TRACER.parents[1] / "src" / "tateop").glob("*.py")

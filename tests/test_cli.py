@@ -326,6 +326,17 @@ def test_tree_at_a_huge_depth_is_a_quick_usage_error():
     assert "exceeds the node cap of 20000" in err
 
 
+@pytest.mark.parametrize("level", [5000, 30_000_000])
+def test_matrix_at_a_huge_level_is_a_quick_usage_error(level):
+    # The cap is checked without forming 3^(level-1), which at level 3e7
+    # alone took 24 s and could not be printed.
+    start = time.perf_counter()
+    code, out, err = run_cli(["matrix", "--p", "3", "--m", "1", "--level", str(level)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert f"matrix dimension 1*2*3^{level - 1} exceeds cap 3072" in err
+
+
 def test_induced_failure_exits_1():
     assert run_cli(["greens", "--p", "3", "--m", "2", "--expect=-1/2"])[0] == 1
     assert run_cli(["greens", "--p", "3", "--m", "2", "--expect=-3/4"])[0] == 0

@@ -1,5 +1,6 @@
 """Exact operator matrices on full partitions and their verification report."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,17 @@ def test_dimension_cap_enforced():
     with pytest.raises(ValueError):
         build_matrix(3, kc, dim_cap=2)
     assert DEFAULT_DIM_CAP >= 1024
+
+
+def test_dimension_over_the_cap_is_found_without_the_full_power():
+    ctx = PrimeParams(3, 1)
+    assert matrix_dimension(7, ctx, 1458) == matrix_dimension(7, ctx) == 2 * 3**6
+    with pytest.raises(ValueError, match=r"matrix dimension 1\*2\*3\^6 exceeds cap 1457"):
+        matrix_dimension(7, ctx, 1457)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"1\*2\*3\^99999999 exceeds cap 3072"):
+        matrix_dimension(10**8, ctx, 3072)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_level_one_assembly_evaluates_each_shell_distance_once():

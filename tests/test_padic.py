@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tateop.padic import (
     PrimeParams,
+    capped_product,
     format_rational,
     int_valuation,
     is_prime,
@@ -143,3 +144,11 @@ def test_group_operations(p, m, a, b):
     assert tate_mul(x, tate_inv(x)).value == one.value
     with pytest.raises(ValueError):
         tate_mul(x, point(b, PrimeParams(7 if p == 5 else 5, m)))
+
+
+def test_capped_product_stops_past_the_cap():
+    assert capped_product(5, 2, 3, 40) == 40
+    assert capped_product(5, 2, 4, 40) > 40
+    assert capped_product(3, 7, 0, 2) == 3
+    # A huge exponent ends after the few steps that pass the cap.
+    assert 40 < capped_product(5, 2, 10**12, 40) <= 80
