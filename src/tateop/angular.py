@@ -16,28 +16,13 @@ from math import gcd
 from .padic import PrimeParams, c_p_const, shell_coupling
 
 
-def root_of_unity(turns: Fraction):
-    """e^(2 pi i turns), exact (Fraction or exact imaginary) at quarter turns."""
-    r = Fraction(turns)
-    if not 0 <= r.numerator < r.denominator:
-        r %= 1
-    den = r.denominator
-    if den == 1:
-        return Fraction(1)
-    if den == 2:
-        return Fraction(-1)
-    if den == 4:
-        return 1j if r.numerator == 1 else -1j
-    return cmath.exp(2j * cmath.pi * float(r))
-
-
 @lru_cache(maxsize=None)
 def root_table(n: int) -> tuple:
-    """complex(root_of_unity(Fraction(j, n))) for j in range(n), built directly.
+    """The n-th roots of unity e^(2 pi i j / n) for j in range(n), as complex.
 
-    The reduced denominator n / gcd(j, n) picks the exact values at 1, 2
-    and 4; elsewhere j / n is the same correctly rounded float as the
-    reduced fraction's, so every entry has the same bits.
+    The reduced denominator n / gcd(j, n) picks the exact values 1, -1 and
+    +-i at 1, 2 and 4; elsewhere j / n is the same correctly rounded float
+    as the reduced fraction's, so a turn has the same bits in every table.
     """
     out = []
     for j in range(n):

@@ -470,7 +470,3 @@ def main(argv=None) -> int:
     if not args.out:
         sys.stdout.write(text)
     return report.code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

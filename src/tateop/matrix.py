@@ -8,11 +8,12 @@ and on how many base-p digits the two centers share, so the matrix is
 held as its few distinct exact values plus an integer array that says
 which value each entry takes.
 
-The work after assembly grows with the distinct pieces of that structure,
-not with the rows and labels: the exact row sums are taken once per
-distinct row profile (how many entries take each value), and the
-character vectors are built from per-conductor-level tables.  Only the
-float checks are per label: one matrix-vector product on each vector.
+The work grows with the distinct pieces of that structure, not with the
+rows and labels: the diagonal is taken once per shell, the exact row
+sums of the check once per distinct row profile (how many entries take
+each value), and the character vectors are built from per-conductor-level
+tables.  Only the float checks are per label: one matrix-vector product
+on each vector.
 
 numpy is imported inside the functions that use it: no other subcommand
 needs it, and importing it is most of the CLI's start-up time.
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from .angular import angular_eigenvalues, root_table
-from .domain import Ball, ShellPartition
+from .domain import Ball
 from .operator import KernelContext, _kernel_by_valuations
 from .padic import PrimeParams, Record, capped_product, format_rational
 from .spectral import (
@@ -65,6 +67,17 @@ def _row_totals(index: np.ndarray, values) -> list[Fraction]:
     """Exact sum of each row."""
     totals, rows = _profile_totals(index, values)
     return [totals[i] for i in rows]
+
+
+def level_basis(ctx: PrimeParams, level: int) -> tuple[Ball, ...]:
+    """All level-k balls, shells ascending, then centers ascending: the
+    basis every matrix of this module is written in."""
+    return tuple(
+        Ball(ctx, v, level, c)
+        for v in range(ctx.m)
+        for c in range(1, ctx.p**level)
+        if c % ctx.p
+    )
 
 
 def matrix_dimension(level: int, ctx: PrimeParams, cap: int | None = None) -> int:
@@ -170,21 +183,21 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
     vdiff = min(v_i, v_j) across shells and v + v_p(c_j - c_i) within
     shell v (what integrate_H_over_ball evaluates).  Each shell distance
     and each (shell, vdiff) pair is evaluated once; the diagonal makes the
-    row sum zero.
+    row sum zero, and is taken once per shell from the same structure.
     """
     ctx = kc.ctx
     p, m = ctx.p, ctx.m
     dim = matrix_dimension(level, ctx, DEFAULT_DIM_CAP if dim_cap is None else dim_cap)
     import numpy as np
 
-    basis = ShellPartition.full(ctx, level).balls
+    basis = level_basis(ctx, level)
     n = dim // m
     agree = _digit_agreement([b.center for b in basis[:n]], p, level)
-    counts = np.bincount(agree.ravel(), minlength=level + 1)
+    counts = np.bincount(agree.ravel(), minlength=level + 1).tolist()
     # Only a ball's own center shares all level digits with it.
     if counts[level] != n:
         raise ValueError("singular integral: ball contains the evaluation point")
-    agreements = np.flatnonzero(counts[:level]).tolist()
+    agreements = [d for d in range(level) if counts[d]]
     scale = -kc.c_p / p**level
     slots: dict[Fraction, int] = {}
 
@@ -193,27 +206,34 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
         return slots.setdefault(value, len(slots))
 
     # same[v, d] is shell v's slot at digit agreement d; same[v, level] is
-    # the diagonal's, set once the row sums are known.  A cross-shell value
-    # depends on the two shells only through their distance u (both of its
-    # forms do), so it is taken once per u, as by_distance[u].  The slots
-    # are made in the order the rows meet them: shell 0 meets every u.
+    # the diagonal's, set once every other slot is made.  A cross-shell
+    # value depends on the two shells only through their distance u (both
+    # of its forms do), so it is taken once per u, as by_distance[u].  The
+    # slots are made in the order the rows meet them: shell 0 meets every u.
     same = np.zeros((m, level + 1), dtype=np.intp)
     by_distance = np.zeros(m, dtype=np.intp)
     for v in range(m):
         same[v, agreements] = [slot(v, v, v + d) for d in agreements]
         if v == 0:
             by_distance[1:] = [slot(0, u, 0) for u in range(1, m)]
+    off_diagonal = tuple(slots)
+    # A row of shell v has counts[d] / n entries at digit agreement d (the
+    # same for every row: the units are a group) and n entries in each
+    # other shell, at distances 1..v and 1..m-1-v; prefix[t] sums the
+    # cross-shell values at distances 1..t.
+    cross = [off_diagonal[s] for s in by_distance[1:].tolist()]
+    prefix = list(accumulate(cross, initial=Fraction(0)))
+    for v, row in enumerate(same.tolist()):
+        within = sum((counts[d] // n * off_diagonal[row[d]] for d in agreements), Fraction(0))
+        total = within + n * (prefix[v] + prefix[m - 1 - v])
+        same[v, level] = slots.setdefault(-total, len(slots))
     shells = np.arange(m)
     index = np.empty((dim, dim), dtype=np.intp)
-    # blocks[v, :, w, :] is the block of shell v's rows and shell w's columns.
+    # blocks[v, :, w, :] is the block of shell v's rows and shell w's
+    # columns; agree is level exactly on the diagonal.
     blocks = index.reshape(m, n, m, n)
     blocks[...] = by_distance[abs(shells[:, None] - shells)][:, None, :, None]
     blocks[shells, :, shells, :] = same[:, agree]
-    # The diagonal points past the table at a zero while the rows are summed.
-    np.fill_diagonal(index, len(slots))
-    off_diagonal, rows = _profile_totals(index, (*slots, Fraction(0)))
-    diagonal = [slots.setdefault(-t, len(slots)) for t in off_diagonal]
-    np.fill_diagonal(index, [diagonal[i] for i in rows])
     values = tuple(slots)
     index = index.astype(np.min_scalar_type(len(values) - 1))
     return OperatorMatrix(kc, level, basis, values, index)

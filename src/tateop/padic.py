@@ -1,11 +1,11 @@
 """Exact arithmetic for rationals read p-adically, and the Tate fundamental domain.
 
-Everything is ``fractions.Fraction`` based: valuations, norms, and the
-reduction into the fundamental domain E (the union of the shells
-p^i Z_p^x for 0 <= i < m) are computed exactly, so the identities asserted
-elsewhere in the package hold with zero tolerance.  The two number formats
-of every report (exact rationals, 15-digit floats) live here too, and so
-do the few functions of p, m and a point that several subcommands share:
+Everything is ``fractions.Fraction`` based: valuations and the reduction
+into the fundamental domain E (the union of the shells p^i Z_p^x for
+0 <= i < m) are computed exactly, so the identities asserted elsewhere in
+the package hold with zero tolerance.  The two number formats of every
+report (exact rationals, 15-digit floats) live here too, and so do the
+few functions of p, m and a point that several subcommands share:
 unit residues, the kernel's constants and the local height.
 """
 
@@ -178,11 +178,6 @@ def valuation(x: Rational, p: int) -> int:
     return int_valuation(frac.numerator, p) - int_valuation(frac.denominator, p)
 
 
-def norm_from_valuation(v: int, p: int) -> Fraction:
-    """p^(-v) as an exact rational."""
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
-
-
 def canonical_center(u: Rational, k: int, p: int) -> int:
     """Least positive residue of a unit rational mod p^k."""
     frac = Fraction(u)
@@ -221,8 +216,7 @@ class TatePoint(Record):
     Callers that pass it (reduction, ball centers) already know it.
     """
 
-    __slots__ = ("value", "ctx", "v", "_unit")
-    _fields = ("value", "ctx", "v")
+    __slots__ = _fields = ("value", "ctx", "v")
     value: Fraction
     ctx: PrimeParams
     v: int
@@ -235,14 +229,11 @@ class TatePoint(Record):
             v = valuation(value, ctx.p)
         if not 0 <= v < ctx.m:
             raise ValueError(f"representative has valuation {v}, outside [0, {ctx.m})")
-        self._bind(value, ctx, v, value * Fraction(ctx.p) ** (-v))
-
-    def norm(self) -> Fraction:
-        return norm_from_valuation(self.v, self.ctx.p)
+        self._bind(value, ctx, v)
 
     def unit_part(self) -> Fraction:
         """x / p^v(x), a p-adic unit."""
-        return self._unit
+        return self.value / self.ctx.p**self.v
 
 
 def reduce_to_E(x: "TatePoint | Rational", ctx: PrimeParams | None = None) -> TatePoint:

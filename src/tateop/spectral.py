@@ -18,7 +18,6 @@ from .angular import (
     angular_eigenvalues,
     angular_sums,
     eigenvalue_angular,
-    root_of_unity,
     root_table,
 )
 from .padic import (
@@ -26,7 +25,6 @@ from .padic import (
     Rational,
     Record,
     c_p_const,
-    canonical_center,
     format_rational,
     int_valuation,
     is_prime,
@@ -173,16 +171,6 @@ class UnitCharacter(Record):
         s, t = log
         return self.eps * s * 2 ** (self.n - 2) + 2 * self.a * t
 
-    def exponent(self, u) -> Fraction:
-        """Fraction of a turn: the character value is e^(2 pi i exponent)."""
-        if self.n == 0:
-            return Fraction(0)
-        log = unit_log(self.p, self.n, canonical_center(u, self.n, self.p))
-        return Fraction(self.turns(log), unit_group_order(self.p, self.n)) % 1
-
-    def value(self, u):
-        return root_of_unity(self.exponent(u))
-
     @property
     def conductor(self) -> int:
         return _conductor_of(self)
@@ -269,16 +257,6 @@ class AngularCharacter(Record):
         if m < 1:
             raise ValueError("modulus must be >= 1")
         self._bind(m, l % m)
-
-    def exponent(self, v: int) -> Fraction:
-        return Fraction(self.l * v, self.m) % 1
-
-    def value(self, v: int):
-        return root_of_unity(self.exponent(v))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.l == 0
 
 
 class CharacterLabel(Record):

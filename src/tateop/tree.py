@@ -14,9 +14,7 @@ from .padic import capped_product, is_prime
 DEFAULT_NODE_CAP = 20000
 
 
-def tree_quotient(
-    p: int, m: int, depth: int, node_cap: int = DEFAULT_NODE_CAP
-) -> tuple[list[str], list[tuple[str, str]]]:
+def tree_quotient(p: int, m: int, depth: int) -> tuple[list[str], list[tuple[str, str]]]:
     """Nodes and edges of the quotient graph truncated at the given depth.
 
     Exactly m p^depth nodes and m p^depth edges (one independent cycle).
@@ -27,9 +25,9 @@ def tree_quotient(
         raise ValueError("cycle length must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    total = capped_product(m, p, depth, node_cap)
-    if total > node_cap:
-        raise ValueError(f"{m}*{p}^{depth} nodes exceeds the node cap of {node_cap}")
+    total = capped_product(m, p, depth, DEFAULT_NODE_CAP)
+    if total > DEFAULT_NODE_CAP:
+        raise ValueError(f"{m}*{p}^{depth} nodes exceeds the node cap of {DEFAULT_NODE_CAP}")
     nodes = [f"c{i}" for i in range(m)]
     edges = [(f"c{i}", f"c{(i + 1) % m}") for i in range(m)]
     frontier = list(nodes)
@@ -50,11 +48,9 @@ def tree_quotient(
     return nodes, edges
 
 
-def tree_quotient_dot(
-    p: int, m: int, depth: int, node_cap: int = DEFAULT_NODE_CAP
-) -> str:
+def tree_quotient_dot(p: int, m: int, depth: int) -> str:
     """DOT text (undirected graph) for the truncated quotient."""
-    nodes, edges = tree_quotient(p, m, depth, node_cap)
+    nodes, edges = tree_quotient(p, m, depth)
     lines = ["graph tate_quotient {"]
     lines.extend(f'  "{name}";' for name in nodes)
     lines.extend(f'  "{a}" -- "{b}";' for a, b in edges)

@@ -4,20 +4,24 @@ No subcommand runs these: they restate the operator's identities in their
 direct, slower form (step functions and their dense operator action, the
 weak delta identity of the Green's function, the mass-dimension relation,
 the determinant's radial factor), so the package's closed forms have
-something independent to agree with.  Importing this module also gives
-``OperatorMatrix`` its dense ``entries`` and ``apply``, which only the
-tests read.
+something independent to agree with.  General partitions of the domain
+into balls, and the character values at a single point, live here too.
+Importing this module also gives the package's classes the methods only
+the tests read: ``OperatorMatrix.entries`` and ``apply``,
+``Ball.children``, ``TatePoint.norm``, and the ``exponent`` and ``value``
+of both character classes (with ``AngularCharacter.is_trivial``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
 from tateop.correlator import _pair_valuations
 from tateop.determinant import _radial_factor, det_factors, zeta_prime_at_zero
-from tateop.domain import Ball, ShellPartition, total_volume
-from tateop.matrix import OperatorMatrix
+from tateop.domain import Ball
+from tateop.matrix import OperatorMatrix, level_basis
 from tateop.operator import KernelContext, integrate_H_over_ball
 from tateop.padic import (
     PrimeParams,
@@ -28,12 +32,16 @@ from tateop.padic import (
     canonical_center,
     format_rational,
     local_height,
-    norm_from_valuation,
     parse_rational,
     tate_div,
     valuation,
 )
-from tateop.spectral import UnitCharacter
+from tateop.spectral import AngularCharacter, UnitCharacter, unit_group_order, unit_log
+
+
+def norm_from_valuation(v: int, p: int) -> Fraction:
+    """p^(-v) as an exact rational."""
+    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
 
 
 def norm(x: Rational, p: int) -> Fraction:
@@ -57,6 +65,81 @@ def geom_sum(degree: int, start: int, ratio: Rational) -> Fraction:
     if degree == 0:
         return t**start / (1 - t)
     return t**start * (start * (1 - t) + t) / (1 - t) ** 2
+
+
+def total_volume(ctx: PrimeParams) -> Fraction:
+    """Multiplicative Haar volume of the fundamental domain: m (p-1)/p."""
+    return Fraction(ctx.m * (ctx.p - 1), ctx.p)
+
+
+def root_of_unity(turns: Fraction):
+    """e^(2 pi i turns), exact (Fraction or exact imaginary) at quarter turns."""
+    r = Fraction(turns)
+    if not 0 <= r.numerator < r.denominator:
+        r %= 1
+    den = r.denominator
+    if den == 1:
+        return Fraction(1)
+    if den == 2:
+        return Fraction(-1)
+    if den == 4:
+        return 1j if r.numerator == 1 else -1j
+    return cmath.exp(2j * cmath.pi * float(r))
+
+
+class ShellPartition(Record):
+    """Pairwise-disjoint balls whose union is the whole fundamental domain."""
+
+    __slots__ = ("ctx", "balls", "_index", "_levels")
+    _fields = ("ctx", "balls")
+    ctx: PrimeParams
+    balls: tuple[Ball, ...]
+
+    def __init__(self, ctx: PrimeParams, balls) -> None:
+        balls = tuple(balls)
+        if not balls:
+            raise ValueError("a partition needs at least one ball")
+        index: dict[tuple[int, int, int], int] = {}
+        by_level: dict[tuple[int, int], set[int]] = {}
+        for i, b in enumerate(balls):
+            if b.ctx != ctx:
+                raise ValueError("mixed prime contexts in partition")
+            key = (b.v, b.k, b.center)
+            if key in index:
+                raise ValueError(f"duplicate ball {b.label()}")
+            index[key] = i
+            by_level.setdefault((b.v, b.k), set()).add(b.center)
+        # A finer ball sitting inside a coarser one is the only way two
+        # distinct balls can meet.
+        for b in balls:
+            for k2 in range(1, b.k):
+                centers = by_level.get((b.v, k2))
+                if centers and b.center % ctx.p**k2 in centers:
+                    raise ValueError(f"overlapping balls at {b.label()}")
+        if sum(b.measure() for b in balls) != total_volume(ctx):
+            raise ValueError("balls do not exactly cover the domain")
+        self._bind(ctx, balls, index, sorted({b.k for b in balls}))
+
+    @classmethod
+    def full(cls, ctx: PrimeParams, level: int) -> "ShellPartition":
+        """All level-k balls, in the order of the matrix basis."""
+        if level < 1:
+            raise ValueError("level must be >= 1")
+        return cls(ctx, level_basis(ctx, level))
+
+    def find_index(self, x: TatePoint) -> int:
+        index = self._index
+        for k in self._levels:
+            c = canonical_center(x.unit_part(), k, self.ctx.p)
+            i = index.get((x.v, k, c))
+            if i is not None:
+                return i
+        raise ValueError("point not covered by the partition")
+
+    def refine_ball(self, i: int) -> "ShellPartition":
+        """Replace ball i by its p children."""
+        balls = self.balls
+        return ShellPartition(self.ctx, balls[:i] + balls[i].children() + balls[i + 1 :])
 
 
 class StepFunction(Record):
@@ -377,5 +460,58 @@ class _DenseOperatorMatrix:
         )
 
 
+class _Ball:
+    """The children of a ball, set on Ball below."""
+
+    def children(self) -> tuple[Ball, ...]:
+        pk = self.ctx.p**self.k
+        return tuple(
+            Ball(self.ctx, self.v, self.k + 1, self.center + t * pk)
+            for t in range(self.ctx.p)
+        )
+
+
+class _TatePoint:
+    """The norm of a point, set on TatePoint below."""
+
+    def norm(self) -> Fraction:
+        return norm_from_valuation(self.v, self.ctx.p)
+
+
+class _UnitCharacter:
+    """A radial character's value at one unit, set on UnitCharacter below."""
+
+    def exponent(self, u) -> Fraction:
+        """Fraction of a turn: the character value is e^(2 pi i exponent)."""
+        if self.n == 0:
+            return Fraction(0)
+        log = unit_log(self.p, self.n, canonical_center(u, self.n, self.p))
+        return Fraction(self.turns(log), unit_group_order(self.p, self.n)) % 1
+
+    def value(self, u):
+        return root_of_unity(self.exponent(u))
+
+
+class _AngularCharacter:
+    """An angular character's value at one shell, set on AngularCharacter below."""
+
+    def exponent(self, v: int) -> Fraction:
+        return Fraction(self.l * v, self.m) % 1
+
+    def value(self, v: int):
+        return root_of_unity(self.exponent(v))
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.l == 0
+
+
 OperatorMatrix.entries = _DenseOperatorMatrix.entries
 OperatorMatrix.apply = _DenseOperatorMatrix.apply
+Ball.children = _Ball.children
+TatePoint.norm = _TatePoint.norm
+UnitCharacter.exponent = _UnitCharacter.exponent
+UnitCharacter.value = _UnitCharacter.value
+AngularCharacter.exponent = _AngularCharacter.exponent
+AngularCharacter.value = _AngularCharacter.value
+AngularCharacter.is_trivial = _AngularCharacter.is_trivial

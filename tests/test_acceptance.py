@@ -21,7 +21,7 @@ from tateop.determinant import (
     zeta_pi_value,
     zeta_prime_at_zero,
 )
-from tateop.domain import PrimeParams, ShellPartition, total_volume
+from tateop.domain import PrimeParams
 from tateop.matrix import build_matrix, spectrum_labels, verify_matrix
 from tateop.operator import (
     KernelContext,
@@ -41,7 +41,16 @@ from tateop.spectral import (
     weyl_count,
 )
 
-from oracles import StepFunction, character_value, det_D, dtn_cross_check, norm, weak_delta_check
+from oracles import (
+    ShellPartition,
+    StepFunction,
+    character_value,
+    det_D,
+    dtn_cross_check,
+    norm,
+    total_volume,
+    weak_delta_check,
+)
 
 GRID = [(p, m) for p in (2, 3, 5) for m in range(1, 6)]
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop.domain import Ball, PrimeParams, ShellPartition, total_volume
+from tateop.domain import Ball, PrimeParams
 from tateop.padic import local_height, point, tate_div, tate_inv, tate_mul
 
-from oracles import HeightProfile, StepFunction, geom_sum
+from oracles import HeightProfile, ShellPartition, StepFunction, geom_sum, total_volume
 
 configs = st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 2)])
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=12)

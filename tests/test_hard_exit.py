@@ -2,7 +2,8 @@
 ``os._exit`` appears once in the package, inside ``run`` in
 ``__main__.py``.  No other function, ``main()`` and the subcommand handlers
 included, ends the process, so the tests, ``scripts/`` and the benchmark's
-in-process replays can call them."""
+in-process replays can call them.  ``__main__.py`` is also the only module
+with an ``if __name__ == "__main__"`` block, so no entry path skips ``run``."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,27 @@ def test_no_other_function_ends_the_process():
                 continue
             found += [f"{path.name}:{fn.name}:{node.lineno}" for node in ast.walk(fn) if _ends_the_process(node)]
     assert found == []
+
+
+def _is_main_guard(node) -> bool:
+    """An ``if __name__ == "__main__":`` statement, either way round."""
+    if not isinstance(node, ast.If) or not isinstance(node.test, ast.Compare):
+        return False
+    sides = [node.test.left, *node.test.comparators]
+    names = [side.id for side in sides if isinstance(side, ast.Name)]
+    strings = [side.value for side in sides if isinstance(side, ast.Constant)]
+    return names == ["__name__"] and strings == ["__main__"]
+
+
+def test_only_the_entry_module_has_a_main_guard():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _is_main_guard(node)]
+    assert [entry.split(":")[0] for entry in found] == ["__main__.py"]
+    guards = ["if __name__ == '__main__':\n    pass", 'if "__main__" == __name__:\n    pass']
+    assert all(_is_main_guard(ast.parse(text).body[0]) for text in guards)
+    assert not _is_main_guard(ast.parse("if __name__ == 'tateop':\n    pass").body[0])
 
 
 def test_the_check_sees_each_way_to_end_the_process():

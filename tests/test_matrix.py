@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tateop import angular
-from tateop.domain import PrimeParams, ShellPartition
+from tateop.domain import PrimeParams
 from tateop.matrix import (
     DEFAULT_DIM_CAP,
     OperatorMatrix,
@@ -24,9 +24,16 @@ from tateop.operator import (
     _kernel_by_valuations,
     integrate_H_over_ball,
 )
-from tateop.spectral import enumerate_spectrum, root_of_unity
+from tateop.spectral import enumerate_spectrum
 
-from oracles import StepFunction, apply_D_step, galerkin_consistency_check, prolong_values
+from oracles import (
+    ShellPartition,
+    StepFunction,
+    apply_D_step,
+    galerkin_consistency_check,
+    prolong_values,
+    root_of_unity,
+)
 
 # Small configurations for the oracles of the fast paths: p in {2, 3, 5},
 # m in {1, 2, 3}, level <= 3 (p = 2 at levels 1, 2 and 3), dimension <= 100.
@@ -80,7 +87,11 @@ def test_matrix_eigenvalues_small_cases():
     )
 
 
-@given(st.sampled_from([(2, 1, 2), (3, 2, 1), (2, 3, 1), (5, 1, 1), (2, 2, 2)]))
+@given(
+    st.sampled_from(
+        [(2, 1, 2), (3, 2, 1), (2, 3, 1), (5, 1, 1), (2, 2, 2), (2, 4, 1), (3, 4, 1), (2, 5, 2)]
+    )
+)
 def test_matrix_rows_reproduce_apply_D(cfg):
     p, m, level = cfg
     kc = kc_of(p, m)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tateop import cli, operator
-from tateop.domain import Ball, PrimeParams, ShellPartition, total_volume
+from tateop.domain import Ball, PrimeParams
 from tateop.operator import (
     KernelContext,
     apply_D_height,
@@ -24,11 +24,13 @@ from tateop.padic import local_height, point, tate_div, tate_inv, valuation
 
 from oracles import (
     HeightProfile,
+    ShellPartition,
     StepFunction,
     apply_D_step,
     geom_sum,
     greens_function,
     norm,
+    total_volume,
     weak_delta_check,
 )
 

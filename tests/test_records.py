@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tateop.cli import Report
-from tateop.domain import Ball, ShellPartition
+from tateop.domain import Ball
 from tateop.matrix import MatrixReport, OperatorMatrix, build_matrix
 from tateop.operator import KernelContext
 from tateop.padic import PrimeParams, Record, TatePoint
@@ -20,7 +20,7 @@ from tateop.spectral import (
     _conductor_of,
 )
 
-from oracles import HeightProfile, ScalingDimension, StepFunction
+from oracles import HeightProfile, ScalingDimension, ShellPartition, StepFunction
 
 CTX = PrimeParams(3, 2)
 C2 = PrimeParams(2, 1)

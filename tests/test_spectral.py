@@ -30,14 +30,13 @@ from tateop.spectral import (
     multiplicity,
     primitive_character,
     primitive_root,
-    root_of_unity,
     root_table,
     spectral_gap,
     unit_group_order,
     weyl_count,
 )
 
-from oracles import character_value, dtn_cross_check
+from oracles import character_value, dtn_cross_check, root_of_unity
 
 
 def test_root_of_unity_exact_on_axes():

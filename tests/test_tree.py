@@ -52,8 +52,6 @@ def test_dot_output_shape_and_determinism():
 def test_node_cap():
     with pytest.raises(ValueError):
         tree_quotient(2, 3, 20)
-    with pytest.raises(ValueError):
-        tree_quotient(2, 1, 5, node_cap=16)
 
 
 def test_depth_validation():
