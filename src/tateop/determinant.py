@@ -13,6 +13,8 @@ from fractions import Fraction
 from .padic import PrimeParams
 from .angular import angular_eigenvalues
 
+ZETA_SERIES_TERMS = 200
+
 
 def angular_determinant(ctx: PrimeParams) -> Fraction:
     """Product of the nonzero angular eigenvalues:
@@ -46,8 +48,9 @@ def zeta_pi_value(s: float, ctx: PrimeParams) -> float:
     return m * (ps * p - 2 * ps + 1) / ((ps - p) * float(p - 1) ** s)
 
 
-def zeta_pi_series(s: float, ctx: PrimeParams, terms: int = 200) -> float:
-    """Direct eigenvalue sum sum_n mult(n) lambda_n^(-s), truncated.
+def zeta_pi_series(s: float, ctx: PrimeParams) -> float:
+    """Direct eigenvalue sum sum_n mult(n) lambda_n^(-s), truncated at
+    ZETA_SERIES_TERMS levels.
 
     Converges for s > 1.  Terms are assembled in log space: the raw
     integer multiplicities overflow doubles long before the truncation
@@ -58,7 +61,7 @@ def zeta_pi_series(s: float, ctx: PrimeParams, terms: int = 200) -> float:
         raise ValueError("the defining series only converges for s > 1")
     lp, lp1 = math.log(p), math.log(p - 1)
     total = m * (p - 2) * math.exp(-s * lp1)
-    for n in range(2, terms + 1):
+    for n in range(2, ZETA_SERIES_TERMS + 1):
         log_mult = math.log(m) + 2 * lp1 + (n - 2) * lp
         log_lam = lp1 + (n - 1) * lp
         total += math.exp(log_mult - s * log_lam)

@@ -63,12 +63,6 @@ def _profile_totals(index: np.ndarray, values) -> tuple[list[Fraction], list[int
     return totals, rows
 
 
-def _row_totals(index: np.ndarray, values) -> list[Fraction]:
-    """Exact sum of each row."""
-    totals, rows = _profile_totals(index, values)
-    return [totals[i] for i in rows]
-
-
 def level_basis(ctx: PrimeParams, level: int) -> tuple[Ball, ...]:
     """All level-k balls, shells ascending, then centers ascending: the
     basis every matrix of this module is written in."""
@@ -138,9 +132,6 @@ class OperatorMatrix(Record):
 
         return [float(x) for x in np.linalg.eigvalsh(self.float_entries)]
 
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(_row_totals(self.index, self.values))
-
     def to_csv(self) -> str:
         labels = [b.label() for b in self.basis]
         cells = [format_rational(x) for x in self.values]
@@ -168,7 +159,7 @@ def _digit_agreement(units: list[int], p: int, level: int) -> np.ndarray:
     import numpy as np
 
     c = np.array(units, dtype=np.int64)
-    agree = np.zeros((len(units), len(units)), dtype=np.int64)
+    agree = np.zeros((len(units), len(units)), dtype=np.min_scalar_type(level))
     for t in range(1, level + 1):
         r = c % p**t
         agree += r[:, None] == r[None, :]
@@ -227,15 +218,18 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
         within = sum((counts[d] // n * off_diagonal[row[d]] for d in agreements), Fraction(0))
         total = within + n * (prefix[v] + prefix[m - 1 - v])
         same[v, level] = slots.setdefault(-total, len(slots))
+    values = tuple(slots)
+    # Every slot exists now, so the index takes the narrowest dtype that
+    # holds them from the start.
+    dtype = np.min_scalar_type(len(values) - 1)
+    same, by_distance = same.astype(dtype), by_distance.astype(dtype)
     shells = np.arange(m)
-    index = np.empty((dim, dim), dtype=np.intp)
+    index = np.empty((dim, dim), dtype=dtype)
     # blocks[v, :, w, :] is the block of shell v's rows and shell w's
     # columns; agree is level exactly on the diagonal.
     blocks = index.reshape(m, n, m, n)
     blocks[...] = by_distance[abs(shells[:, None] - shells)][:, None, :, None]
     blocks[shells, :, shells, :] = same[:, agree]
-    values = tuple(slots)
-    index = index.astype(np.min_scalar_type(len(values) - 1))
     return OperatorMatrix(kc, level, basis, values, index)
 
 
@@ -284,11 +278,7 @@ def spectrum_labels(level: int, ctx: PrimeParams) -> tuple[CharacterLabel, ...]:
     """Every character label resolved at level k: radial conductor <= k
     crossed with all m angular indices.  Exactly dim-many labels, in runs
     of m per radial character (l = 0..m-1), conductors ascending."""
-    radials = []
-    for n in range(level + 1):
-        if ctx.p == 2 and n == 1:
-            continue
-        radials.extend(enumerate_conductor(ctx.p, n))
+    radials = [chi for n in range(level + 1) for chi in enumerate_conductor(ctx.p, n)]
     angulars = [AngularCharacter(ctx.m, l) for l in range(ctx.m)]
     labels = tuple(CharacterLabel(angular, chi) for chi in radials for angular in angulars)
     if len(labels) != matrix_dimension(level, ctx):
@@ -328,20 +318,21 @@ def label_vectors(mx: OperatorMatrix):
             yield label, roots[(offset + radial) % (m * phi)].ravel()
 
 
-def verify_matrix(mx: OperatorMatrix, ctx: PrimeParams) -> MatrixReport:
+def verify_matrix(mx: OperatorMatrix) -> MatrixReport:
     """Check symmetry, row sums, positivity, kernel dimension, the
     eigenvalue multiset, and the character eigenvectors."""
     import numpy as np
 
-    if mx.ctx != ctx:
-        raise ValueError("matrix context mismatch")
+    ctx = mx.ctx
     failures = []
     dim = mx.dimension
     # Exact: equal entries have equal slots, as the values are distinct.
     symmetric = np.array_equal(mx.index, mx.index.T)
     if not symmetric:
         failures.append("symmetry")
-    row_sums_zero = all(s == 0 for s in mx.row_sums())
+    # Every profile is some row's, so the rows all sum to zero exactly
+    # when the profile totals do.
+    row_sums_zero = not any(_profile_totals(mx.index, mx.values)[0])
     if not row_sums_zero:
         failures.append("row sums")
     # One pass gives the angular eigenvalues of the spectrum and of the labels.

@@ -152,7 +152,7 @@ def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
     return Fraction(-kc.c_p.numerator * num, kc.c_p.denominator * den)
 
 
-def height_check_points(ctx: PrimeParams, max_vdist: int = 6) -> tuple[TatePoint, ...]:
+def height_check_points(ctx: PrimeParams, max_vdist: int) -> tuple[TatePoint, ...]:
     """Sample points hitting every shell and every v(x - 1) up to max_vdist."""
     p, m = ctx.p, ctx.m
     pts: list[TatePoint] = []

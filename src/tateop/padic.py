@@ -236,14 +236,8 @@ class TatePoint(Record):
         return self.value / self.ctx.p**self.v
 
 
-def reduce_to_E(x: "TatePoint | Rational", ctx: PrimeParams | None = None) -> TatePoint:
+def point(x: Rational, ctx: PrimeParams) -> TatePoint:
     """Multiply by the power of q = p^m that lands the valuation in [0, m)."""
-    if isinstance(x, TatePoint):
-        if ctx is not None and x.ctx != ctx:
-            raise ValueError("mixed prime contexts")
-        return x
-    if ctx is None:
-        raise TypeError("ctx required when reducing a bare rational")
     val = Fraction(x)
     if val == 0:
         raise ValueError("zero cannot be reduced to the fundamental domain")
@@ -252,19 +246,14 @@ def reduce_to_E(x: "TatePoint | Rational", ctx: PrimeParams | None = None) -> Ta
     return TatePoint(val * Fraction(ctx.q) ** shift, ctx, v % ctx.m)
 
 
-def point(x: Rational, ctx: PrimeParams) -> TatePoint:
-    """Shorthand for :func:`reduce_to_E` on a bare rational."""
-    return reduce_to_E(Fraction(x), ctx)
-
-
 def tate_mul(x: TatePoint, y: TatePoint) -> TatePoint:
     if x.ctx != y.ctx:
         raise ValueError("mixed prime contexts")
-    return reduce_to_E(x.value * y.value, x.ctx)
+    return point(x.value * y.value, x.ctx)
 
 
 def tate_inv(x: TatePoint) -> TatePoint:
-    return reduce_to_E(1 / x.value, x.ctx)
+    return point(1 / x.value, x.ctx)
 
 
 def tate_div(x: TatePoint, y: TatePoint) -> TatePoint:

@@ -25,7 +25,6 @@ from .padic import (
     Rational,
     Record,
     c_p_const,
-    format_rational,
     int_valuation,
     is_prime,
     shell_coupling,
@@ -347,11 +346,9 @@ def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
 
 
 def multiplicity(kind: str, index: int, ctx: PrimeParams) -> int:
-    """Eigenvalue multiplicities: the zero mode, conjugate angular pairs,
-    and the per-conductor radial counts."""
+    """Eigenvalue multiplicities: conjugate angular pairs and the
+    per-conductor radial counts."""
     p, m = ctx.p, ctx.m
-    if kind == "zero":
-        return 1
     if kind == "radial":
         if index < 1:
             raise ValueError("radial multiplicity requires conductor >= 1")
@@ -376,17 +373,14 @@ class SpectrumEntry(Record):
     multiplicity: int
 
     def to_json_dict(self) -> dict:
-        lam = (
-            format_rational(self.eigenvalue)
-            if isinstance(self.eigenvalue, Fraction)
-            else float(self.eigenvalue)
-        )
+        """The entry's fields under their report keys; the eigenvalue is
+        left for the report's formatter."""
         out: dict = {"kind": self.kind}
         if self.kind == "radial":
             out["n"] = self.index
         elif self.kind == "angular":
             out["l"] = self.index
-        out["lambda"] = lam
+        out["lambda"] = self.eigenvalue
         out["mult"] = self.multiplicity
         return out
 
@@ -421,34 +415,30 @@ def enumerate_spectrum(
     return tuple(entries)
 
 
-def spectral_gap(ctx: PrimeParams, entries=None):
+def spectral_gap(ctx: PrimeParams, entries):
     """Smallest positive eigenvalue by the closed forms.
 
-    For m >= 2 this is the fundamental angular eigenvalue, checked to lie
-    below the radial floor p - 1; for m = 1 it is p - 1 itself.  It is read
-    off ``entries``, an :func:`enumerate_spectrum` result, enumerated here
-    when not given.
+    For m >= 2 this is the fundamental angular eigenvalue, read off
+    ``entries`` (an :func:`enumerate_spectrum` result) and checked to lie
+    below the radial floor p - 1; for m = 1 it is p - 1 itself.
     """
     p, m = ctx.p, ctx.m
     if m == 1:
         return Fraction(p - 1)
-    if entries is None:
-        entries = enumerate_spectrum(1, ctx)
     gap = next(e.eigenvalue for e in entries if e.kind == "angular" and e.index == 1)
     if not gap < p - 1:
         raise ArithmeticError("angular gap is not below the radial floor")
     return gap
 
 
-def weyl_count(lam: Rational, ctx: PrimeParams, entries=None) -> int:
+def weyl_count(lam: Rational, ctx: PrimeParams, entries) -> int:
     """Number of eigenvalues <= lam, counted with multiplicity.
 
     Valid once lam clears every angular eigenvalue, i.e. lam >= p - 1;
     then the count is m (p-1) p^(M-1) = m * lambda_M with M the largest
     radial level at or below lam.  Computed by the closed formula and by
-    enumeration, which must agree.  ``entries``, an
-    :func:`enumerate_spectrum` result reaching level M, is counted instead
-    of a new enumeration when given.
+    counting ``entries``, an :func:`enumerate_spectrum` result reaching
+    level M; the two must agree.
     """
     p, m = ctx.p, ctx.m
     bound = Fraction(lam)
@@ -461,9 +451,7 @@ def weyl_count(lam: Rational, ctx: PrimeParams, entries=None) -> int:
         big_m += 1
     formula = m * (p - 1) ** 2 * sum(p**i for i in range(big_m - 1)) + m * (p - 2) + m
     expected = m * (p - 1) * p ** (big_m - 1)
-    if entries is None:
-        entries = enumerate_spectrum(big_m, ctx)
-    elif sum(e.multiplicity for e in entries) < expected:
+    if sum(e.multiplicity for e in entries) < expected:
         raise ValueError(f"the entries stop below radial level {big_m}")
     enumerated = sum(e.multiplicity for e in entries if e.eigenvalue <= bound)
     if formula != expected or enumerated != expected:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from tateop.correlator import _pair_valuations
 from tateop.determinant import _radial_factor, det_factors, zeta_prime_at_zero
 from tateop.domain import Ball
-from tateop.matrix import OperatorMatrix, level_basis
+from tateop.matrix import OperatorMatrix, _profile_totals, level_basis
 from tateop.operator import KernelContext, integrate_H_over_ball
 from tateop.padic import (
     PrimeParams,
@@ -440,6 +440,12 @@ def galerkin_consistency_check(mx: OperatorMatrix, f: StepFunction) -> bool:
         product[i] == apply_D_step(f, b.center_point(), mx.kc)
         for i, b in enumerate(mx.basis)
     )
+
+
+def _row_totals(index: np.ndarray, values) -> list[Fraction]:
+    """Exact sum of each row."""
+    totals, rows = _profile_totals(index, values)
+    return [totals[i] for i in rows]
 
 
 class _DenseOperatorMatrix:

@@ -212,7 +212,7 @@ def test_criterion_05_matrix_consistency():
     dims = []
     for p, m, k in [(3, 2, 2), (2, 3, 3), (5, 1, 2), (2, 1, 4)]:
         ctx = PrimeParams(p, m)
-        rep = verify_matrix(build_matrix(k, KernelContext(ctx)), ctx)
+        rep = verify_matrix(build_matrix(k, KernelContext(ctx)))
         dims.append(rep.dimension)
         if not rep.symmetric or not rep.row_sums_zero:
             failures.append((p, m, k, "exactness", rep.failures))
@@ -235,8 +235,9 @@ def test_criterion_06_weyl_law():
             ctx = PrimeParams(p, m)
             for big_m in range(2, 8):
                 lam = eigenvalue_radial_closed(big_m, ctx)
-                count = weyl_count(lam, ctx)
-                enum_total = sum(e.multiplicity for e in enumerate_spectrum(big_m, ctx))
+                entries = enumerate_spectrum(big_m, ctx)
+                count = weyl_count(lam, ctx, entries)
+                enum_total = sum(e.multiplicity for e in entries)
                 if count != m * lam or count != enum_total:
                     failures.append((p, m, big_m, count, m * lam, enum_total))
     _report(6, "Weyl count N(lambda_M) = m lambda_M", failures)

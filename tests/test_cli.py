@@ -414,6 +414,16 @@ def test_det_at_a_large_period_is_fast(run_python):
     assert json.loads(proc.stdout)["all_pass"] is True
 
 
+def test_det_series_checks_scale_with_the_closed_value():
+    # zeta_pi_value is m times an m-free number: at p = 2, m = 2157 and
+    # s = 2 the closed value is 1078.5, and the series misses it by about
+    # 1e-12 in absolute terms, 1e-15 relative.
+    code, out, err = run_cli(["det", "--p", "2", "--m", "2157"])
+    assert code == 0, err
+    row = json.loads(out)["zeta_series_checks"][0]
+    assert row["s"] == 2 and row["closed"] == 1078.5 and row["pass"] is True
+
+
 def test_spectrum_at_a_large_conductor_is_fast(run_python):
     # The exact radial identity runs at every conductor, in O(n) each, and
     # no conductor's characters are enumerated.

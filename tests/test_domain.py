@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tateop.domain import Ball, PrimeParams
+from tateop.matrix import level_basis
 from tateop.padic import local_height, point, tate_div, tate_inv, tate_mul
 
 from oracles import HeightProfile, ShellPartition, StepFunction, geom_sum, total_volume
@@ -90,12 +91,17 @@ def test_full_partition_counts_and_volume(cfg, level):
     "p,m,level", [(p, m, level) for p in (2, 3, 5) for m in (1, 2, 3) for level in (1, 2, 3)]
 )
 def test_full_partition_equals_the_checked_constructor(p, m, level):
+    # matrix.level_basis against an independent construction: the level-1
+    # balls of every shell, refined level - 1 times through Ball.children.
     ctx = PrimeParams(p, m)
-    full = ShellPartition.full(ctx, level)
-    checked = ShellPartition(ctx, full.balls)
-    assert full == checked
-    assert full._index == checked._index
-    assert full._levels == checked._levels
+    basis = level_basis(ctx, level)
+    refined = [Ball(ctx, v, 1, c) for v in range(m) for c in range(1, p)]
+    for _ in range(level - 1):
+        refined = [child for ball in refined for child in ball.children()]
+    assert len(basis) == len(refined) and set(basis) == set(refined)
+    keys = [(b.v, b.center) for b in basis]
+    assert keys == sorted(keys)
+    assert ShellPartition(ctx, basis).balls == basis
 
 
 def test_partition_find_index_and_refine():

