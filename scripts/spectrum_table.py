@@ -32,8 +32,8 @@ def main() -> int:
         lam = str(e.eigenvalue) if not isinstance(e.eigenvalue, float) else format_float(e.eigenvalue)
         print(f"{e.kind:8s} {e.index:5d} {lam:>14s} {e.multiplicity:6d} {cum:8d}")
     lam_top = max(float(e.eigenvalue) for e in entries)
-    print(f"\nspectral gap: {spectral_gap(ctx, entries)}")
-    print(f"Weyl count at lambda={lam_top:g}: {weyl_count(lam_top, ctx, entries)} (= m*lambda = {ctx.m * lam_top:g})")
+    print(f"\nspectral gap: {spectral_gap(ctx)}")
+    print(f"Weyl count at lambda={lam_top:g}: {weyl_count(lam_top, ctx)} (= m*lambda = {ctx.m * lam_top:g})")
     det, angular, radial, _ = det_factors(ctx)
     print(f"det D = {det} = {angular} (angular) * {radial} (radial)")
     return 0

@@ -1,19 +1,21 @@
 """Angular characters of the domain and their eigenvalues.
 
 An angular character v -> e^(2 pi i l v / m) acts on the valuation class.
-Its eigenvalue has a closed form in c = 2 cos(2 pi l / m), checked against
-the defining sum over the shells; the sums for many l are taken in one
-pass.  The roots of unity that every character value reads live here too.
+The operator acts on these characters as a circulant over the m shells,
+so its eigenvalue at l is its symbol at the root x = e^(2 pi i l / m).  The
+closed form in t = 2 - x - 1/x is proved for every l at once by one exact
+identity of polynomials modulo x^m - 1, the angular circulant check.  The
+roots of unity that every character value reads live here too.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
-from .padic import PrimeParams, c_p_const, shell_coupling
+from .padic import PrimeParams, c_p_const, coupling_weight
 
 
 @lru_cache(maxsize=None)
@@ -26,7 +28,7 @@ def root_table(n: int) -> tuple:
     """
     out = []
     for j in range(n):
-        den = n // gcd(j, n)
+        den = n // math.gcd(j, n)
         if den == 1:
             out.append(1 + 0j)
         elif den == 2:
@@ -38,69 +40,63 @@ def root_table(n: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _float_couplings(p: int, m: int) -> tuple:
-    """The shell couplings to shells 1..m - 1, converted to float once."""
-    return tuple(complex(shell_coupling(p, m, v)) for v in range(1, m))
+def _closed_coefficients(p: int) -> tuple[int, int, int]:
+    """(a, b, c) with the eigenvalue a t / (b + c t) at t = 2 - 2 cos(2 pi l / m)."""
+    return p * (p - 1), (p - 1) ** 2, p
 
 
-_EXACT_TWO_COS = {
-    Fraction(0): Fraction(2),
-    Fraction(1, 2): Fraction(-2),
-    Fraction(1, 3): Fraction(-1),
-    Fraction(2, 3): Fraction(-1),
-    Fraction(1, 4): Fraction(0),
-    Fraction(3, 4): Fraction(0),
-    Fraction(1, 6): Fraction(1),
-    Fraction(5, 6): Fraction(1),
+# t = 4 sin^2(pi j) at the turns j in [0, 1/2] where it is rational.
+_EXACT_T = {
+    Fraction(j, n): Fraction(t) for j, n, t in [(0, 1, 0), (1, 6, 1), (1, 4, 2), (1, 3, 3), (1, 2, 4)]
 }
 
 
-def angular_sums(ls, ctx: PrimeParams) -> list[complex]:
-    """Defining sums of the angular eigenvalues at each l, shell by shell.
+@lru_cache(maxsize=None)
+def angular_circulant_check(p: int, m: int) -> None:
+    """Prove the closed form a t / (b + c t) at every l, exactly.
 
-    One pass: the shell couplings are converted to float once, and the
-    character values come from one table of the m roots of unity.
+    The eigenvalue at l is K T(x) at x = e^(2 pi i l / m), with
+    T(x) = sum over v = 1..m-1 of w_v (x^v - 1), w_v = coupling_weight and
+    K = -c_p (p - 1) / p / (q - 1).  With u(x) = -1 + 2x - x^2 = x t, the
+    closed form holds at x exactly when K T(x) (b x + c u(x)) = a u(x).
+    x^m - 1 has no repeated root, so that holds at all m roots exactly
+    when it holds in Z[x]/(x^m - 1): one cyclic convolution of m integers,
+    after clearing K's denominator.
     """
-    p, m = ctx.p, ctx.m
-    mu_units = complex(Fraction(p - 1, p))
-    couplings = _float_couplings(p, m)
-    roots = root_table(m)
-    scale = -complex(c_p_const(p))
-    sums = []
-    for l in ls:
-        total = 0j
-        for v, coupling in enumerate(couplings, 1):
-            total += coupling * (roots[l * v % m] - 1) * mu_units
-        sums.append(scale * total)
-    return sums
+    a, b, c = _closed_coefficients(p)
+    k = -c_p_const(p) * Fraction(p - 1, p * (p**m - 1))
+    # T(x), u(x) and b x + c u(x) as coefficient lists, reduced mod x^m - 1.
+    tx = [0] + [coupling_weight(p, m, v) for v in range(1, m)]
+    tx[0] = -sum(tx)
+    lhs, rhs = [0] * m, [0] * m
+    for j, (uj, dj) in enumerate(zip((-1, 2, -1), (-c, b + 2 * c, -c))):
+        rhs[j % m] += k.denominator * a * uj
+        for i, ti in enumerate(tx):
+            lhs[(i + j) % m] += k.numerator * dj * ti
+    if lhs != rhs:
+        raise ArithmeticError(f"angular circulant: the closed form fails at p={p}, m={m}")
 
 
 def _angular_closed(l: int, ctx: PrimeParams):
-    """p(p-1)(2-c)/(p^2 - pc + 1) with c = 2 cos(2 pi l/m); exact when c is."""
+    """a t / (b + c t) with t = 4 sin^2(pi l / m), folded to l <= m / 2 so
+    that t carries no cancellation; exact when t is rational."""
     p, m = ctx.p, ctx.m
-    turns = Fraction(l % m, m)
-    c = _EXACT_TWO_COS.get(turns)
-    if c is not None:
-        return Fraction(p * (p - 1) * (2 - c), p * p - p * c + 1)
-    cf = 2.0 * cmath.cos(2 * cmath.pi * float(turns)).real
-    return p * (p - 1) * (2 - cf) / (p * p - p * cf + 1)
+    a, b, c = _closed_coefficients(p)
+    j = l % m
+    turns = Fraction(min(j, m - j), m)
+    t = _EXACT_T.get(turns)
+    if t is None:
+        t = 4 * math.sin(math.pi * float(turns)) ** 2
+    return a * t / (b + c * t)
 
 
 def angular_eigenvalues(ls, ctx: PrimeParams) -> list:
-    """The closed form at each l, each cross-evaluated against its defining
-    sum to 1e-10; the sums are taken in one pass."""
-    out = []
-    for l, check in zip(ls, angular_sums(ls, ctx)):
-        lam = _angular_closed(l, ctx)
-        if abs(complex(lam) - check) > 1e-10:
-            raise ArithmeticError(
-                f"angular eigenvalue mismatch at l={l}: closed {lam}, sum {check}"
-            )
-        out.append(lam)
-    return out
+    """The closed form at each l, proved for every l by the angular
+    circulant check."""
+    angular_circulant_check(ctx.p, ctx.m)
+    return [_angular_closed(l, ctx) for l in ls]
 
 
 def eigenvalue_angular(l: int, ctx: PrimeParams):
-    """The closed form at l, cross-evaluated against the defining sum to 1e-10."""
+    """The closed form at l, proved by the angular circulant check."""
     return angular_eigenvalues((l,), ctx)[0]

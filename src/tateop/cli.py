@@ -249,7 +249,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
             }
         )
     lam_top = spectral.eigenvalue_radial_closed(max_conductor, ctx)
-    count = spectral.weyl_count(lam_top, ctx, entries)
+    count = spectral.weyl_count(lam_top, ctx)
     weyl_ok = count == ctx.m * lam_top
     checks_pass = checks_pass and weyl_ok
     total = sum(e.multiplicity for e in entries)
@@ -260,7 +260,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
         "max_conductor": max_conductor,
         "entries": [e.to_json_dict() for e in entries],
         "total_multiplicity": total,
-        "spectral_gap": spectral.spectral_gap(ctx, entries),
+        "spectral_gap": spectral.spectral_gap(ctx),
         "weyl": {
             "lambda": lam_top,
             "count": count,

@@ -23,8 +23,8 @@ def angular_determinant(ctx: PrimeParams) -> Fraction:
     The product of the float eigenvalues over l = 1..m-1 is recomputed as
     a guard, in log space: |sum of log lambda_l - log closed| <= 1e-9, to
     first order the relative 1e-9 bound on the product, with no float
-    underflow at large m.  Each factor is checked against its defining
-    sum, all m - 1 sums in one pass.
+    underflow at large m.  The factors are proved exactly by the angular
+    circulant check, once per (p, m).
     """
     p, m = ctx.p, ctx.m
     closed = Fraction(m * m * (p - 1) ** (m + 1) * p ** (m - 1), (p**m - 1) ** 2)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .angular import angular_eigenvalues, root_table
+from .angular import root_table
 from .domain import Ball
 from .operator import KernelContext, _kernel_by_valuations
 from .padic import PrimeParams, Record, capped_product, format_rational
@@ -335,10 +335,8 @@ def verify_matrix(mx: OperatorMatrix) -> MatrixReport:
     row_sums_zero = not any(_profile_totals(mx.index, mx.values)[0])
     if not row_sums_zero:
         failures.append("row sums")
-    # One pass gives the angular eigenvalues of the spectrum and of the labels.
-    angular = angular_eigenvalues(range(ctx.m), ctx)
     expected: list[float] = []
-    for entry in enumerate_spectrum(mx.level, ctx, angular):
+    for entry in enumerate_spectrum(mx.level, ctx):
         expected.extend([float(entry.eigenvalue)] * entry.multiplicity)
     expected.sort()
     # Float rounding in the eigen-solve and the products grows with the
@@ -362,9 +360,8 @@ def verify_matrix(mx: OperatorMatrix) -> MatrixReport:
     mc = mx.float_entries.astype(complex)
     worst = 0.0
     # The eigenvalue depends on a label only through its conductor and l,
-    # and the radial characters of level n all have conductor n; at level
-    # 0 it is the angular eigenvalue at l.
-    lams = {(0, l): float(lam) for l, lam in enumerate(angular)}
+    # and the radial characters of level n all have conductor n.
+    lams: dict[tuple[int, int], float] = {}
     for label, vec in label_vectors(mx):
         key = (label.radial.n, label.angular.l)
         lam = lams.get(key)

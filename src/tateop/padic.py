@@ -12,6 +12,7 @@ unit residues, the kernel's constants and the local height.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -55,8 +56,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Rational) -> str:
-    """Serialize exactly as parsed: ``a`` for integers, ``a/b`` otherwise."""
-    return str(x if isinstance(x, Fraction) else Fraction(x))
+    """Serialize exactly as parsed: ``a`` for integers, ``a/b`` otherwise,
+    however many digits: the int-to-str digit limit is lifted for this call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x if isinstance(x, Fraction) else Fraction(x))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def format_float(x: float) -> str:

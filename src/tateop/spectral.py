@@ -13,13 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .angular import (
-    _float_couplings,
-    angular_eigenvalues,
-    angular_sums,
-    eigenvalue_angular,
-    root_table,
-)
+from .angular import angular_eigenvalues, eigenvalue_angular, root_table
 from .padic import (
     PrimeParams,
     Rational,
@@ -273,6 +267,12 @@ def eigenvalue_radial_closed(n: int, ctx: PrimeParams) -> Fraction:
     return Fraction((ctx.p - 1) * ctx.p ** (n - 1))
 
 
+@lru_cache(maxsize=None)
+def _float_couplings(p: int, m: int) -> tuple:
+    """The shell couplings to shells 1..m - 1, converted to float once."""
+    return tuple(complex(shell_coupling(p, m, v)) for v in range(1, m))
+
+
 def eigenvalue_radial_integral(
     chi: UnitCharacter, zeta: AngularCharacter, ctx: PrimeParams
 ) -> complex:
@@ -341,8 +341,14 @@ def _coupling_total(p: int, m: int) -> Fraction:
 
 
 def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
-    """Defining sum for one angular eigenvalue."""
-    return angular_sums((l,), ctx)[0]
+    """Defining sum for one angular eigenvalue, shell by shell, in floats."""
+    p, m = ctx.p, ctx.m
+    mu_units = complex(Fraction(p - 1, p))
+    roots = root_table(m)
+    total = 0j
+    for v, coupling in enumerate(_float_couplings(p, m), 1):
+        total += coupling * (roots[l * v % m] - 1) * mu_units
+    return -complex(c_p_const(p)) * total
 
 
 def multiplicity(kind: str, index: int, ctx: PrimeParams) -> int:
@@ -385,24 +391,19 @@ class SpectrumEntry(Record):
         return out
 
 
-def enumerate_spectrum(
-    max_conductor: int, ctx: PrimeParams, angular=None
-) -> tuple[SpectrumEntry, ...]:
+def enumerate_spectrum(max_conductor: int, ctx: PrimeParams) -> tuple[SpectrumEntry, ...]:
     """Zero mode, angular pairs, and radial levels up to the given conductor.
 
-    The total multiplicity must equal m (p-1) p^(N-1), the dimension of
-    the level-N step-function space; anything else raises.  ``angular``,
-    the angular eigenvalues at l = 0, 1, ... up to at least m // 2 as
-    :func:`angular_eigenvalues` returns them, is read instead of a new
-    pass when given.
+    The angular closed forms are proved by one angular circulant check per
+    (p, m).  The total multiplicity must equal m (p-1) p^(N-1), the
+    dimension of the level-N step-function space; anything else raises.
     """
     if max_conductor < 1:
         raise ValueError("max conductor must be >= 1")
     p, m = ctx.p, ctx.m
     entries = [SpectrumEntry("zero", 0, Fraction(0), 1)]
     ls = range(1, m // 2 + 1)
-    lams = angular_eigenvalues(ls, ctx) if angular is None else [angular[l] for l in ls]
-    for l, lam in zip(ls, lams):
+    for l, lam in zip(ls, angular_eigenvalues(ls, ctx)):
         entries.append(SpectrumEntry("angular", l, lam, multiplicity("angular", l, ctx)))
     for n in range(1, max_conductor + 1):
         mult = multiplicity("radial", n, ctx)
@@ -415,30 +416,28 @@ def enumerate_spectrum(
     return tuple(entries)
 
 
-def spectral_gap(ctx: PrimeParams, entries):
+def spectral_gap(ctx: PrimeParams):
     """Smallest positive eigenvalue by the closed forms.
 
-    For m >= 2 this is the fundamental angular eigenvalue, read off
-    ``entries`` (an :func:`enumerate_spectrum` result) and checked to lie
+    For m >= 2 this is the fundamental angular eigenvalue, checked to lie
     below the radial floor p - 1; for m = 1 it is p - 1 itself.
     """
     p, m = ctx.p, ctx.m
     if m == 1:
         return Fraction(p - 1)
-    gap = next(e.eigenvalue for e in entries if e.kind == "angular" and e.index == 1)
+    gap = eigenvalue_angular(1, ctx)
     if not gap < p - 1:
         raise ArithmeticError("angular gap is not below the radial floor")
     return gap
 
 
-def weyl_count(lam: Rational, ctx: PrimeParams, entries) -> int:
+def weyl_count(lam: Rational, ctx: PrimeParams) -> int:
     """Number of eigenvalues <= lam, counted with multiplicity.
 
     Valid once lam clears every angular eigenvalue, i.e. lam >= p - 1;
     then the count is m (p-1) p^(M-1) = m * lambda_M with M the largest
     radial level at or below lam.  Computed by the closed formula and by
-    counting ``entries``, an :func:`enumerate_spectrum` result reaching
-    level M; the two must agree.
+    enumeration, which must agree.
     """
     p, m = ctx.p, ctx.m
     bound = Fraction(lam)
@@ -451,9 +450,9 @@ def weyl_count(lam: Rational, ctx: PrimeParams, entries) -> int:
         big_m += 1
     formula = m * (p - 1) ** 2 * sum(p**i for i in range(big_m - 1)) + m * (p - 2) + m
     expected = m * (p - 1) * p ** (big_m - 1)
-    if sum(e.multiplicity for e in entries) < expected:
-        raise ValueError(f"the entries stop below radial level {big_m}")
-    enumerated = sum(e.multiplicity for e in entries if e.eigenvalue <= bound)
+    enumerated = sum(
+        e.multiplicity for e in enumerate_spectrum(big_m, ctx) if e.eigenvalue <= bound
+    )
     if formula != expected or enumerated != expected:
         raise ArithmeticError("eigenvalue count mismatch between formula and enumeration")
     return formula

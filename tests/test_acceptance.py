@@ -236,7 +236,7 @@ def test_criterion_06_weyl_law():
             for big_m in range(2, 8):
                 lam = eigenvalue_radial_closed(big_m, ctx)
                 entries = enumerate_spectrum(big_m, ctx)
-                count = weyl_count(lam, ctx, entries)
+                count = weyl_count(lam, ctx)
                 enum_total = sum(e.multiplicity for e in entries)
                 if count != m * lam or count != enum_total:
                     failures.append((p, m, big_m, count, m * lam, enum_total))

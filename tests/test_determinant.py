@@ -1,11 +1,15 @@
 """Angular product, radial zeta function, and the regularized determinant."""
 
+import contextlib
+import io
+import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from tateop import determinant
+from tateop import cli, determinant
 from tateop.determinant import (
     angular_determinant,
     zeta_pi_series,
@@ -139,3 +143,39 @@ def test_angular_product_guard_sees_a_wrong_factor(monkeypatch):
     for m in (5, 1100):
         with pytest.raises(ArithmeticError, match="angular product"):
             angular_determinant(PrimeParams(2, m))
+
+
+def _det_cli(p, m):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["det", "--p", str(p), "--m", str(m)])
+    return code, out.getvalue()
+
+
+def _decimal(text):
+    """A decimal string as an int, read in chunks under the interpreter's
+    int-to-str digit limit."""
+    n = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def test_det_prints_an_exact_value_past_the_str_digit_limit():
+    # The denominator (5^4000 - 1)^2 has about 5600 digits.
+    p, m = 5, 4000
+    limit = sys.get_int_max_str_digits()
+    code, out = _det_cli(p, m)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    num, den = json.loads(out)["det"].split("/")
+    assert 0 < limit < len(den)
+    closed = Fraction(m * m) * (1 - Fraction(1, p)) / (1 - Fraction(1, p**m)) ** 2
+    assert Fraction(_decimal(num), _decimal(den)) == closed
+
+
+def test_det_passes_where_two_minus_two_cos_cancels():
+    # 2 - 2 cos(2 pi l / m) loses digits to cancellation at small l / m; at
+    # m = 14002 that error alone broke the 1e-9 angular-product guard.
+    assert _det_cli(2, 14002)[0] == 0

@@ -67,9 +67,10 @@ LADDER_DUMP_SHA256 = {
 }
 
 # The benchmark's spectrum and greens sweeps, det at m = 100 for each of its
-# primes, and greens at the README's cost example, json stdout.  They print
-# the float radial integrals, the determinant factors of the spectral layer
-# and the exact height identity at every sampled point.
+# primes and at m = 3000 and 1000, and greens at the README's cost example,
+# json stdout.  They print the float radial integrals, the determinant
+# factors of the spectral layer and the exact height identity at every
+# sampled point.
 SWEEP_STDOUT_SHA256 = {
     "spectrum --p 2 --m 1 --max-conductor 12": "739450f602de23583192638735f76b12e1ffca2f9a56901645a0dd5d11206313",
     "spectrum --p 3 --m 2 --max-conductor 7": "3402f92649ada078cc5485047e3da6dc7830779adbaefed356735b29020a7e76",
@@ -79,6 +80,8 @@ SWEEP_STDOUT_SHA256 = {
     "det --p 3 --m 100": "1d27bb87bafef7b8112522f53e9c35ce49d1eba8f24ed3e9de5eadb1007e884c",
     "det --p 5 --m 100": "8817902eaa59b268b0712b43188c819d0dbde99f489d2a4cabafa87f0076cabc",
     "det --p 7 --m 100": "17997bc04e80b6b4e0db63620e80dc447f9e98933e05c50041f11c65b0175b21",
+    "det --p 2 --m 3000": "abd2e1479e5d08248e3267f2ebbaabba41f1478a4c0187dc866662ca6659dee3",
+    "det --p 7 --m 1000": "65ca7ef879d0cdf6f024349909969676b122056af17c4e6efd9482b6d55c609b",
     "greens --p 3 --m 2 --max-vdist 60": "9c82be53bcb7c17468ce96aacfc8e8831cee107df83e0f00a348b7c85ee1b1cd",
     "greens --p 2 --m 5 --max-vdist 100": "c73a9e3e7ea0d7cce854eb32f6d599b54c1a3deba8b28118856a40c6a431c778",
     "greens --p 7 --m 4 --max-vdist 40": "9c369d89dc6a584a6de6dd886e204b91bd73702faf1597c9b789b83c285ff4de",

@@ -298,24 +298,17 @@ def test_verify_builds_the_float_copy_once(monkeypatch):
     assert rep.passed and len(calls) == 1
 
 
-def test_verify_takes_the_angular_eigenvalues_in_one_pass(monkeypatch):
+def test_verify_takes_the_angular_eigenvalues_in_one_pass():
     # Level 1 has one label per angular index l; its eigenvalues and the
-    # spectrum's angular entries come from one pass of defining sums, not
-    # one pass per label.
-    calls = []
-    sums = angular.angular_sums
-
-    def counted(ls, ctx):
-        calls.append(list(ls))
-        return sums(ls, ctx)
-
-    monkeypatch.setattr(angular, "angular_sums", counted)
+    # spectrum's angular entries are proved by one angular circulant check,
+    # not one check per label.
+    check = angular.angular_circulant_check
     for p, m in [(2, 64), (3, 7), (5, 4), (7, 1)]:
         ctx = PrimeParams(p, m)
         mx = build_matrix(1, KernelContext(ctx))
-        calls.clear()
+        check.cache_clear()
         assert verify_matrix(mx).passed
-        assert calls == [list(range(m))]
+        assert check.cache_info().misses == 1
 
 
 def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):

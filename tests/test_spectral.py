@@ -18,7 +18,6 @@ from tateop.spectral import (
     SpectrumEntry,
     UnitCharacter,
     angular_eigenvalues,
-    angular_sums,
     eigenvalue_angular,
     eigenvalue_angular_sum,
     eigenvalue_for_label,
@@ -209,8 +208,7 @@ def test_spectrum_entry_json_shape():
 
 def test_spectral_gap_oracles():
     def gap(p, m):
-        ctx = PrimeParams(p, m)
-        return spectral_gap(ctx, enumerate_spectrum(1, ctx))
+        return spectral_gap(PrimeParams(p, m))
 
     assert gap(3, 2) == Fraction(3, 2)
     assert gap(2, 1) == 1
@@ -227,16 +225,16 @@ def test_weyl_count_matches_enumeration():
             for big_m in range(2, 6):
                 lam = eigenvalue_radial_closed(big_m, ctx)
                 entries = enumerate_spectrum(big_m, ctx)
-                count = weyl_count(lam, ctx, entries)
+                count = weyl_count(lam, ctx)
                 assert count == m * lam
                 assert count == sum(e.multiplicity for e in entries)
 
 
 def test_weyl_count_out_of_regime():
     with pytest.raises(OutOfRegimeError):
-        weyl_count(Fraction(1, 2), PrimeParams(3, 2), enumerate_spectrum(1, PrimeParams(3, 2)))
+        weyl_count(Fraction(1, 2), PrimeParams(3, 2))
     with pytest.raises(OutOfRegimeError):
-        weyl_count(0, PrimeParams(5, 1), enumerate_spectrum(1, PrimeParams(5, 1)))
+        weyl_count(0, PrimeParams(5, 1))
 
 
 def test_dtn_cross_check_exact():
@@ -366,9 +364,10 @@ def test_one_pass_angular_sums_match_the_single_sums():
     for p, m in [(2, 1), (2, 7), (3, 12), (5, 9), (7, 30)]:
         ctx = PrimeParams(p, m)
         ls = list(range(-1, m + 2))
-        for ell, got in zip(ls, angular_sums(ls, ctx)):
-            assert abs(got - eigenvalue_angular_sum(ell, ctx)) < 1e-12
-        assert angular_eigenvalues(ls, ctx) == [eigenvalue_angular(ell, ctx) for ell in ls]
+        lams = angular_eigenvalues(ls, ctx)
+        assert lams == [eigenvalue_angular(ell, ctx) for ell in ls]
+        for ell, lam in zip(ls, lams):
+            assert abs(complex(lam) - eigenvalue_angular_sum(ell, ctx)) < 1e-10
 
 
 def _cli(argv):
@@ -379,10 +378,18 @@ def _cli(argv):
 
 
 def test_a_wrong_angular_closed_form_raises_from_the_guard(monkeypatch):
-    closed = angular._angular_closed
-    monkeypatch.setattr(angular, "_angular_closed", lambda l, ctx: closed(l, ctx) + 1e-8)
+    # The certificate reads the closed form's coefficients, as the float
+    # and the exact eigenvalues do, so one wrong coefficient fails it.
+    coefficients = angular._closed_coefficients
+
+    def wrong(p):
+        a, b, c = coefficients(p)
+        return a, b + 1, c
+
+    monkeypatch.setattr(angular, "_closed_coefficients", wrong)
+    angular.angular_circulant_check.cache_clear()
     ctx = PrimeParams(3, 7)
-    with pytest.raises(ArithmeticError, match="angular eigenvalue mismatch"):
+    with pytest.raises(ArithmeticError, match="angular circulant"):
         angular_eigenvalues(range(1, 7), ctx)
     with pytest.raises(ArithmeticError):
         determinant.angular_determinant(ctx)
@@ -419,30 +426,31 @@ def test_root_table_has_the_bits_of_root_of_unity(n):
         assert repr(z) == repr(complex(root_of_unity(Fraction(j, n)))), (j, n)
 
 
-def test_spectrum_runs_one_angular_pass(monkeypatch):
-    calls = []
-    sums = angular.angular_sums
-
-    def counted(ls, ctx):
-        calls.append(list(ls))
-        return sums(ls, ctx)
-
-    monkeypatch.setattr(angular, "angular_sums", counted)
+def test_spectrum_runs_one_angular_pass():
+    check = angular.angular_circulant_check
     for p, m, n in [(3, 2, 2), (2, 7, 4), (5, 12, 3), (2, 1, 3)]:
-        calls.clear()
+        check.cache_clear()
         code, _ = _cli(["spectrum", "--p", str(p), "--m", str(m), "--max-conductor", str(n)])
         assert code == 0
-        assert calls == [list(range(1, m // 2 + 1))]
+        assert check.cache_info().misses == 1
 
 
-def test_counts_read_off_given_entries_match_a_fresh_enumeration():
-    for p, m in [(2, 1), (2, 6), (3, 2), (5, 3)]:
-        ctx = PrimeParams(p, m)
-        entries = enumerate_spectrum(4, ctx)
-        assert spectral_gap(ctx, entries) == spectral_gap(ctx, enumerate_spectrum(1, ctx))
-        for n in range(1, 5):
-            lam = eigenvalue_radial_closed(n, ctx)
-            exact = enumerate_spectrum(n, ctx)
-            assert weyl_count(lam, ctx, entries) == weyl_count(lam, ctx, exact)
-        with pytest.raises(ValueError, match="radial level 5"):
-            weyl_count(eigenvalue_radial_closed(5, ctx), ctx, entries)
+@pytest.mark.parametrize(
+    "p,bumped_m", [(p, None) for p in (2, 3, 5, 7, 11, 101)] + [(3, m) for m in (2, 5, 9)]
+)
+def test_angular_circulant_holds_and_sees_a_bumped_weight(monkeypatch, p, bumped_m):
+    # The identity holds on the grid m = 1..59; adding 1 to any one shell
+    # weight w_v breaks it.
+    check = angular.angular_circulant_check
+    check.cache_clear()
+    if bumped_m is None:
+        for m in range(1, 60):
+            check(p, m)
+        return
+    weight = angular.coupling_weight
+    for v in range(1, bumped_m):
+        monkeypatch.setattr(
+            angular, "coupling_weight", lambda p, m, u, v=v: weight(p, m, u) + (u == v)
+        )
+        with pytest.raises(ArithmeticError, match="angular circulant"):
+            check(p, bumped_m)
