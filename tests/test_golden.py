@@ -70,7 +70,10 @@ LADDER_DUMP_SHA256 = {
 # primes and at m = 3000 and 1000, and greens at the README's cost example,
 # json stdout.  They print the float radial integrals, the determinant
 # factors of the spectral layer and the exact height identity at every
-# sampled point.
+# sampled point.  The last four run every reader of the shell couplings at
+# a large m: the kernel's case form, the height action's shell loops, the
+# angular circulant check, the float and exact radial sums, and the
+# correlator's two limits.
 SWEEP_STDOUT_SHA256 = {
     "spectrum --p 2 --m 1 --max-conductor 12": "739450f602de23583192638735f76b12e1ffca2f9a56901645a0dd5d11206313",
     "spectrum --p 3 --m 2 --max-conductor 7": "3402f92649ada078cc5485047e3da6dc7830779adbaefed356735b29020a7e76",
@@ -87,6 +90,10 @@ SWEEP_STDOUT_SHA256 = {
     "greens --p 7 --m 4 --max-vdist 40": "9c369d89dc6a584a6de6dd886e204b91bd73702faf1597c9b789b83c285ff4de",
     "greens --p 5 --m 3 --max-vdist 50": "fe540a19b23d33504dc17737f6380183ef95ab2f5ddd6a309554925af2387ad5",
     "greens --p 2 --m 5 --max-vdist 600": "24380c2fa8753e7773c380f79bb66284f15351558ddaad5bf571334249bd8204",
+    "det --p 101 --m 2000": "a4d0ff75338f4cb4bac49d77251858e073c60653c789b3cfa3781929fc2a4c34",
+    "spectrum --p 3 --m 300 --max-conductor 5": "73f37849073f1e3e966664a015d4e0a6bbe131a6c6684548871f44e43c604bc3",
+    "greens --p 5 --m 40 --max-vdist 20": "ba90143541bb763be1070452f6f0974f0889fc3ec9c3720bb5a716bc86f46ff2",
+    "correlator --p 7 --m 50 --x1 7/2 --x2 3": "10675cb8bcaa1bab1a3c035adeb5ae3a1096594cf5b330c67084d410437cf578",
 }
 
 
