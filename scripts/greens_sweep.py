@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction
 
-from tateop.operator import KernelContext, apply_D_height, height_check_points
+from tateop.operator import apply_D_height, height_check_points
 from tateop.padic import PrimeParams, valuation
 
 
@@ -27,12 +27,11 @@ def main() -> int:
     for p in args.primes:
         for m in range(1, args.max_m + 1):
             ctx = PrimeParams(p, m)
-            kc = KernelContext(ctx)
             expected = -Fraction(p, m * (p - 1))
             pts = height_check_points(ctx, max_vdist=args.max_vdist)
             misses = []
             for x in pts:
-                got = apply_D_height(x, kc)
+                got = apply_D_height(x)
                 if got != expected:
                     misses.append((x.value, got))
                     bad += 1

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PrimeParams, c_p_const, coupling_weight
+from .padic import PrimeParams, c_p_const, coupling_weights
 
 
 @lru_cache(maxsize=None)
@@ -56,18 +56,18 @@ def angular_circulant_check(p: int, m: int) -> None:
     """Prove the closed form a t / (b + c t) at every l, exactly.
 
     The eigenvalue at l is K T(x) at x = e^(2 pi i l / m), with
-    T(x) = sum over v = 1..m-1 of w_v (x^v - 1), w_v = coupling_weight and
-    K = -c_p (p - 1) / p / (q - 1).  With u(x) = -1 + 2x - x^2 = x t, the
-    closed form holds at x exactly when K T(x) (b x + c u(x)) = a u(x).
-    x^m - 1 has no repeated root, so that holds at all m roots exactly
-    when it holds in Z[x]/(x^m - 1): one cyclic convolution of m integers,
-    after clearing K's denominator.
+    T(x) = sum over v = 1..m-1 of w_v (x^v - 1), w_v from
+    ``coupling_weights``, and K = -c_p (p - 1) / p / (q - 1).  With
+    u(x) = -1 + 2x - x^2 = x t, the closed form holds at x exactly when
+    K T(x) (b x + c u(x)) = a u(x).  x^m - 1 has no repeated root, so that
+    holds at all m roots exactly when it holds in Z[x]/(x^m - 1): one
+    cyclic convolution of m integers, after clearing K's denominator.
     """
     a, b, c = _closed_coefficients(p)
     k = -c_p_const(p) * Fraction(p - 1, p * (p**m - 1))
     # T(x), u(x) and b x + c u(x) as coefficient lists, reduced mod x^m - 1.
-    tx = [0] + [coupling_weight(p, m, v) for v in range(1, m)]
-    tx[0] = -sum(tx)
+    tx = list(coupling_weights(p, m)[:m])
+    tx[0] = -sum(tx[1:])
     lhs, rhs = [0] * m, [0] * m
     for j, (uj, dj) in enumerate(zip((-1, 2, -1), (-c, b + 2 * c, -c))):
         rhs[j % m] += k.denominator * a * uj

@@ -183,7 +183,6 @@ def cmd_greens(args: argparse.Namespace) -> Report:
     ctx = PrimeParams(args.p, args.m)
     if args.max_vdist < 0:
         raise UsageError("--max-vdist must be >= 0")
-    kc = operator.KernelContext(ctx)
     expected = (
         parse_rational(args.expect)
         if args.expect is not None
@@ -196,7 +195,7 @@ def cmd_greens(args: argparse.Namespace) -> Report:
         )
     rows = []
     for x in points:
-        value = operator.apply_D_height(x, kc)
+        value = operator.apply_D_height(x)
         cells = (
             format_rational(x.value),
             x.v,
@@ -310,7 +309,7 @@ def cmd_matrix(args: argparse.Namespace) -> Report:
             cap = int(cap_env)
         except ValueError as exc:
             raise UsageError(f"TATE_MAX_DIM must be an integer, got {cap_env!r}") from exc
-    mx = matrix.build_matrix(args.level, operator.KernelContext(ctx), cap)
+    mx = matrix.build_matrix(args.level, ctx, cap)
     if args.dump:
         import json
 
@@ -350,16 +349,16 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
         raise UsageError("points must be distinct")
     overflow = f"--delta {delta!r}: the two-point value overflows a float"
     try:
-        value = correlator.two_point(x1, x2, delta, ctx)
+        value = correlator.two_point(x1, x2, delta)
     except OverflowError as exc:
         raise UsageError(overflow) from exc
     # A tiny delta makes the second term, about 2 / (m delta log p), infinite.
     if not math.isfinite(value):
         raise UsageError(overflow)
-    at_one = correlator.two_point(x1, x2, 1.0, ctx)
-    kernel = float(operator.kernel_H(x1, x2, operator.KernelContext(ctx)))
+    at_one = correlator.two_point(x1, x2, 1.0)
+    kernel = float(operator.kernel_H(x1, x2))
     kernel_ok = abs(at_one - kernel) <= 1e-12 * (1 + abs(kernel))
-    estimate, target = correlator.height_limit_check(x1, x2, ctx)
+    estimate, target = correlator.height_limit_check(x1, x2)
     limit_ok = abs(estimate - target) < LIMIT_TOLERANCE * (1 + abs(target))
     head = {
         "command": "correlator",

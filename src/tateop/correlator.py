@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .padic import PrimeParams, TatePoint, local_height, tate_div, valuation
+from .padic import TatePoint, local_height, tate_div, valuation
 
 
 def _pair_valuations(x1: TatePoint, x2: TatePoint) -> tuple[int, int, int]:
@@ -23,17 +23,17 @@ def _pair_valuations(x1: TatePoint, x2: TatePoint) -> tuple[int, int, int]:
     return x1.v, x2.v, valuation(x1.value - x2.value, x1.ctx.p)
 
 
-def two_point(x1: TatePoint, x2: TatePoint, delta: float, ctx: PrimeParams) -> float:
+def two_point(x1: TatePoint, x2: TatePoint, delta: float) -> float:
     """(|x1||x2|/|x1-x2|^2)^delta + (r^delta + r^(-delta))/(p^(m delta) - 1),
-    r = |x1|/|x2|.
+    r = |x1|/|x2|, with p and m read off the two points.
 
     Integer dimensions take an exact rational path, so delta = 1
     reproduces the kernel on the nose.
     """
     if delta <= 0:
         raise ValueError("dimension must be positive")
-    p, m = ctx.p, ctx.m
     v1, v2, vd = _pair_valuations(x1, x2)
+    p, m = x1.ctx.p, x1.ctx.m
     if float(delta).is_integer():
         d = int(delta)
         e = 2 * vd - v1 - v2
@@ -78,11 +78,10 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float, ctx: PrimeParams) -> f
 _RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)
 
 
-def height_limit_check(
-    x1: TatePoint, x2: TatePoint, ctx: PrimeParams
-) -> tuple[float, float]:
+def height_limit_check(x1: TatePoint, x2: TatePoint) -> tuple[float, float]:
     """Estimate the dimensionless limit of the correlator against
-    2 log p times the height of the point ratio.
+    2 log p times the height of the point ratio, with p and m read off the
+    two points.
 
     Subtracting the constant divergence 2/(delta m log p) leaves a
     remainder that vanishes linearly in the dimension (the two constant
@@ -91,11 +90,11 @@ def height_limit_check(
     Richardson stages over the halving step sequence to cancel the linear
     and quadratic corrections of the quotient.
     """
-    p, m = ctx.p, ctx.m
+    p, m = x1.ctx.p, x1.ctx.m
     lp = math.log(p)
 
     def slope(delta: float) -> float:
-        return (two_point(x1, x2, delta, ctx) - 2 / (delta * m * lp)) / delta
+        return (two_point(x1, x2, delta) - 2 / (delta * m * lp)) / delta
 
     f1, f2, f3 = (slope(d) for d in _RICHARDSON_STEPS)
     r1 = 2 * f2 - f1

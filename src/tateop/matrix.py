@@ -27,8 +27,8 @@ from itertools import accumulate
 
 from .angular import root_table
 from .domain import Ball
-from .operator import KernelContext, _kernel_by_valuations
-from .padic import PrimeParams, Record, capped_product, format_rational
+from .operator import _kernel_by_valuations
+from .padic import PrimeParams, Record, c_p_const, capped_product, format_rational
 from .spectral import (
     AngularCharacter,
     CharacterLabel,
@@ -98,19 +98,15 @@ class OperatorMatrix(Record):
     Matrices compare by identity; ``__dict__`` holds ``float_entries``.
     """
 
-    __slots__ = ("kc", "level", "basis", "values", "index", "__dict__")
-    _fields = ("kc", "level", "basis", "values", "index")
+    __slots__ = ("ctx", "level", "basis", "values", "index", "__dict__")
+    _fields = ("ctx", "level", "basis", "values", "index")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-    kc: KernelContext
+    ctx: PrimeParams
     level: int
     basis: tuple[Ball, ...]
     values: tuple[Fraction, ...]
     index: np.ndarray
-
-    @property
-    def ctx(self) -> PrimeParams:
-        return self.kc.ctx
 
     @property
     def dimension(self) -> int:
@@ -166,7 +162,7 @@ def _digit_agreement(units: list[int], p: int, level: int) -> np.ndarray:
     return agree
 
 
-def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> OperatorMatrix:
+def build_matrix(level: int, ctx: PrimeParams, dim_cap: int | None = None) -> OperatorMatrix:
     """Assemble the exact matrix: column j is the operator applied to the
     indicator of ball j, evaluated at the ball centers.
 
@@ -176,7 +172,6 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
     and each (shell, vdiff) pair is evaluated once; the diagonal makes the
     row sum zero, and is taken once per shell from the same structure.
     """
-    ctx = kc.ctx
     p, m = ctx.p, ctx.m
     dim = matrix_dimension(level, ctx, DEFAULT_DIM_CAP if dim_cap is None else dim_cap)
     import numpy as np
@@ -189,7 +184,7 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
     if counts[level] != n:
         raise ValueError("singular integral: ball contains the evaluation point")
     agreements = [d for d in range(level) if counts[d]]
-    scale = -kc.c_p / p**level
+    scale = -c_p_const(p) / p**level
     slots: dict[Fraction, int] = {}
 
     def slot(vx: int, vz: int, vdiff: int) -> int:
@@ -230,7 +225,7 @@ def build_matrix(level: int, kc: KernelContext, dim_cap: int | None = None) -> O
     blocks = index.reshape(m, n, m, n)
     blocks[...] = by_distance[abs(shells[:, None] - shells)][:, None, :, None]
     blocks[shells, :, shells, :] = same[:, agree]
-    return OperatorMatrix(kc, level, basis, values, index)
+    return OperatorMatrix(ctx, level, basis, values, index)
 
 
 class MatrixReport(Record):

@@ -11,16 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .padic import (
-    PrimeParams,
-    Record,
-    TatePoint,
-    c_p_const,
-    coupling_weight,
-    point,
-    shell_coupling,
-    valuation,
-)
+from .padic import PrimeParams, TatePoint, c_p_const, coupling_weights, point, valuation
 
 if TYPE_CHECKING:
     from .domain import Ball
@@ -44,7 +35,7 @@ def _kernel_by_valuations(p: int, m: int, vx: int, vz: int, vdiff: int) -> Fract
     else:
         if not 0 < u < m:
             raise ValueError("shell distance must lie strictly between 0 and m")
-        case_form = shell_coupling(p, m, u)
+        case_form = Fraction(coupling_weights(p, m)[u], q1)
     if norm_form != case_form:
         raise ArithmeticError(
             f"kernel forms disagree at p={p}, m={m}, valuations ({vx}, {vz}, {vdiff})"
@@ -52,28 +43,17 @@ def _kernel_by_valuations(p: int, m: int, vx: int, vz: int, vdiff: int) -> Fract
     return norm_form
 
 
-def kernel_H(z: TatePoint, x: TatePoint, kc: "KernelContext") -> Fraction:
+def kernel_H(z: TatePoint, x: TatePoint) -> Fraction:
     """Symmetric interaction kernel between two distinct domain points."""
-    if z.ctx != kc.ctx or x.ctx != kc.ctx:
+    if z.ctx != x.ctx:
         raise ValueError("mixed prime contexts")
     if z.value == x.value:
         raise ValueError("kernel is singular on the diagonal")
-    vdiff = valuation(z.value - x.value, kc.ctx.p)
-    return _kernel_by_valuations(kc.ctx.p, kc.ctx.m, x.v, z.v, vdiff)
+    p, m = x.ctx.p, x.ctx.m
+    return _kernel_by_valuations(p, m, x.v, z.v, valuation(z.value - x.value, p))
 
 
-class KernelContext(Record):
-    """Prime data plus the derived normalization constant."""
-
-    __slots__ = _fields = ("ctx", "c_p")
-    ctx: PrimeParams
-    c_p: Fraction
-
-    def __init__(self, ctx: PrimeParams) -> None:
-        self._bind(ctx, c_p_const(ctx.p))
-
-
-def integrate_H_over_ball(b: Ball, x: TatePoint, kc: KernelContext) -> Fraction:
+def integrate_H_over_ball(b: Ball, x: TatePoint) -> Fraction:
     """Exact integral over a ball of z -> H(z, x), for x outside the ball.
 
     On a ball not containing x the kernel depends only on v(z) and
@@ -84,7 +64,7 @@ def integrate_H_over_ball(b: Ball, x: TatePoint, kc: KernelContext) -> Fraction:
     """
     if b.contains(x):
         raise ValueError("singular integral: ball contains the evaluation point")
-    p, m = kc.ctx.p, kc.ctx.m
+    p, m = x.ctx.p, x.ctx.m
     if b.v != x.v:
         return _kernel_by_valuations(p, m, x.v, b.v, min(b.v, x.v)) * b.measure()
     # Same shell: v(z - x) = v(c_b - x) is constant on the ball because x
@@ -93,7 +73,7 @@ def integrate_H_over_ball(b: Ball, x: TatePoint, kc: KernelContext) -> Fraction:
     return _kernel_by_valuations(p, m, x.v, b.v, vdiff) * b.measure()
 
 
-def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
+def apply_D_height(x: TatePoint) -> Fraction:
     """Exact action of the operator on the height profile h, at x != 1.
 
     Splits the domain by shell.  Within the shell of x the kernel's
@@ -102,14 +82,17 @@ def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
     finitely many terms.  The result is the constant -p / (m (p - 1)),
     i.e. minus the reciprocal of the total volume.
 
-    Every term is an integer numerator over one denominator,
-    p^(ell+1) (q - 1) 2m (p - 1) with ell = v(x - 1) on the unit shell and
-    ell = 0 elsewhere; each comment gives the term as a rational.
+    p and m are read off x, and the shell couplings w_u / (q - 1) off
+    ``coupling_weights``.  Every term is an integer numerator over one
+    denominator, p^(ell+1) (q - 1) 2m (p - 1) with ell = v(x - 1) on the
+    unit shell and ell = 0 elsewhere; each comment gives the term as a
+    rational.
     """
-    p, m = kc.ctx.p, kc.ctx.m
+    p, m = x.ctx.p, x.ctx.m
     if x.value == 1:
         raise ValueError("height is singular at the identity")
     vx = x.v
+    w = coupling_weights(p, m)
     q1 = p**m - 1
     two_m = 2 * m
     ell = valuation(x.value - 1, p) if vx == 0 else 0
@@ -134,22 +117,23 @@ def apply_D_height(x: TatePoint, kc: KernelContext) -> Fraction:
         tail = (ell + 1) * (p - 1) + 1 - ell * (p - 1)
         num += (p ** (2 * ell) * q1 + 2) * tail * two_m
         for v in range(1, m):
-            # (p - 1)/p shell_coupling(v) (v (v - m)/(2m) - ell)
-            num += (p - 1) ** 2 * coupling_weight(p, m, v) * (v * (v - m) - two_m * ell) * p_ell
+            # (p - 1)/p w_v/(q - 1) (v (v - m)/(2m) - ell)
+            num += (p - 1) ** 2 * w[v] * (v * (v - m) - two_m * ell) * p_ell
     else:
         a_x = vx * (vx - m)  # 2m times the height's v-part at x
         # The height difference vanishes identically on the shell of x,
         # so that shell drops out.  On the unit shell the v(z - 1) profile
         # integrates to 1/(p - 1); the remaining shells are constant.
-        # shell_coupling(vx) (1/(p - 1) - (p - 1)/p a_x/(2m))
-        num += coupling_weight(p, m, vx) * (two_m * p - (p - 1) ** 2 * a_x)
+        # w_vx/(q - 1) (1/(p - 1) - (p - 1)/p a_x/(2m))
+        num += w[vx] * (two_m * p - (p - 1) ** 2 * a_x)
         for v in range(1, m):
             if v == vx:
                 continue
-            # (p - 1)/p shell_coupling(|v - vx|) (v (v - m) - a_x)/(2m)
-            num += (p - 1) ** 2 * coupling_weight(p, m, abs(v - vx)) * (v * (v - m) - a_x)
+            # (p - 1)/p w_|v - vx|/(q - 1) (v (v - m) - a_x)/(2m)
+            num += (p - 1) ** 2 * w[abs(v - vx)] * (v * (v - m) - a_x)
     den = p * p_ell * q1 * two_m * (p - 1)
-    return Fraction(-kc.c_p.numerator * num, kc.c_p.denominator * den)
+    c_p = c_p_const(p)
+    return Fraction(-c_p.numerator * num, c_p.denominator * den)
 
 
 def height_check_points(ctx: PrimeParams, max_vdist: int) -> tuple[TatePoint, ...]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -194,6 +195,7 @@ def canonical_center(u: Rational, k: int, p: int) -> int:
     return frac.numerator * pow(frac.denominator, -1, mod) % mod
 
 
+@lru_cache(maxsize=None)
 def c_p_const(p: int) -> Fraction:
     """Normalizing constant p (p - 1) / (p + 1).
 
@@ -206,14 +208,17 @@ def c_p_const(p: int) -> Fraction:
     return raw
 
 
-def coupling_weight(p: int, m: int, u: int) -> int:
-    """p^(m-u) + p^u: the shell coupling times q - 1."""
-    return p ** (m - u) + p**u
+@lru_cache(maxsize=None)
+def coupling_weights(p: int, m: int) -> tuple[int, ...]:
+    """(w_0, ..., w_m) with w_u = p^(m-u) + p^u: for 0 < u < m, the kernel
+    between shells u apart is w_u / (q - 1).
 
-
-def shell_coupling(p: int, m: int, u: int) -> Fraction:
-    """(p^(m-u) + p^u) / (q - 1): the kernel between shells u apart, 0 < u < m."""
-    return Fraction(coupling_weight(p, m, u), p**m - 1)
+    Built from one list of the powers of p, one multiplication per power.
+    """
+    powers = [1]
+    for _ in range(m):
+        powers.append(powers[-1] * p)
+    return tuple(a + b for a, b in zip(reversed(powers), powers))
 
 
 class TatePoint(Record):

@@ -19,9 +19,9 @@ from .padic import (
     Rational,
     Record,
     c_p_const,
+    coupling_weights,
     int_valuation,
     is_prime,
-    shell_coupling,
 )
 
 DLOG_TABLE_LIMIT = 10**6
@@ -267,12 +267,6 @@ def eigenvalue_radial_closed(n: int, ctx: PrimeParams) -> Fraction:
     return Fraction((ctx.p - 1) * ctx.p ** (n - 1))
 
 
-@lru_cache(maxsize=None)
-def _float_couplings(p: int, m: int) -> tuple:
-    """The shell couplings to shells 1..m - 1, converted to float once."""
-    return tuple(complex(shell_coupling(p, m, v)) for v in range(1, m))
-
-
 def eigenvalue_radial_integral(
     chi: UnitCharacter, zeta: AngularCharacter, ctx: PrimeParams
 ) -> complex:
@@ -304,11 +298,14 @@ def eigenvalue_radial_integral(
         s_hat += val / p_n
         if u != 1:
             s_main += p ** (2 * int_valuation(u - 1, p)) * (1 - val) / p_n
-    total = s_main + Fraction(2, p**m - 1) * (mu_units - s_hat)
-    # zeta(v) is the (l v mod m)-th of the m roots.
+    q1 = p**m - 1
+    total = s_main + Fraction(2, q1) * (mu_units - s_hat)
+    # zeta(v) is the (l v mod m)-th of the m roots.  An int true division
+    # is correctly rounded, so each coupling has its Fraction's bits.
     angular = root_table(m)
-    for v, coupling in enumerate(_float_couplings(p, m), 1):
-        total += coupling * (mu_units - angular[zeta.l * v % m] * s_hat)
+    weights = coupling_weights(p, m)
+    for v in range(1, m):
+        total += complex(weights[v] / q1) * (mu_units - angular[zeta.l * v % m] * s_hat)
     return complex(c_p_const(p)) * total
 
 
@@ -326,18 +323,14 @@ def eigenvalue_radial_exact(chi: UnitCharacter, ctx: PrimeParams) -> Fraction:
         raise ValueError("character data does not match the prime context")
     if chi.is_trivial:
         raise ValueError("trivial radial character: use eigenvalue_angular")
-    p, f = ctx.p, chi.conductor
+    p, m, f = ctx.p, ctx.m, chi.conductor
     # A_t / p^n: |U_0| = (p - 1) p^(n-1), |U_t| = p^(n-t) for t >= 1.
     share = [Fraction(p - 1, p)] + [Fraction(1, p**t) for t in range(1, f)] + [Fraction(0)]
     s_main = sum(p ** (2 * t) * (share[t] - share[t + 1]) for t in range(f))
-    return c_p_const(p) * (s_main + Fraction(p - 1, p) * _coupling_total(p, ctx.m))
-
-
-@lru_cache(maxsize=None)
-def _coupling_total(p: int, m: int) -> Fraction:
-    """2/(q - 1) plus the shell couplings to the other m - 1 shells: the
-    weight of the unit measure in the defining sums."""
-    return Fraction(2, p**m - 1) + sum(shell_coupling(p, m, v) for v in range(1, m))
+    # 2/(q - 1) plus the couplings to the other m - 1 shells: the weight of
+    # the unit measure in the defining sums.
+    coupling_total = Fraction(2 + sum(coupling_weights(p, m)[1:m]), p**m - 1)
+    return c_p_const(p) * (s_main + Fraction(p - 1, p) * coupling_total)
 
 
 def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
@@ -345,9 +338,11 @@ def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
     p, m = ctx.p, ctx.m
     mu_units = complex(Fraction(p - 1, p))
     roots = root_table(m)
+    q1 = p**m - 1
+    weights = coupling_weights(p, m)
     total = 0j
-    for v, coupling in enumerate(_float_couplings(p, m), 1):
-        total += coupling * (roots[l * v % m] - 1) * mu_units
+    for v in range(1, m):
+        total += complex(weights[v] / q1) * (roots[l * v % m] - 1) * mu_units
     return -complex(c_p_const(p)) * total
 
 

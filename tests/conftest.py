@@ -29,3 +29,29 @@ def run_python():
         )
 
     return run
+
+
+@pytest.fixture
+def skew_coupling(monkeypatch):
+    """skew(p, m, u) makes entry u of coupling_weights(p, m) one too large
+    in every module that reads the table, and clears the caches the table
+    feeds, then and after the test, so no value of either table is reused."""
+    from tateop import angular, operator, padic, spectral
+
+    caches = (operator._kernel_by_valuations, angular.angular_circulant_check)
+
+    def skew(p, m, u):
+        table = padic.coupling_weights(p, m)
+        skewed = table[:u] + (table[u] + 1,) + table[u + 1 :]
+
+        def weights(p2, m2):
+            return skewed if (p2, m2) == (p, m) else padic.coupling_weights(p2, m2)
+
+        for module in (angular, operator, spectral):
+            monkeypatch.setattr(module, "coupling_weights", weights)
+        for cache in caches:
+            cache.cache_clear()
+
+    yield skew
+    for cache in caches:
+        cache.cache_clear()

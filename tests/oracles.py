@@ -22,7 +22,7 @@ from tateop.correlator import _pair_valuations
 from tateop.determinant import _radial_factor, det_factors, zeta_prime_at_zero
 from tateop.domain import Ball
 from tateop.matrix import OperatorMatrix, _profile_totals, level_basis
-from tateop.operator import KernelContext, integrate_H_over_ball
+from tateop.operator import integrate_H_over_ball
 from tateop.padic import (
     PrimeParams,
     Rational,
@@ -275,8 +275,9 @@ class HeightProfile(Record):
         return out
 
 
-def apply_D_step(f: StepFunction, x: TatePoint, kc: KernelContext) -> Fraction:
-    """(Df)(x) = -c_p * integral of H(z, x) (f(z) - f(x)) d*z, exactly.
+def apply_D_step(f: StepFunction, x: TatePoint) -> Fraction:
+    """(Df)(x) = -c_p * integral of H(z, x) (f(z) - f(x)) d*z, exactly,
+    with p and m read off x.
 
     x must not be a boundary case: the ball of the partition containing x
     contributes nothing when f is constant on it, so the singular part
@@ -289,25 +290,21 @@ def apply_D_step(f: StepFunction, x: TatePoint, kc: KernelContext) -> Fraction:
             continue
         if b.contains(x):
             raise ValueError("f must be constant near x with value f(x)")
-        total += integrate_H_over_ball(b, x, kc) * (val - fx)
-    return -kc.c_p * total
+        total += integrate_H_over_ball(b, x) * (val - fx)
+    return -c_p_const(x.ctx.p) * total
 
 
-def greens_function(
-    x: TatePoint, y: TatePoint, ctx: PrimeParams | None = None
-) -> Fraction:
-    """Symmetric Green's function G(x, y) = h(x / y), x != y."""
-    if ctx is not None and (x.ctx != ctx or y.ctx != ctx):
-        raise ValueError("mixed prime contexts")
+def greens_function(x: TatePoint, y: TatePoint) -> Fraction:
+    """Symmetric Green's function G(x, y) = h(x / y), x != y; points of
+    different contexts are a ValueError of the division."""
     if x.value == y.value:
         raise ValueError("Green's function is singular on the diagonal")
     return local_height(tate_div(x, y))
 
 
-def weak_delta_check(
-    y: TatePoint, f: StepFunction, kc: KernelContext
-) -> tuple[Fraction, Fraction]:
-    """Both sides of int G(x, y) (Df)(x) d*x = f(y) - mean(f), exactly.
+def weak_delta_check(y: TatePoint, f: StepFunction) -> tuple[Fraction, Fraction]:
+    """Both sides of int G(x, y) (Df)(x) d*x = f(y) - mean(f), exactly,
+    with p and m read off y.
 
     Df of a step function is again a step function on the same partition,
     so the left side reduces to exact ball integrals of the height
@@ -316,9 +313,9 @@ def weak_delta_check(
     prof = HeightProfile(y)
     lhs = Fraction(0)
     for b in f.partition.balls:
-        df_b = apply_D_step(f, b.center_point(), kc)
+        df_b = apply_D_step(f, b.center_point())
         lhs += df_b * prof.integrate_over_ball(b)
-    rhs = f.value_at(y) - f.integral() / total_volume(kc.ctx)
+    rhs = f.value_at(y) - f.integral() / total_volume(y.ctx)
     return lhs, rhs
 
 
@@ -437,7 +434,7 @@ def galerkin_consistency_check(mx: OperatorMatrix, f: StepFunction) -> bool:
         raise ValueError("step function does not live on the matrix basis")
     product = mx.apply(f.values)
     return all(
-        product[i] == apply_D_step(f, b.center_point(), mx.kc)
+        product[i] == apply_D_step(f, b.center_point())
         for i, b in enumerate(mx.basis)
     )
 

@@ -23,12 +23,7 @@ from tateop.determinant import (
 )
 from tateop.domain import PrimeParams
 from tateop.matrix import build_matrix, spectrum_labels, verify_matrix
-from tateop.operator import (
-    KernelContext,
-    apply_D_height,
-    height_check_points,
-    kernel_H,
-)
+from tateop.operator import apply_D_height, height_check_points, kernel_H
 from tateop.padic import point, tate_div, tate_inv, valuation
 from tateop.spectral import (
     AngularCharacter,
@@ -80,7 +75,6 @@ def test_criterion_01_height_is_greens_function():
     checked = 0
     for p, m in GRID:
         ctx = PrimeParams(p, m)
-        kc = KernelContext(ctx)
         expected = -Fraction(p, m * (p - 1))
         pts = height_check_points(ctx, max_vdist=6)
         shells = {x.v for x in pts}
@@ -92,7 +86,7 @@ def test_criterion_01_height_is_greens_function():
         if not dists >= required:
             failures.append((p, m, "missing unit-shell distances", dists))
         for x in pts:
-            got = apply_D_height(x, kc)
+            got = apply_D_height(x)
             checked += 1
             if got != expected:
                 failures.append((p, m, str(x.value), got, expected))
@@ -109,7 +103,6 @@ def test_criterion_02_weak_delta_normalization():
     checked = 0
     for p, m in GRID:
         ctx = PrimeParams(p, m)
-        kc = KernelContext(ctx)
         vol = total_volume(ctx)
         base = ShellPartition.full(ctx, 1)
         partitions = [base, base.refine_ball(rng.randrange(len(base.balls)))]
@@ -119,7 +112,7 @@ def test_criterion_02_weak_delta_normalization():
             f = StepFunction(part, vals)
             b = part.balls[rng.randrange(len(part.balls))]
             y = rng.choice(b.children()).center_point() if trial % 3 else b.center_point()
-            lhs, rhs = weak_delta_check(y, f, kc)
+            lhs, rhs = weak_delta_check(y, f)
             checked += 1
             if lhs != rhs or rhs != f.value_at(y) - f.integral() / vol:
                 failures.append((p, m, trial, lhs, rhs))
@@ -134,7 +127,6 @@ def test_criterion_03_kernel_identities_exhaustive():
     pairs = 0
     for p, m in KERNEL_SAMPLE_CONFIGS:
         ctx = PrimeParams(p, m)
-        kc = KernelContext(ctx)
         pts = _kernel_sample(ctx)
         lams = [point(p, ctx), point(2 if p > 2 else 3, ctx), point(p + 1, ctx)]
         for i, z in enumerate(pts):
@@ -142,18 +134,18 @@ def test_criterion_03_kernel_identities_exhaustive():
                 if z.value == x.value:
                     continue
                 pairs += 1
-                h = kernel_H(z, x, kc)
+                h = kernel_H(z, x)
                 norm_form = (z.norm() * x.norm()) / norm(z.value - x.value, p) ** 2 + (
                     norm(z.value / x.value, p) + norm(x.value / z.value, p)
                 ) / (ctx.q - 1)
                 if h != norm_form:
                     failures.append((p, m, "norm form", z.value, x.value))
-                if h != kernel_H(x, z, kc):
+                if h != kernel_H(x, z):
                     failures.append((p, m, "symmetry", z.value, x.value))
-                if h != kernel_H(tate_inv(z), tate_inv(x), kc):
+                if h != kernel_H(tate_inv(z), tate_inv(x)):
                     failures.append((p, m, "inversion", z.value, x.value))
                 lam = lams[pairs % len(lams)]
-                if h != kernel_H(tate_div(z, lam), tate_div(x, lam), kc):
+                if h != kernel_H(tate_div(z, lam), tate_div(x, lam)):
                     failures.append((p, m, "dilation", z.value, x.value, lam.value))
     _report(3, "kernel identities, level-3 exhaustive", failures, f"({pairs} pairs)")
 
@@ -186,8 +178,7 @@ def test_criterion_04_spectrum_cross_checks():
 
     for p, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         ctx = PrimeParams(p, m)
-        kc = KernelContext(ctx)
-        mx = build_matrix(3, kc)
+        mx = build_matrix(3, ctx)
         arr = mx.as_float()
         centers = [b.center_point() for b in mx.basis]
         for label in spectrum_labels(3, ctx):
@@ -212,7 +203,7 @@ def test_criterion_05_matrix_consistency():
     dims = []
     for p, m, k in [(3, 2, 2), (2, 3, 3), (5, 1, 2), (2, 1, 4)]:
         ctx = PrimeParams(p, m)
-        rep = verify_matrix(build_matrix(k, KernelContext(ctx)))
+        rep = verify_matrix(build_matrix(k, ctx))
         dims.append(rep.dimension)
         if not rep.symmetric or not rep.row_sums_zero:
             failures.append((p, m, k, "exactness", rep.failures))
@@ -266,14 +257,13 @@ def test_criterion_08_correlator():
     pairs = 0
     for p, m in KERNEL_SAMPLE_CONFIGS:
         ctx = PrimeParams(p, m)
-        kc = KernelContext(ctx)
         pts = _kernel_sample(ctx)
         for i, z in enumerate(pts):
             for x in pts[i + 1 :]:
                 if z.value == x.value:
                     continue
                 pairs += 1
-                if abs(two_point(z, x, 1, ctx) - float(kernel_H(z, x, kc))) > 1e-12:
+                if abs(two_point(z, x, 1) - float(kernel_H(z, x))) > 1e-12:
                     failures.append(("delta=1", p, m, z.value, x.value))
     # (b) dimensionless limit reproduces the height for >= 20 pairs per config
     for p, m in [(3, 2), (2, 5), (5, 3)]:
@@ -289,7 +279,7 @@ def test_criterion_08_correlator():
                 if x1.value == x2.value or count >= 25:
                     continue
                 count += 1
-                est, tgt = height_limit_check(x1, x2, ctx)
+                est, tgt = height_limit_check(x1, x2)
                 if abs(est - tgt) >= 1e-6 * (1 + abs(tgt)):
                     failures.append(("limit", p, m, x1.value, x2.value, est, tgt))
         if count < 20:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tateop.correlator import height_limit_check, two_point
-from tateop.operator import KernelContext, kernel_H
+from tateop.operator import kernel_H
 from tateop.padic import PrimeParams, point, valuation
 
 from oracles import delta_from_mass, limit_finite_part, mass_from_delta, real_dimension_threshold
@@ -16,17 +16,17 @@ from oracles import delta_from_mass, limit_finite_part, mass_from_delta, real_di
 
 def test_two_point_oracles():
     ctx = PrimeParams(3, 2)
-    assert two_point(point(1, ctx), point(4, ctx), 1, ctx) == 9.25
-    assert two_point(point(1, ctx), point(3, ctx), 1, ctx) == 0.75
-    assert two_point(point(1, ctx), point(4, ctx), 2, ctx) == pytest.approx(81.025, abs=1e-12)
+    assert two_point(point(1, ctx), point(4, ctx), 1) == 9.25
+    assert two_point(point(1, ctx), point(3, ctx), 1) == 0.75
+    assert two_point(point(1, ctx), point(4, ctx), 2) == pytest.approx(81.025, abs=1e-12)
 
 
 def test_two_point_validation():
     ctx = PrimeParams(3, 2)
     with pytest.raises(ValueError):
-        two_point(point(4, ctx), point(4, ctx), 1, ctx)
+        two_point(point(4, ctx), point(4, ctx), 1)
     with pytest.raises(ValueError):
-        two_point(point(4, ctx), point(1, ctx), 0, ctx)
+        two_point(point(4, ctx), point(1, ctx), 0)
 
 
 @given(
@@ -40,15 +40,14 @@ def test_two_point_at_delta_one_is_kernel(cfg, a, b):
     x1, x2 = point(a, ctx), point(b, ctx)
     if x1.value == x2.value:
         return
-    kc = KernelContext(ctx)
-    assert two_point(x1, x2, 1, ctx) == float(kernel_H(x1, x2, kc))
+    assert two_point(x1, x2, 1) == float(kernel_H(x1, x2))
     # and swapping the points changes nothing
-    assert two_point(x1, x2, 1.7, ctx) == two_point(x2, x1, 1.7, ctx)
+    assert two_point(x1, x2, 1.7) == two_point(x2, x1, 1.7)
 
 
-def _exact_two_point(x1, x2, d, ctx):
+def _exact_two_point(x1, x2, d):
     """The integer-dimension value as one exact rational, rounded once."""
-    p, m = ctx.p, ctx.m
+    p, m = x1.ctx.p, x1.ctx.m
     v1, v2, vd = x1.v, x2.v, valuation(x1.value - x2.value, p)
     base = Fraction(p)
     return float(
@@ -73,14 +72,14 @@ def test_integer_dimensions_round_like_the_exact_value(p, m, a, b, deltas):
     ctx = PrimeParams(p, m)
     x1, x2 = point(a, ctx), point(b, ctx)
     for d in deltas:
-        assert two_point(x1, x2, d, ctx) == _exact_two_point(x1, x2, d, ctx), d
+        assert two_point(x1, x2, d) == _exact_two_point(x1, x2, d), d
     if p == 2:
-        assert two_point(x1, x2, 1075, ctx) == 5e-324
+        assert two_point(x1, x2, 1075) == 5e-324
 
 
-def _float_two_point(x1, x2, delta, ctx):
+def _float_two_point(x1, x2, delta):
     """The non-integer expression, term by term in floats."""
-    p, m = ctx.p, ctx.m
+    p, m = x1.ctx.p, x1.ctx.m
     v1, v2, vd = x1.v, x2.v, valuation(x1.value - x2.value, p)
     lp = math.log(p)
     first = math.exp(delta * (2 * vd - v1 - v2) * lp)
@@ -95,7 +94,7 @@ def test_non_integer_dimensions_keep_the_float_expression(a, b):
     ctx = PrimeParams(3, 2)
     x1, x2 = point(Fraction(a), ctx), point(Fraction(b), ctx)
     for delta in (0.25, 0.5, 1.5, 3.5, 120.5, 322.5):
-        assert two_point(x1, x2, delta, ctx) == _float_two_point(x1, x2, delta, ctx), delta
+        assert two_point(x1, x2, delta) == _float_two_point(x1, x2, delta), delta
 
 
 @pytest.mark.parametrize(
@@ -117,7 +116,7 @@ def test_non_integer_dimension_past_the_float_range_of_p_to_the_m_delta(p, m, a,
         first = math.exp(delta * (2 * vd - v1 - v2) * lp)
         # (p^(r) + p^(-r)) / (p^c - 1), every factor below 1 in size.
         second = math.exp(r - c) * (1 + math.exp(-2 * r)) / -math.expm1(-c)
-        assert two_point(x1, x2, delta, ctx) == pytest.approx(first + second, rel=1e-12), delta
+        assert two_point(x1, x2, delta) == pytest.approx(first + second, rel=1e-12), delta
 
 
 def test_mass_dimension_relation_round_trip():
@@ -148,16 +147,16 @@ def test_leading_divergence_is_constant():
     for p, m in [(3, 2), (2, 5), (5, 3)]:
         ctx = PrimeParams(p, m)
         delta = 1e-6
-        got = delta * two_point(point(4, ctx), point(1, ctx), delta, ctx)
+        got = delta * two_point(point(4, ctx), point(1, ctx), delta)
         assert got == pytest.approx(2 / (m * math.log(p)), abs=1e-6)
 
 
 def test_height_limit_oracles():
     ctx = PrimeParams(3, 2)
-    est, tgt = height_limit_check(point(4, ctx), point(1, ctx), ctx)
+    est, tgt = height_limit_check(point(4, ctx), point(1, ctx))
     assert tgt == pytest.approx(2 * math.log(3) * 7 / 6, abs=1e-12)
     assert abs(est - tgt) < 1e-6 * (1 + abs(tgt))
-    est2, tgt2 = height_limit_check(point(3, ctx), point(1, ctx), ctx)
+    est2, tgt2 = height_limit_check(point(3, ctx), point(1, ctx))
     assert tgt2 == pytest.approx(2 * math.log(3) * (-1 / 12), abs=1e-12)
     assert abs(est2 - tgt2) < 1e-6 * (1 + abs(tgt2))
 
@@ -165,8 +164,8 @@ def test_height_limit_oracles():
 def test_height_limit_symmetric():
     ctx = PrimeParams(2, 5)
     a, b = point(7, ctx), point(12, ctx)
-    e1, t1 = height_limit_check(a, b, ctx)
-    e2, t2 = height_limit_check(b, a, ctx)
+    e1, t1 = height_limit_check(a, b)
+    e2, t2 = height_limit_check(b, a)
     assert abs(e1 - e2) < 1e-10
     assert t1 == t2
 
@@ -182,7 +181,7 @@ def test_finite_part_assembly_matches_extrapolation(cfg, a, b):
     x1, x2 = point(a, ctx), point(b, ctx)
     if x1.value == x2.value:
         return
-    est, tgt = height_limit_check(x1, x2, ctx)
+    est, tgt = height_limit_check(x1, x2)
     literal = limit_finite_part(x1, x2, ctx)
     assert literal == pytest.approx(tgt, abs=1e-9)
     assert abs(est - tgt) < 1e-6 * (1 + abs(tgt))

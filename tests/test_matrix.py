@@ -18,11 +18,8 @@ from tateop.matrix import (
     spectrum_labels,
     verify_matrix,
 )
-from tateop.operator import (
-    KernelContext,
-    _kernel_by_valuations,
-    integrate_H_over_ball,
-)
+from tateop.operator import _kernel_by_valuations, integrate_H_over_ball
+from tateop.padic import c_p_const
 from tateop.spectral import enumerate_spectrum
 
 from oracles import (
@@ -46,10 +43,6 @@ ORACLE_CONFIGS = [
 ]
 
 
-def kc_of(p, m):
-    return KernelContext(PrimeParams(p, m))
-
-
 def test_matrix_dimension_formula():
     assert matrix_dimension(1, PrimeParams(3, 2)) == 4
     assert matrix_dimension(2, PrimeParams(3, 2)) == 12
@@ -57,7 +50,7 @@ def test_matrix_dimension_formula():
 
 
 def test_matrix_oracle_3_2_level_1():
-    mx = build_matrix(1, kc_of(3, 2))
+    mx = build_matrix(1, PrimeParams(3, 2))
     assert [b.label() for b in mx.basis] == ["v0.k1.c1", "v0.k1.c2", "v1.k1.c1", "v1.k1.c2"]
     assert mx.entries[0] == (
         Fraction(11, 8),
@@ -70,7 +63,7 @@ def test_matrix_oracle_3_2_level_1():
 
 
 def test_matrix_oracle_2_2_level_1():
-    mx = build_matrix(1, kc_of(2, 2))
+    mx = build_matrix(1, PrimeParams(2, 2))
     assert mx.entries == (
         (Fraction(4, 9), Fraction(-4, 9)),
         (Fraction(-4, 9), Fraction(4, 9)),
@@ -79,10 +72,10 @@ def test_matrix_oracle_2_2_level_1():
 
 
 def test_matrix_eigenvalues_small_cases():
-    assert sorted(build_matrix(2, kc_of(2, 1)).eigenvalues()) == pytest.approx(
+    assert sorted(build_matrix(2, PrimeParams(2, 1)).eigenvalues()) == pytest.approx(
         [0.0, 2.0], abs=1e-12
     )
-    assert sorted(build_matrix(1, kc_of(5, 1)).eigenvalues()) == pytest.approx(
+    assert sorted(build_matrix(1, PrimeParams(5, 1)).eigenvalues()) == pytest.approx(
         [0.0, 4.0, 4.0, 4.0], abs=1e-12
     )
 
@@ -94,18 +87,18 @@ def test_matrix_eigenvalues_small_cases():
 )
 def test_matrix_rows_reproduce_apply_D(cfg):
     p, m, level = cfg
-    kc = kc_of(p, m)
-    mx = build_matrix(level, kc)
-    part = ShellPartition(kc.ctx, mx.basis)
+    ctx = PrimeParams(p, m)
+    mx = build_matrix(level, ctx)
+    part = ShellPartition(ctx, mx.basis)
     values = [Fraction(i * i - 3, 5) for i in range(mx.dimension)]
     f = StepFunction(part, values)
     image = mx.apply(values)
     for i, b in enumerate(mx.basis):
-        assert image[i] == apply_D_step(f, b.center_point(), kc)
+        assert image[i] == apply_D_step(f, b.center_point())
 
 
 def test_matrix_symmetry_and_row_sums_exact():
-    mx = build_matrix(2, kc_of(3, 2))
+    mx = build_matrix(2, PrimeParams(3, 2))
     n = mx.dimension
     for i in range(n):
         assert sum(mx.entries[i]) == 0
@@ -114,7 +107,7 @@ def test_matrix_symmetry_and_row_sums_exact():
 
 
 def test_verify_matrix_report():
-    rep = verify_matrix(build_matrix(1, kc_of(3, 2)))
+    rep = verify_matrix(build_matrix(1, PrimeParams(3, 2)))
     assert rep.passed and rep.failures == ()
     assert rep.dimension == 4
     assert rep.kernel_dimension == 1
@@ -133,7 +126,7 @@ def test_spectrum_labels_count_matches_dimension():
 
 def test_matrix_multiset_matches_spectrum_enumeration():
     ctx = PrimeParams(2, 3)
-    mx = build_matrix(2, kc_of(2, 3))
+    mx = build_matrix(2, PrimeParams(2, 3))
     eigs = sorted(mx.eigenvalues())
     expected = sorted(
         float(e.eigenvalue) for e in enumerate_spectrum(2, ctx) for _ in range(e.multiplicity)
@@ -144,26 +137,26 @@ def test_matrix_multiset_matches_spectrum_enumeration():
 def test_prolongation_commutes_with_operator():
     # Coarse apply then prolong == prolong then fine apply, exactly:
     # step functions on the coarse partition are also fine step functions.
-    kc = kc_of(3, 2)
-    coarse_mx = build_matrix(1, kc)
-    fine_mx = build_matrix(2, kc)
-    coarse = ShellPartition(kc.ctx, coarse_mx.basis)
-    fine = ShellPartition(kc.ctx, fine_mx.basis)
+    ctx = PrimeParams(3, 2)
+    coarse_mx = build_matrix(1, ctx)
+    fine_mx = build_matrix(2, ctx)
+    coarse = ShellPartition(ctx, coarse_mx.basis)
+    fine = ShellPartition(ctx, fine_mx.basis)
     values = [Fraction(3), Fraction(-1, 2), Fraction(0), Fraction(7, 3)]
     lifted = prolong_values(coarse, fine, values)
     assert fine_mx.apply(lifted) == prolong_values(coarse, fine, coarse_mx.apply(values))
 
 
 def test_galerkin_consistency():
-    kc = kc_of(2, 2)
-    mx = build_matrix(2, kc)
-    part = ShellPartition(kc.ctx, mx.basis)
+    ctx = PrimeParams(2, 2)
+    mx = build_matrix(2, ctx)
+    part = ShellPartition(ctx, mx.basis)
     f = StepFunction(part, [Fraction(i, 3) for i in range(mx.dimension)])
     assert galerkin_consistency_check(mx, f)
 
 
 def test_csv_and_manifest_round_trip():
-    mx = build_matrix(1, kc_of(3, 2))
+    mx = build_matrix(1, PrimeParams(3, 2))
     text = mx.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "basis,v0.k1.c1,v0.k1.c2,v1.k1.c1,v1.k1.c2"
@@ -174,9 +167,8 @@ def test_csv_and_manifest_round_trip():
 
 
 def test_dimension_cap_enforced():
-    kc = kc_of(2, 1)
     with pytest.raises(ValueError):
-        build_matrix(3, kc, dim_cap=2)
+        build_matrix(3, PrimeParams(2, 1), dim_cap=2)
     assert DEFAULT_DIM_CAP >= 1024
 
 
@@ -196,15 +188,14 @@ def test_level_one_assembly_evaluates_each_shell_distance_once():
     # matrix at large m takes O(m) kernel values, not one per shell pair.
     m = 256
     _kernel_by_valuations.cache_clear()
-    mx = build_matrix(1, kc_of(2, m))
+    mx = build_matrix(1, PrimeParams(2, m))
     assert mx.dimension == m
     assert _kernel_by_valuations.cache_info().currsize <= 2 * m
 
 
 @pytest.mark.parametrize("p,m,level", ORACLE_CONFIGS)
 def test_assembly_matches_ball_integrals(p, m, level):
-    kc = kc_of(p, m)
-    mx = build_matrix(level, kc)
+    mx = build_matrix(level, PrimeParams(p, m))
     # Symmetry by index is exact only if the values are distinct and all used.
     assert len(set(mx.values)) == len(mx.values)
     assert sorted(set(mx.index.ravel().tolist())) == list(range(len(mx.values)))
@@ -212,7 +203,7 @@ def test_assembly_matches_ball_integrals(p, m, level):
     for i, row in enumerate(mx.entries):
         for j, b in enumerate(mx.basis):
             if j != i:
-                assert row[j] == -kc.c_p * integrate_H_over_ball(b, centers[i], kc)
+                assert row[j] == -c_p_const(p) * integrate_H_over_ball(b, centers[i])
         assert row[i] == -sum(x for j, x in enumerate(row) if j != i)
 
 
@@ -224,7 +215,7 @@ LADDER_RUNGS = [(3, 3, 3), (2, 1, 8), (5, 2, 3)]
 @pytest.mark.parametrize("p,m,level", sorted(set(ORACLE_CONFIGS + LADDER_RUNGS)))
 def test_label_vectors_match_root_of_unity(p, m, level):
     ctx = PrimeParams(p, m)
-    mx = build_matrix(level, kc_of(p, m))
+    mx = build_matrix(level, PrimeParams(p, m))
     pairs = list(label_vectors(mx))
     assert [label for label, _ in pairs] == list(spectrum_labels(level, ctx))
     for label, vec in pairs:
@@ -243,15 +234,15 @@ def test_label_vectors_match_root_of_unity(p, m, level):
 def test_verify_passes_on_every_oracle_config(p, m, level):
     # (2, 1, 1) is the dimension-1 matrix, whose only eigenvalue is 0, and
     # p = 2, k = 1 has its largest eigenvalue below 1.
-    rep = verify_matrix(build_matrix(level, kc_of(p, m)))
+    rep = verify_matrix(build_matrix(level, PrimeParams(p, m)))
     assert rep.failures == () and rep.kernel_dimension == 1
 
 
 def test_verify_reports_a_corrupted_entry():
-    mx = build_matrix(2, kc_of(3, 2))
+    mx = build_matrix(2, PrimeParams(3, 2))
     index = mx.index.copy()
     index[0, 1] = index[0, 0]
-    rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, index))
+    rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, index))
     assert "symmetry" in rep.failures and "row sums" in rep.failures
     assert rep.passed is False
 
@@ -260,12 +251,12 @@ def corrupt_symmetrically(mx, i, j):
     """mx with entries (i, j) and (j, i) moved to the next value slot."""
     index = mx.index.copy()
     index[i, j] = index[j, i] = (index[i, j] + 1) % len(mx.values)
-    return OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, index)
+    return OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, index)
 
 
 @pytest.mark.parametrize("p,m,level", ORACLE_CONFIGS)
 def test_row_totals_are_the_exact_row_sums(p, m, level):
-    mx = build_matrix(level, kc_of(p, m))
+    mx = build_matrix(level, PrimeParams(p, m))
     assert _row_totals(mx.index, mx.values) == [sum(row) for row in mx.entries]
     if mx.dimension > 1:
         # Rows 0 and 1 leave their shell's value counts and are summed alone.
@@ -279,7 +270,7 @@ def test_row_totals_are_the_exact_row_sums(p, m, level):
 def test_verify_catches_rows_that_leave_their_shell_profile(p, m, level):
     # A symmetric corruption keeps the index symmetric, so only the exact
     # row sums (and the float spectrum) can see it.
-    mx = build_matrix(level, kc_of(p, m))
+    mx = build_matrix(level, PrimeParams(p, m))
     rep = verify_matrix(corrupt_symmetrically(mx, 0, mx.dimension - 1))
     assert rep.symmetric and not rep.row_sums_zero
     assert rep.failures[0] == "row sums" and "symmetry" not in rep.failures
@@ -294,7 +285,7 @@ def test_verify_builds_the_float_copy_once(monkeypatch):
         return as_float(self)
 
     monkeypatch.setattr(OperatorMatrix, "as_float", counted)
-    rep = verify_matrix(build_matrix(2, kc_of(3, 2)))
+    rep = verify_matrix(build_matrix(2, PrimeParams(3, 2)))
     assert rep.passed and len(calls) == 1
 
 
@@ -305,7 +296,7 @@ def test_verify_takes_the_angular_eigenvalues_in_one_pass():
     check = angular.angular_circulant_check
     for p, m in [(2, 64), (3, 7), (5, 4), (7, 1)]:
         ctx = PrimeParams(p, m)
-        mx = build_matrix(1, KernelContext(ctx))
+        mx = build_matrix(1, ctx)
         check.cache_clear()
         assert verify_matrix(mx).passed
         assert check.cache_info().misses == 1
@@ -313,7 +304,7 @@ def test_verify_takes_the_angular_eigenvalues_in_one_pass():
 
 def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):
     ctx = PrimeParams(1009, 1)
-    mx = build_matrix(1, KernelContext(ctx))
+    mx = build_matrix(1, ctx)
     lam_max = max(e.eigenvalue for e in enumerate_spectrum(1, ctx))
     assert lam_max == 1008
     bound = 1e-10 * lam_max
@@ -329,14 +320,14 @@ def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):
             return a
 
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
-        rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, mx.index))
+        rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, mx.index))
         assert 1e-10 < rep.eigenfunction_residual
         assert rep.failures == failures
 
 
 def test_multiset_bound_scales_with_the_largest_eigenvalue(monkeypatch):
     ctx = PrimeParams(1009, 1)
-    mx = build_matrix(1, KernelContext(ctx))
+    mx = build_matrix(1, ctx)
     bound = 1e-8 * 1008
     as_float = OperatorMatrix.as_float
     # Moving diagonal entry (0, 0) shifts one eigenvalue of the 1007-fold
@@ -352,6 +343,6 @@ def test_multiset_bound_scales_with_the_largest_eigenvalue(monkeypatch):
             return a
 
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
-        rep = verify_matrix(OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, mx.index))
+        rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, mx.index))
         assert 1e-8 < rep.multiset_deviation
         assert rep.failures == failures

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tateop.padic import (
     PrimeParams,
     capped_product,
+    coupling_weights,
     format_rational,
     int_valuation,
     is_prime,
@@ -151,3 +152,9 @@ def test_capped_product_stops_past_the_cap():
     assert capped_product(3, 7, 0, 2) == 3
     # A huge exponent ends after the few steps that pass the cap.
     assert 40 < capped_product(5, 2, 10**12, 40) <= 80
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_coupling_weights_are_the_two_powers(p):
+    for m in range(1, 41):
+        assert coupling_weights(p, m) == tuple(p ** (m - u) + p**u for u in range(m + 1))

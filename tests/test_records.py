@@ -10,7 +10,6 @@ import pytest
 from tateop.cli import Report
 from tateop.domain import Ball
 from tateop.matrix import MatrixReport, OperatorMatrix, build_matrix
-from tateop.operator import KernelContext
 from tateop.padic import PrimeParams, Record, TatePoint
 from tateop.spectral import (
     AngularCharacter,
@@ -94,13 +93,6 @@ FROZEN = [
         "ScalingDimension(delta_plus=0.75, delta_minus=0.25, mass_squared=-1.5)",
     ),
     (
-        KernelContext,
-        (CTX,),
-        {"ctx": CTX},
-        ("ctx", "c_p"),
-        "KernelContext(ctx=PrimeParams(p=3, m=2), c_p=Fraction(3, 2))",
-    ),
-    (
         UnitCharacter,
         (5, 2, 7),
         {"p": 5, "n": 2, "a": 27, "eps": 1},
@@ -175,7 +167,7 @@ def test_frozen_record_semantics(cls, args, kwargs, fields, text):
 
 
 PURE_DATA = (HeightProfile, CharacterLabel, SpectrumEntry, MatrixReport, OperatorMatrix)
-MX = build_matrix(1, KernelContext(C2))
+MX = build_matrix(1, C2)
 ARGUMENTS = [(cls, args, fields) for cls, args, _, fields, _ in FROZEN if cls in PURE_DATA]
 ARGUMENTS.append((OperatorMatrix, tuple(getattr(MX, f) for f in MX._fields), MX._fields))
 
@@ -199,16 +191,16 @@ def test_only_the_pure_data_records_take_the_base_init():
 
 
 def test_operator_matrix_compares_by_identity():
-    mx = build_matrix(1, KernelContext(C2))
-    twin = OperatorMatrix(mx.kc, mx.level, mx.basis, mx.values, mx.index)
+    mx = build_matrix(1, C2)
+    twin = OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, mx.index)
     assert mx == mx and mx != twin
     assert hash(mx) == object.__hash__(mx)
     assert repr(twin) == (
-        "OperatorMatrix(kc=KernelContext(ctx=PrimeParams(p=2, m=1), c_p=Fraction(2, 3)),"
+        "OperatorMatrix(ctx=PrimeParams(p=2, m=1),"
         " level=1, basis=(Ball(ctx=PrimeParams(p=2, m=1), v=0, k=1, center=1),),"
         " values=(Fraction(0, 1),), index=array([[0]], dtype=uint8))"
     )
-    for name in ("kc", "level", "basis", "values", "index", "extra"):
+    for name in ("ctx", "level", "basis", "values", "index", "extra"):
         with pytest.raises(AttributeError):
             setattr(mx, name, 0)
         with pytest.raises(AttributeError):

@@ -438,7 +438,7 @@ def test_spectrum_runs_one_angular_pass():
 @pytest.mark.parametrize(
     "p,bumped_m", [(p, None) for p in (2, 3, 5, 7, 11, 101)] + [(3, m) for m in (2, 5, 9)]
 )
-def test_angular_circulant_holds_and_sees_a_bumped_weight(monkeypatch, p, bumped_m):
+def test_angular_circulant_holds_and_sees_a_bumped_weight(skew_coupling, p, bumped_m):
     # The identity holds on the grid m = 1..59; adding 1 to any one shell
     # weight w_v breaks it.
     check = angular.angular_circulant_check
@@ -447,10 +447,7 @@ def test_angular_circulant_holds_and_sees_a_bumped_weight(monkeypatch, p, bumped
         for m in range(1, 60):
             check(p, m)
         return
-    weight = angular.coupling_weight
     for v in range(1, bumped_m):
-        monkeypatch.setattr(
-            angular, "coupling_weight", lambda p, m, u, v=v: weight(p, m, u) + (u == v)
-        )
+        skew_coupling(p, bumped_m, v)
         with pytest.raises(ArithmeticError, match="angular circulant"):
             check(p, bumped_m)
