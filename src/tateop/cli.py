@@ -64,6 +64,17 @@ tree = _lazy_module("tree")
 
 LIMIT_TOLERANCE = 1e-6
 INTEGRAL_CHECK_MODULUS_CAP = 5000
+# The parameter caps, checked before any work so that a huge value is a
+# quick usage error, not a call that runs without end.  At p = 999983 and
+# the other parameters small, a call at any one cap took at most 40 s and
+# 600 MB on a 2-core Xeon VM (README, "Caps").  --m is capped through the
+# coupling table w_0..w_m that every subcommand but tree builds, about
+# m^2 log2(p) bits.
+P_CAP = 10**6
+TABLE_BITS_CAP = 3 * 10**9
+GREENS_M_CAP = 1000
+MAX_CONDUCTOR_CAP = 500
+MAX_VDIST_CAP = 600
 
 
 class UsageError(Exception):
@@ -358,6 +369,9 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
     at_one = correlator.two_point(x1, x2, 1.0)
     kernel = float(operator.kernel_H(x1, x2))
     kernel_ok = abs(at_one - kernel) <= 1e-12 * (1 + abs(kernel))
+    # The exact coefficient decides the height verdict; the extrapolated
+    # limit is reported beside it, as its steps lose accuracy at large m.
+    coefficient, twice_height = correlator.height_coefficient(x1, x2)
     estimate, target = correlator.height_limit_check(x1, x2)
     limit_ok = abs(estimate - target) < LIMIT_TOLERANCE * (1 + abs(target))
     head = {
@@ -376,7 +390,7 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
         "limit_estimate": estimate,
         "limit_target": target,
         "limit_match": limit_ok,
-        "all_pass": kernel_ok and limit_ok,
+        "all_pass": kernel_ok and coefficient == twice_height,
     }
     return _quantity_report(head, body)
 
@@ -386,6 +400,23 @@ def cmd_tree(args: argparse.Namespace) -> Report:
         raise UsageError("--depth must be >= 0")
     dot = tree.tree_quotient_dot(args.p, args.m, args.depth)
     return Report({"command": "tree"}, (), [], raw_text=dot)
+
+
+def _check_caps(args: argparse.Namespace) -> None:
+    """Refuse a parameter over its cap: --p before its primality test, and
+    --m before any power of p is formed."""
+    p, m = args.p, args.m
+    caps = [("--p", p, P_CAP, "")]
+    if args.command != "tree" and 2 <= p <= P_CAP:
+        m_cap = math.isqrt(int(TABLE_BITS_CAP / math.log2(p)))
+        if args.command == "greens":
+            m_cap = min(m_cap, GREENS_M_CAP)
+        caps.append(("--m", m, m_cap, f" at p = {p}"))
+    caps.append(("--max-conductor", getattr(args, "max_conductor", None), MAX_CONDUCTOR_CAP, ""))
+    caps.append(("--max-vdist", getattr(args, "max_vdist", None), MAX_VDIST_CAP, ""))
+    for option, value, cap, where in caps:
+        if value is not None and value > cap:
+            raise UsageError(f"{option} {value} exceeds the cap of {cap}{where}")
 
 
 def _write(option: str, path: str, text: str) -> None:
@@ -459,6 +490,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        _check_caps(args)
         report = HANDLERS[args.command](args)
         text = render(report, args.format)
         if args.out:

@@ -2,9 +2,10 @@
 recovers the height.
 
 Floating point throughout: the scaling dimension is a continuous
-parameter and log p is transcendental.  The one exception: integer
+parameter and log p is transcendental.  Two exceptions: integer
 dimensions evaluate through exact rationals before the final float, so
-the degeneration to the kernel at dimension 1 is exact.
+the degeneration to the kernel at dimension 1 is exact; and the height
+is checked exactly against the expansion's coefficient of log p delta.
 """
 
 from __future__ import annotations
@@ -73,6 +74,21 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float) -> float:
         c = m * delta * lp  # log p^C
         second = math.exp(r + math.log1p(math.exp(-2 * r)) - c - math.log(-math.expm1(-c)))
     return first + second
+
+
+def height_coefficient(x1: TatePoint, x2: TatePoint) -> tuple[Fraction, Fraction]:
+    """Both sides of the exact height check: the s^1 coefficient of the
+    two-point function in s = delta log p, and twice the height of x1 / x2.
+
+    With e = 2 v(x1 - x2) - v1 - v2 and R = v1 - v2 the function is
+    e^(e s) + 2 cosh(R s) / (e^(m s) - 1) = 2/(m s) + 0 + (e + R^2/m + m/6) s
+    + O(s^2): the divergence that height_limit_check subtracts, and the
+    slope that it estimates in floats.
+    """
+    v1, v2, vd = _pair_valuations(x1, x2)
+    m = x1.ctx.m
+    coefficient = 2 * vd - v1 - v2 + Fraction((v1 - v2) ** 2, m) + Fraction(m, 6)
+    return coefficient, 2 * local_height(tate_div(x1, x2))
 
 
 _RICHARDSON_STEPS = (1e-3, 5e-4, 2.5e-4)

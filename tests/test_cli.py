@@ -4,6 +4,7 @@ import io
 import contextlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -214,6 +215,39 @@ def test_correlator_payload():
     assert doc["limit_target"] == pytest.approx(2.56342867355892, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "p,m,x1",
+    [(3, 303, 4), (2, 406, 3 * 2**203), (101, 61, 2 * 101**30)],
+    ids=["3-303", "2-406", "101-61"],
+)
+def test_correlator_at_a_large_period_passes_on_the_exact_height_coefficient(p, m, x1):
+    # From these m the fixed Richardson steps of the float estimate are too
+    # coarse (limit_match is false); the exact s^1 coefficient decides.
+    argv = ["correlator", "--p", str(p), "--m", str(m), "--x1", str(x1), "--x2", "1"]
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["kernel_match"] is True and doc["all_pass"] is True
+
+
+def test_a_skewed_height_coefficient_fails_correlator(monkeypatch):
+    from tateop import correlator
+
+    argv = ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1"]
+    assert run_cli(argv)[0] == 0
+    exact = correlator.height_coefficient
+
+    def skewed(x1, x2):
+        coefficient, twice_height = exact(x1, x2)
+        return coefficient + Fraction(1, 7), twice_height
+
+    monkeypatch.setattr(correlator, "height_coefficient", skewed)
+    code, out, _ = run_cli(argv)
+    doc = json.loads(out)
+    assert code == 1 and doc["all_pass"] is False
+    assert doc["kernel_match"] is True and doc["limit_match"] is True
+
+
 def test_tree_outputs_dot():
     _, out, _ = run_cli(["tree", "--p", "3", "--m", "1", "--depth", "1"])
     assert out.startswith("graph tate_quotient {")
@@ -335,6 +369,44 @@ def test_matrix_at_a_huge_level_is_a_quick_usage_error(level):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert f"matrix dimension 1*2*3^{level - 1} exceeds cap 3072" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["det", "--p", "3", "--m", "30000000"], "--m 30000000 exceeds the cap of 43506 at p = 3"),
+        (
+            ["correlator", "--p", "3", "--m", "30000000", "--x1", "4", "--x2", "1"],
+            "--m 30000000 exceeds the cap of 43506 at p = 3",
+        ),
+        (
+            ["spectrum", "--p", "3", "--m", "2", "--max-conductor", "30000000"],
+            "--max-conductor 30000000 exceeds the cap of 500",
+        ),
+        (
+            ["greens", "--p", "3", "--m", "2", "--max-vdist", "30000000"],
+            "--max-vdist 30000000 exceeds the cap of 600",
+        ),
+        # Trial division would take minutes to call this p prime or not.
+        (["det", "--p", str(10**18 + 3), "--m", "1"], f"--p {10**18 + 3} exceeds the cap of 1000000"),
+        (["greens", "--p", "2", "--m", "1001"], "--m 1001 exceeds the cap of 1000 at p = 2"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else "",
+)
+def test_a_parameter_over_its_cap_is_a_quick_usage_error(argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_the_caps_admit_the_largest_documented_period():
+    # The other largest documented values, greens --max-vdist 600 and
+    # spectrum --max-conductor 60, run in test_golden and above.
+    code, out, err = run_cli(["det", "--p", "2", "--m", "14002"])
+    assert code == 0, err
+    assert json.loads(out)["all_pass"] is True
 
 
 def test_induced_failure_exits_1():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop.correlator import height_limit_check, two_point
+from tateop.correlator import height_coefficient, height_limit_check, two_point
 from tateop.operator import kernel_H
 from tateop.padic import PrimeParams, point, valuation
 
@@ -159,6 +159,23 @@ def test_height_limit_oracles():
     est2, tgt2 = height_limit_check(point(3, ctx), point(1, ctx))
     assert tgt2 == pytest.approx(2 * math.log(3) * (-1 / 12), abs=1e-12)
     assert abs(est2 - tgt2) < 1e-6 * (1 + abs(tgt2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_height_coefficient_is_twice_the_height(p):
+    # e + R^2/m + m/6 == 2 h(x1 / x2) exactly, on every pair of a sample
+    # that covers first, middle and last shells and deep agreement.
+    for m in (1, 2, 3, 7, 12, 61, 303):
+        ctx = PrimeParams(p, m)
+        values = {u * p**v for v in {0, 1 % m, m // 2, m - 1} for u in (1, 2, p + 1, 1 + p**3)}
+        pts = [point(x, ctx) for x in sorted(values)]
+        for i, x1 in enumerate(pts):
+            for x2 in pts[i + 1 :]:
+                if x1.value == x2.value:
+                    continue
+                coefficient, twice_height = height_coefficient(x1, x2)
+                assert coefficient == twice_height, (m, x1.value, x2.value)
+                assert height_coefficient(x2, x1) == (coefficient, twice_height)
 
 
 def test_height_limit_symmetric():
