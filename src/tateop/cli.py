@@ -406,17 +406,18 @@ def _check_caps(args: argparse.Namespace) -> None:
     """Refuse a parameter over its cap: --p before its primality test, and
     --m before any power of p is formed."""
     p, m = args.p, args.m
-    caps = [("--p", p, P_CAP, "")]
-    if args.command != "tree" and 2 <= p <= P_CAP:
+    if p > P_CAP:
+        raise UsageError(f"--p {p} exceeds the cap of {P_CAP}")
+    if args.command != "tree" and p >= 2:
         m_cap = math.isqrt(int(TABLE_BITS_CAP / math.log2(p)))
         if args.command == "greens":
             m_cap = min(m_cap, GREENS_M_CAP)
-        caps.append(("--m", m, m_cap, f" at p = {p}"))
-    caps.append(("--max-conductor", getattr(args, "max_conductor", None), MAX_CONDUCTOR_CAP, ""))
-    caps.append(("--max-vdist", getattr(args, "max_vdist", None), MAX_VDIST_CAP, ""))
-    for option, value, cap, where in caps:
+        if m > m_cap:
+            raise UsageError(f"--m {m} exceeds the cap of {m_cap} at p = {p}")
+    for dest, cap in (("max_conductor", MAX_CONDUCTOR_CAP), ("max_vdist", MAX_VDIST_CAP)):
+        value = getattr(args, dest, None)
         if value is not None and value > cap:
-            raise UsageError(f"{option} {value} exceeds the cap of {cap}{where}")
+            raise UsageError(f"--{dest.replace('_', '-')} {value} exceeds the cap of {cap}")
 
 
 def _write(option: str, path: str, text: str) -> None:
