@@ -19,13 +19,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture
 def run_python():
     """Run a fresh interpreter with the given arguments, the package on its
-    path; returns the completed process with stdout and stderr as bytes."""
+    path and ``env`` added to the environment; returns the completed process
+    with stdout and stderr as bytes."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    base = {**os.environ, "PYTHONPATH": path}
 
-    def run(*args):
+    def run(*args, env=None):
         return subprocess.run(
-            [sys.executable, *args], env=env, capture_output=True, timeout=300
+            [sys.executable, *args], env={**base, **(env or {})}, capture_output=True, timeout=300
         )
 
     return run

@@ -94,6 +94,18 @@ SWEEP_STDOUT_SHA256 = {
     "spectrum --p 3 --m 300 --max-conductor 5": "73f37849073f1e3e966664a015d4e0a6bbe131a6c6684548871f44e43c604bc3",
     "greens --p 5 --m 40 --max-vdist 20": "ba90143541bb763be1070452f6f0974f0889fc3ec9c3720bb5a716bc86f46ff2",
     "correlator --p 7 --m 50 --x1 7/2 --x2 3": "10675cb8bcaa1bab1a3c035adeb5ae3a1096594cf5b330c67084d410437cf578",
+    # Every radial level to 300 at a large m, and the height identity at a
+    # large p.
+    "spectrum --p 2 --m 20000 --max-conductor 300": "27c315a922053898fdc5e005deb154e2c40892c6b23188675c1524497bee2d07",
+    "greens --p 101 --m 3 --max-vdist 100": "e2c8800312fae9081648167bc977b0aa44dc8dd28bf16c1417b8223ba4bddb50",
+}
+
+# Matrices of dimension 192 and 972: both float checks over every conductor
+# level up to 6.  The eigen-solve's bits at dimension 972 depend on the BLAS
+# thread count, so these are taken from a fresh process on one thread.
+ONE_THREAD_MATRIX_STDOUT_SHA256 = {
+    "matrix --p 2 --m 3 --level 6": "801db94460981f4ab01eefe46d31f55285d5a18bdba5db3c2280c11ebb55c30a",
+    "matrix --p 3 --m 2 --level 6": "88311ddddf962422b679a533b57fe30039ec086c255f1931a6156eb4c826bfb1",
 }
 
 
@@ -155,3 +167,11 @@ def test_sweep_stdout_is_byte_identical(command):
         code = main(command.split() + ["--format", "json"])
     assert code == 0
     assert _sha256(out.getvalue().encode()) == SWEEP_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(ONE_THREAD_MATRIX_STDOUT_SHA256))
+def test_large_matrix_stdout_is_byte_identical_on_one_blas_thread(command, run_python):
+    one_thread = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = run_python("-m", "tateop", *command.split(), "--format", "json", env=one_thread)
+    assert proc.returncode == 0, proc.stderr
+    assert _sha256(proc.stdout) == ONE_THREAD_MATRIX_STDOUT_SHA256[command]
