@@ -9,11 +9,11 @@ held as its few distinct exact values plus an integer array that says
 which value each entry takes.
 
 The work grows with the distinct pieces of that structure, not with the
-rows and labels: the diagonal is taken once per shell, the exact row
+rows and characters: the diagonal is taken once per shell, the exact row
 sums of the check once per distinct row profile (how many entries take
-each value), and the character vectors are built from per-conductor-level
-tables.  Only the float checks are per label: one matrix-vector product
-on each vector.
+each value), the eigenvalues once per (conductor, l), and the character
+vectors are built from per-conductor-level tables.  Only the residual
+check is per character: one matrix-vector product on each vector.
 
 numpy is imported inside the functions that use it: no other subcommand
 needs it, and importing it is most of the CLI's start-up time.
@@ -25,19 +25,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 
-from .angular import root_table
+from .angular import angular_eigenvalues, root_table
 from .domain import Ball
 from .operator import _kernel_by_valuations
 from .padic import PrimeParams, Record, c_p_const, capped_product, format_rational
-from .spectral import (
-    AngularCharacter,
-    CharacterLabel,
-    enumerate_conductor,
-    enumerate_spectrum,
-    eigenvalue_for_label,
-    unit_group_order,
-    unit_log,
-)
+from .spectral import eigenvalue_radial_closed, enumerate_conductor, unit_group_order, unit_log
 
 # Largest dimension whose `matrix` call (build and verify) finished within
 # 60 s on a 2-core Xeon VM: 3072 took 49 s, 2048 took 9.2 s (README).
@@ -74,7 +66,7 @@ def level_basis(ctx: PrimeParams, level: int) -> tuple[Ball, ...]:
     )
 
 
-def matrix_dimension(level: int, ctx: PrimeParams, cap: int | None = None) -> int:
+def matrix_dimension(level: int, ctx: PrimeParams, cap: int) -> int:
     """Number of level-k balls across all shells: m (p-1) p^(k-1).
 
     A dimension over ``cap`` is a ValueError, found without forming the
@@ -83,8 +75,6 @@ def matrix_dimension(level: int, ctx: PrimeParams, cap: int | None = None) -> in
     if level < 1:
         raise ValueError("level must be >= 1")
     p, m = ctx.p, ctx.m
-    if cap is None:
-        return m * (p - 1) * p ** (level - 1)
     dim = capped_product(m * (p - 1), p, level - 1, cap)
     if dim > cap:
         raise ValueError(f"matrix dimension {m}*{p - 1}*{p}^{level - 1} exceeds cap {cap}")
@@ -269,53 +259,42 @@ class MatrixReport(Record):
         return {**data, "failures": list(self.failures), "passed": self.passed}
 
 
-def spectrum_labels(level: int, ctx: PrimeParams) -> tuple[CharacterLabel, ...]:
-    """Every character label resolved at level k: radial conductor <= k
-    crossed with all m angular indices.  Exactly dim-many labels, in runs
-    of m per radial character (l = 0..m-1), conductors ascending."""
-    radials = [chi for n in range(level + 1) for chi in enumerate_conductor(ctx.p, n)]
-    angulars = [AngularCharacter(ctx.m, l) for l in range(ctx.m)]
-    labels = tuple(CharacterLabel(angular, chi) for chi in radials for angular in angulars)
-    if len(labels) != matrix_dimension(level, ctx):
-        raise ArithmeticError("character count does not match the basis dimension")
-    return labels
+def label_vectors(mx: OperatorMatrix, characters):
+    """Every joint character with its values on the basis, as (n, l, vec):
+    levels n ascending, the radial characters ``characters[n]`` of
+    conductor n in their order, then l = 0..m-1.
 
-
-def label_vectors(mx: OperatorMatrix):
-    """Every spectrum label with its values on the basis, as an array.
-
-    The label (l, chi) with chi of level n takes the value
-    e^(2 pi i j / N) at ball (v, c), N = m |(Z/p^n)^x| and
-    j = l v |(Z/p^n)^x| + m chi.turns(log c): the same rational turn as
-    its exponents, looked up in a table of the N roots.  The logs, the
-    roots and the angular offsets l v |(Z/p^n)^x| are built once per
-    level n, and each label is one lookup into a fresh 1-D C-contiguous
-    vector (a lookup per character would hold m vectors at once, dim^2
-    complex entries where m is about dim).
+    The character (l, chi) takes the value e^(2 pi i j / N) at ball (v, c),
+    N = m |(Z/p^n)^x| and j = l v |(Z/p^n)^x| + m chi.turns(log c): the
+    same rational turn as its exponents, looked up in a table of the N
+    roots.  The logs, the roots and the angular offsets l v |(Z/p^n)^x|
+    are built once per level n, and each character is one lookup into a
+    fresh 1-D C-contiguous vector (a lookup per radial character would
+    hold m vectors at once, dim^2 complex entries where m is about dim).
     """
     import numpy as np
 
     p, m = mx.ctx.p, mx.ctx.m
     units = [b.center for b in mx.basis if b.v == 0]
-    labels = spectrum_labels(mx.level, mx.ctx)
-    n = None
-    for start in range(0, len(labels), m):
-        chi = labels[start].radial
-        if chi.n != n:
-            n, phi = chi.n, unit_group_order(p, chi.n)
-            roots = np.array(root_table(m * phi))
-            # offsets[l, v] = l v phi, the angular part of the turn.
-            offsets = phi * np.outer(range(m), range(m))[:, :, None]
-            logs = np.array([unit_log(p, n, c % p**n) if n else 0 for c in units]).T
-        # The trivial character's turns are a scalar 0; its logs are the zeros.
-        radial = m * chi.turns(logs) if n else logs
-        for label, offset in zip(labels[start : start + m], offsets):
-            yield label, roots[(offset + radial) % (m * phi)].ravel()
+    for n, chars in enumerate(characters):
+        if not chars:
+            continue
+        phi = unit_group_order(p, n)
+        roots = np.array(root_table(m * phi))
+        # offsets[l, v] = l v phi, the angular part of the turn.
+        offsets = phi * np.outer(range(m), range(m))[:, :, None]
+        logs = np.array([unit_log(p, n, c % p**n) if n else 0 for c in units]).T
+        for chi in chars:
+            # The trivial character's turns are a scalar 0; its logs are the zeros.
+            radial = m * chi.turns(logs) if n else logs
+            for l, offset in enumerate(offsets):
+                yield n, l, roots[(offset + radial) % (m * phi)].ravel()
 
 
 def verify_matrix(mx: OperatorMatrix) -> MatrixReport:
     """Check symmetry, row sums, positivity, kernel dimension, the
-    eigenvalue multiset, and the character eigenvectors."""
+    eigenvalue multiset, and the character eigenvectors, both float checks
+    against one table of eigenvalues per (conductor, l)."""
     import numpy as np
 
     ctx = mx.ctx
@@ -330,10 +309,16 @@ def verify_matrix(mx: OperatorMatrix) -> MatrixReport:
     row_sums_zero = not any(_profile_totals(mx.index, mx.values)[0])
     if not row_sums_zero:
         failures.append("row sums")
-    expected: list[float] = []
-    for entry in enumerate_spectrum(mx.level, ctx):
-        expected.extend([float(entry.eigenvalue)] * entry.multiplicity)
-    expected.sort()
+    # The joint characters (l, chi), chi of conductor n <= k, are the
+    # eigenfunctions, and the eigenvalue depends on n and l alone: lams[n][l]
+    # is the angular closed form at n = 0 and the radial one from n = 1 on.
+    characters = [enumerate_conductor(ctx.p, n) for n in range(mx.level + 1)]
+    if ctx.m * sum(map(len, characters)) != dim:
+        raise ArithmeticError("character count does not match the basis dimension")
+    lams = [[float(x) for x in angular_eigenvalues(range(ctx.m), ctx)]]
+    for n in range(1, mx.level + 1):
+        lams.append([float(eigenvalue_radial_closed(n, ctx))] * ctx.m)
+    expected = sorted(x for lam, chars in zip(lams, characters) for x in lam * len(chars))
     # Float rounding in the eigen-solve and the products grows with the
     # matrix norm, the largest eigenvalue, so these bounds scale with it
     # once it passes 1 (it is 0 at dimension 1, below 1 at p = 2, k = 1).
@@ -346,23 +331,16 @@ def verify_matrix(mx: OperatorMatrix) -> MatrixReport:
     kernel_dim = sum(1 for x in eigs if abs(x) < 1e-8 * scale)
     if kernel_dim != 1:
         failures.append("kernel dimension")
-    deviation = max(abs(a - b) for a, b in zip(eigs, expected)) if expected else 0.0
-    spectrum_match = len(expected) == dim and deviation <= 1e-8 * scale
+    deviation = max(abs(a - b) for a, b in zip(eigs, expected))
+    spectrum_match = deviation <= 1e-8 * scale
     if not spectrum_match:
         failures.append("eigenvalue multiset")
     # The product casts the float copy to complex; casting once up front
-    # gives the same bits without a copy per label.
+    # gives the same bits without a copy per character.
     mc = mx.float_entries.astype(complex)
     worst = 0.0
-    # The eigenvalue depends on a label only through its conductor and l,
-    # and the radial characters of level n all have conductor n.
-    lams: dict[tuple[int, int], float] = {}
-    for label, vec in label_vectors(mx):
-        key = (label.radial.n, label.angular.l)
-        lam = lams.get(key)
-        if lam is None:
-            lam = lams[key] = float(eigenvalue_for_label(label, ctx))
-        residual = float(np.abs(mc @ vec - lam * vec).max())
+    for n, l, vec in label_vectors(mx, characters):
+        residual = float(np.abs(mc @ vec - lams[n][l] * vec).max())
         worst = max(worst, residual)
     eigenfunctions_ok = worst < 1e-10 * scale
     if not eigenfunctions_ok:

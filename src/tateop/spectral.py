@@ -252,14 +252,6 @@ class AngularCharacter(Record):
         self._bind(m, l % m)
 
 
-class CharacterLabel(Record):
-    """A joint character: angular part on the valuation, radial part on units."""
-
-    __slots__ = _fields = ("angular", "radial")
-    angular: AngularCharacter
-    radial: UnitCharacter
-
-
 def eigenvalue_radial_closed(n: int, ctx: PrimeParams) -> Fraction:
     """(p - 1) p^(n - 1) for conductor n >= 1; independent of m."""
     if n < 1:
@@ -451,12 +443,3 @@ def weyl_count(lam: Rational, ctx: PrimeParams) -> int:
     if formula != expected or enumerated != expected:
         raise ArithmeticError("eigenvalue count mismatch between formula and enumeration")
     return formula
-
-
-def eigenvalue_for_label(label: CharacterLabel, ctx: PrimeParams):
-    """Eigenvalue of the label's eigenfunction: radial closed form when the
-    radial conductor is positive, angular closed form otherwise."""
-    cond = label.radial.conductor
-    if cond >= 1:
-        return eigenvalue_radial_closed(cond, ctx)
-    return eigenvalue_angular(label.angular.l, ctx)

@@ -22,7 +22,7 @@ from tateop.determinant import (
     zeta_prime_at_zero,
 )
 from tateop.domain import PrimeParams
-from tateop.matrix import build_matrix, spectrum_labels, verify_matrix
+from tateop.matrix import build_matrix, verify_matrix
 from tateop.operator import apply_D_height, height_check_points, kernel_H
 from tateop.padic import point, tate_div, tate_inv, valuation
 from tateop.spectral import (
@@ -181,19 +181,25 @@ def test_criterion_04_spectrum_cross_checks():
         mx = build_matrix(3, ctx)
         arr = mx.as_float()
         centers = [b.center_point() for b in mx.basis]
-        for label in spectrum_labels(3, ctx):
-            vec = np.array(
-                [
-                    complex(label.angular.value(x.v)) * complex(character_value(label.radial, x.unit_part()))
-                    for x in centers
-                ]
-            )
-            from tateop.spectral import eigenvalue_for_label
-
-            lam = complex(float(eigenvalue_for_label(label, ctx)))
-            resid = float(np.max(np.abs(arr @ vec - lam * vec)))
-            if resid >= 1e-10:
-                failures.append(("residual", p, m, str(label), resid))
+        count = 0
+        for n in range(4):
+            for chi in enumerate_conductor(p, n):
+                for ell in range(m):
+                    zeta = AngularCharacter(m, ell)
+                    vec = np.array(
+                        [
+                            complex(zeta.value(x.v)) * complex(character_value(chi, x.unit_part()))
+                            for x in centers
+                        ]
+                    )
+                    lam = eigenvalue_radial_closed(n, ctx) if n else eigenvalue_angular(ell, ctx)
+                    lam = complex(float(lam))
+                    resid = float(np.max(np.abs(arr @ vec - lam * vec)))
+                    if resid >= 1e-10:
+                        failures.append(("residual", p, m, n, ell, str(chi), resid))
+                    count += 1
+        if count != mx.dimension:
+            failures.append(("character count", p, m, count, mx.dimension))
     _report(4, "spectrum: integrals, sums, eigenfunctions", failures)
 
 

@@ -1,5 +1,6 @@
 """Exact operator matrices on full partitions and their verification report."""
 
+import inspect
 import time
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop import angular
+from tateop import angular, matrix
 from tateop.domain import PrimeParams
 from tateop.matrix import (
     DEFAULT_DIM_CAP,
@@ -15,12 +16,11 @@ from tateop.matrix import (
     build_matrix,
     label_vectors,
     matrix_dimension,
-    spectrum_labels,
     verify_matrix,
 )
 from tateop.operator import _kernel_by_valuations, integrate_H_over_ball
 from tateop.padic import c_p_const
-from tateop.spectral import enumerate_spectrum
+from tateop.spectral import AngularCharacter, enumerate_conductor, enumerate_spectrum
 
 from oracles import (
     ShellPartition,
@@ -39,14 +39,14 @@ ORACLE_CONFIGS = [
     for p in (2, 3, 5)
     for m in (1, 2, 3)
     for level in (1, 2, 3)
-    if matrix_dimension(level, PrimeParams(p, m)) <= 100
+    if matrix_dimension(level, PrimeParams(p, m), DEFAULT_DIM_CAP) <= 100
 ]
 
 
 def test_matrix_dimension_formula():
-    assert matrix_dimension(1, PrimeParams(3, 2)) == 4
-    assert matrix_dimension(2, PrimeParams(3, 2)) == 12
-    assert matrix_dimension(4, PrimeParams(2, 1)) == 8
+    assert matrix_dimension(1, PrimeParams(3, 2), DEFAULT_DIM_CAP) == 4
+    assert matrix_dimension(2, PrimeParams(3, 2), DEFAULT_DIM_CAP) == 12
+    assert matrix_dimension(4, PrimeParams(2, 1), DEFAULT_DIM_CAP) == 8
 
 
 def test_matrix_oracle_3_2_level_1():
@@ -117,11 +117,16 @@ def test_verify_matrix_report():
     assert d["passed"] is True and d["dimension"] == 4
 
 
-def test_spectrum_labels_count_matches_dimension():
+def test_character_count_matches_dimension(monkeypatch):
     for p, m, level in [(2, 1, 3), (3, 2, 2), (2, 3, 2), (5, 1, 2)]:
         ctx = PrimeParams(p, m)
-        labels = spectrum_labels(level, ctx)
-        assert len(labels) == matrix_dimension(level, ctx)
+        count = m * sum(len(enumerate_conductor(p, n)) for n in range(level + 1))
+        assert count == matrix_dimension(level, ctx, DEFAULT_DIM_CAP)
+    # One character short of the basis is an error, not a failed check.
+    mx = build_matrix(2, PrimeParams(3, 2))
+    monkeypatch.setattr(matrix, "enumerate_conductor", lambda p, n: enumerate_conductor(p, n)[1:])
+    with pytest.raises(ArithmeticError, match="character count does not match"):
+        verify_matrix(mx)
 
 
 def test_matrix_multiset_matches_spectrum_enumeration():
@@ -174,7 +179,7 @@ def test_dimension_cap_enforced():
 
 def test_dimension_over_the_cap_is_found_without_the_full_power():
     ctx = PrimeParams(3, 1)
-    assert matrix_dimension(7, ctx, 1458) == matrix_dimension(7, ctx) == 2 * 3**6
+    assert matrix_dimension(7, ctx, 1458) == 2 * 3**6
     with pytest.raises(ValueError, match=r"matrix dimension 1\*2\*3\^6 exceeds cap 1457"):
         matrix_dimension(7, ctx, 1457)
     start = time.perf_counter()
@@ -214,20 +219,29 @@ LADDER_RUNGS = [(3, 3, 3), (2, 1, 8), (5, 2, 3)]
 
 @pytest.mark.parametrize("p,m,level", sorted(set(ORACLE_CONFIGS + LADDER_RUNGS)))
 def test_label_vectors_match_root_of_unity(p, m, level):
-    ctx = PrimeParams(p, m)
+    import numpy as np
+
     mx = build_matrix(level, PrimeParams(p, m))
-    pairs = list(label_vectors(mx))
-    assert [label for label, _ in pairs] == list(spectrum_labels(level, ctx))
-    for label, vec in pairs:
-        # The residual's bits depend on the product's path: one 1-D
-        # C-contiguous vector per label.
+    characters = [enumerate_conductor(p, n) for n in range(level + 1)]
+    order = [(n, l, chi) for n, chars in enumerate(characters) for chi in chars for l in range(m)]
+    assert len(order) == mx.dimension
+    # One vector at a time: a list would hold dim^2 complex entries.
+    vectors = label_vectors(mx, characters)
+    assert inspect.isgenerator(vectors)
+    previous = None
+    for (n, l, vec), (n_expected, l_expected, chi) in zip(vectors, order, strict=True):
+        assert (n, l) == (n_expected, l_expected)
+        # The residual's bits depend on the product's path: one fresh 1-D
+        # C-contiguous vector per character.
         assert vec.ndim == 1 and vec.flags.c_contiguous
-        ang, chi = label.angular, label.radial
+        assert previous is None or not np.shares_memory(vec, previous)
+        ang = AngularCharacter(m, l)
         expected = [
             complex(root_of_unity(ang.exponent(b.v) + chi.exponent(b.center)))
             for b in mx.basis
         ]
         assert vec.tolist() == expected
+        previous = vec
 
 
 @pytest.mark.parametrize("p,m,level", ORACLE_CONFIGS)
@@ -236,6 +250,20 @@ def test_verify_passes_on_every_oracle_config(p, m, level):
     # p = 2, k = 1 has its largest eigenvalue below 1.
     rep = verify_matrix(build_matrix(level, PrimeParams(p, m)))
     assert rep.failures == () and rep.kernel_dimension == 1
+
+
+@pytest.mark.parametrize("p,m,level", [(3, 2, 2), (2, 3, 3), (5, 1, 1)])
+def test_one_eigenvalue_table_feeds_both_float_checks(monkeypatch, p, m, level):
+    # The radial closed form at the top conductor, one too large, moves both
+    # the expected multiset and every residual of that conductor's characters.
+    mx = build_matrix(level, PrimeParams(p, m))
+    closed = matrix.eigenvalue_radial_closed
+    monkeypatch.setattr(
+        matrix, "eigenvalue_radial_closed", lambda n, ctx: closed(n, ctx) + (n == level)
+    )
+    rep = verify_matrix(mx)
+    assert rep.failures == ("eigenvalue multiset", "eigenfunction residuals")
+    assert rep.multiset_deviation > 0.5 and rep.eigenfunction_residual > 0.5
 
 
 def test_verify_reports_a_corrupted_entry():

@@ -13,7 +13,6 @@ from tateop.matrix import MatrixReport, OperatorMatrix, build_matrix
 from tateop.padic import PrimeParams, Record, TatePoint
 from tateop.spectral import (
     AngularCharacter,
-    CharacterLabel,
     SpectrumEntry,
     UnitCharacter,
     _conductor_of,
@@ -107,14 +106,6 @@ FROZEN = [
         "AngularCharacter(m=4, l=3)",
     ),
     (
-        CharacterLabel,
-        (AngularCharacter(2, 1), UnitCharacter(3, 1, 1)),
-        {"angular": AngularCharacter(2, 3), "radial": UnitCharacter(3, 1, 3)},
-        ("angular", "radial"),
-        "CharacterLabel(angular=AngularCharacter(m=2, l=1),"
-        " radial=UnitCharacter(p=3, n=1, a=1, eps=0))",
-    ),
-    (
         SpectrumEntry,
         ("radial", 2, Fraction(6), 8),
         {"kind": "radial", "index": 2, "eigenvalue": Fraction(6), "multiplicity": 8},
@@ -166,7 +157,7 @@ def test_frozen_record_semantics(cls, args, kwargs, fields, text):
         assert twin == a and repr(twin) == text
 
 
-PURE_DATA = (HeightProfile, CharacterLabel, SpectrumEntry, MatrixReport, OperatorMatrix)
+PURE_DATA = (HeightProfile, SpectrumEntry, MatrixReport, OperatorMatrix)
 MX = build_matrix(1, C2)
 ARGUMENTS = [(cls, args, fields) for cls, args, _, fields, _ in FROZEN if cls in PURE_DATA]
 ARGUMENTS.append((OperatorMatrix, tuple(getattr(MX, f) for f in MX._fields), MX._fields))

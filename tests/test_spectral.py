@@ -13,14 +13,12 @@ from tateop import angular, cli, determinant, spectral
 from tateop.padic import PrimeParams
 from tateop.spectral import (
     AngularCharacter,
-    CharacterLabel,
     OutOfRegimeError,
     SpectrumEntry,
     UnitCharacter,
     angular_eigenvalues,
     eigenvalue_angular,
     eigenvalue_angular_sum,
-    eigenvalue_for_label,
     eigenvalue_radial_closed,
     eigenvalue_radial_exact,
     eigenvalue_radial_integral,
@@ -248,16 +246,6 @@ def test_dtn_cross_check_exact():
 def test_dtn_cross_check_requires_unit_period():
     with pytest.raises(ValueError):
         dtn_cross_check(PrimeParams(3, 2))
-
-
-def test_eigenvalue_for_label_dispatch():
-    ctx = PrimeParams(3, 2)
-    lab_rad = CharacterLabel(AngularCharacter(2, 0), UnitCharacter(3, 1, a=1))
-    assert eigenvalue_for_label(lab_rad, ctx) == 2
-    lab_ang = CharacterLabel(AngularCharacter(2, 1), UnitCharacter.trivial(3))
-    assert eigenvalue_for_label(lab_ang, ctx) == Fraction(3, 2)
-    lab_zero = CharacterLabel(AngularCharacter(2, 0), UnitCharacter.trivial(3))
-    assert eigenvalue_for_label(lab_zero, ctx) == 0
 
 
 # --- Oracles for the closed-form conductor indices -------------------------
