@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PrimeParams, c_p_const, coupling_weights
+from .padic import PrimeParams, c_p_const, coupling_total, coupling_weights
 
 
 @lru_cache(maxsize=None)
@@ -62,19 +62,26 @@ def angular_circulant_check(p: int, m: int) -> None:
     K T(x) (b x + c u(x)) = a u(x).  x^m - 1 has no repeated root, so that
     holds at all m roots exactly when it holds in Z[x]/(x^m - 1): one
     cyclic convolution of m integers, after clearing K's denominator.
+    Each coefficient of the left side is compared as it is formed, so
+    nothing of the size of the table is held beside it.
     """
     a, b, c = _closed_coefficients(p)
     k = -c_p_const(p) * Fraction(p - 1, p * (p**m - 1))
-    # T(x), u(x) and b x + c u(x) as coefficient lists, reduced mod x^m - 1.
-    tx = list(coupling_weights(p, m)[:m])
-    tx[0] = -sum(tx[1:])
-    lhs, rhs = [0] * m, [0] * m
-    for j, (uj, dj) in enumerate(zip((-1, 2, -1), (-c, b + 2 * c, -c))):
+    # T(x) has the coefficients w_1..w_(m-1) and the constant term minus
+    # their sum; u(x) and d(x) = b x + c u(x) are reduced mod x^m - 1.
+    w, t0 = coupling_weights(p, m), -coupling_total(p, m)
+    u, d = (-1, 2, -1), (-c, b + 2 * c, -c)
+    rhs = [0] * m
+    for j, uj in enumerate(u):
         rhs[j % m] += k.denominator * a * uj
-        for i, ti in enumerate(tx):
-            lhs[(i + j) % m] += k.numerator * dj * ti
-    if lhs != rhs:
-        raise ArithmeticError(f"angular circulant: the closed form fails at p={p}, m={m}")
+    for r, rhs_r in enumerate(rhs):
+        # Coefficient r of T(x) d(x): d_j t_i summed over i + j = r mod m.
+        lhs = 0
+        for j, dj in enumerate(d):
+            i = (r - j) % m
+            lhs += dj * (w[i] if i else t0)
+        if k.numerator * lhs != rhs_r:
+            raise ArithmeticError(f"angular circulant: the closed form fails at p={p}, m={m}")
 
 
 def _angular_closed(l: int, ctx: PrimeParams):

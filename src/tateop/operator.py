@@ -105,11 +105,17 @@ def apply_D_height(x: TatePoint) -> Fraction:
         if p > 2:
             # (p - 2)/p (1 + 2/(q - 1)) (0 - ell)
             num += (p - 2) * (q1 + 2) * (0 - ell) * p_ell * two_m * (p - 1)
-        strata = 0
+        # Stratum 0 < t < ell: (p - 1)/p p^-t (p^(2t) + 2/(q - 1)) (t - ell),
+        # which is (t - ell) (p^(ell+t) (q - 1) + 2 p^(ell-t)) without the
+        # common factor (p - 1)^2 2m.  Both powers are summed over t by
+        # Horner's rule in p: high is the sum of (t - ell) p^(t-1), low of
+        # (t - ell) p^(ell-t-1).
+        high = low = 0
+        for t in range(ell - 1, 0, -1):
+            high = high * p + (t - ell)
         for t in range(1, ell):
-            # (p - 1)/p p^-t (p^(2t) + 2/(q - 1)) (t - ell), without the
-            # common factor (p - 1)^2 2m
-            strata += (p ** (2 * t) * q1 + 2) * (t - ell) * p ** (ell - t)
+            low = low * p + (t - ell)
+        strata = p * (p_ell * q1 * high + 2 * low)
         num += (p - 1) ** 2 * two_m * strata
         # (p - 1)/p (p^(2 ell) + 2/(q - 1)) tail, where the tail is the
         # geom_sum sum_{j > ell} j p^-j less ell sum_{j > ell} p^-j; over

@@ -213,12 +213,23 @@ def coupling_weights(p: int, m: int) -> tuple[int, ...]:
     """(w_0, ..., w_m) with w_u = p^(m-u) + p^u: for 0 < u < m, the kernel
     between shells u apart is w_u / (q - 1).
 
-    Built from one list of the powers of p, one multiplication per power.
+    w_u = w_(m-u), so the half u <= m/2 is built, from both ends: one
+    multiplication and one exact division by p per entry, and no list of
+    powers beside it.  The other half repeats its entries.
     """
-    powers = [1]
-    for _ in range(m):
-        powers.append(powers[-1] * p)
-    return tuple(a + b for a, b in zip(reversed(powers), powers))
+    low, high = 1, p**m
+    half = []
+    for _ in range(m // 2 + 1):
+        half.append(high + low)
+        low, high = low * p, high // p
+    return tuple(half[min(u, m - u)] for u in range(m + 1))
+
+
+@lru_cache(maxsize=None)
+def coupling_total(p: int, m: int) -> int:
+    """w_1 + ... + w_(m-1): one shell's couplings to all the others, summed
+    once per (p, m) from ``coupling_weights``."""
+    return sum(coupling_weights(p, m)[1:m])
 
 
 class TatePoint(Record):

@@ -19,6 +19,7 @@ from .padic import (
     Rational,
     Record,
     c_p_const,
+    coupling_total,
     coupling_weights,
     int_valuation,
     is_prime,
@@ -321,8 +322,8 @@ def eigenvalue_radial_exact(chi: UnitCharacter, ctx: PrimeParams) -> Fraction:
     s_main = sum(p ** (2 * t) * (share[t] - share[t + 1]) for t in range(f))
     # 2/(q - 1) plus the couplings to the other m - 1 shells: the weight of
     # the unit measure in the defining sums.
-    coupling_total = Fraction(2 + sum(coupling_weights(p, m)[1:m]), p**m - 1)
-    return c_p_const(p) * (s_main + Fraction(p - 1, p) * coupling_total)
+    unit_weight = Fraction(2 + coupling_total(p, m), p**m - 1)
+    return c_p_const(p) * (s_main + Fraction(p - 1, p) * unit_weight)
 
 
 def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:

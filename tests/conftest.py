@@ -19,14 +19,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.fixture
 def run_python():
     """Run a fresh interpreter with the given arguments, the package on its
-    path and ``env`` added to the environment; returns the completed process
-    with stdout and stderr as bytes."""
+    path and ``env`` added to the environment, killed after ``timeout``
+    seconds (a TimeoutExpired); returns the completed process with stdout
+    and stderr as bytes."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     base = {**os.environ, "PYTHONPATH": path}
 
-    def run(*args, env=None):
+    def run(*args, env=None, timeout=300):
         return subprocess.run(
-            [sys.executable, *args], env={**base, **(env or {})}, capture_output=True, timeout=300
+            [sys.executable, *args], env={**base, **(env or {})}, capture_output=True, timeout=timeout
         )
 
     return run
@@ -39,16 +40,21 @@ def skew_coupling(monkeypatch):
     feeds, then and after the test, so no value of either table is reused."""
     from tateop import angular, operator, padic, spectral
 
-    caches = (operator._kernel_by_valuations, angular.angular_circulant_check)
+    caches = (
+        operator._kernel_by_valuations,
+        angular.angular_circulant_check,
+        padic.coupling_total,
+    )
+    original = padic.coupling_weights
 
     def skew(p, m, u):
-        table = padic.coupling_weights(p, m)
+        table = original(p, m)
         skewed = table[:u] + (table[u] + 1,) + table[u + 1 :]
 
         def weights(p2, m2):
-            return skewed if (p2, m2) == (p, m) else padic.coupling_weights(p2, m2)
+            return skewed if (p2, m2) == (p, m) else original(p2, m2)
 
-        for module in (angular, operator, spectral):
+        for module in (angular, operator, padic, spectral):
             monkeypatch.setattr(module, "coupling_weights", weights)
         for cache in caches:
             cache.cache_clear()

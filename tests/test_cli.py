@@ -504,3 +504,19 @@ def test_spectrum_at_a_large_conductor_is_fast(run_python):
     assert time.perf_counter() - start < 2.0
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,seconds",
+    [
+        # The couplings are summed once per (p, m), not once per conductor.
+        ("spectrum --p 2 --m 20000 --max-conductor 300", 5),
+        # The height action sums its strata by Horner's rule in p, not by
+        # fresh powers of a large p per stratum.
+        ("greens --p 999983 --m 1 --max-vdist 600", 10),
+    ],
+)
+def test_two_large_parameters_at_once_stay_fast(run_python, argv, seconds):
+    proc = run_python("-m", "tateop", *argv.split(), timeout=seconds)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True

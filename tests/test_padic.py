@@ -1,14 +1,19 @@
-"""Valuations, norms, and reduction into the fundamental domain."""
+"""Valuations, norms, reduction into the fundamental domain, and the
+shell-coupling table."""
 
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from tateop import angular
 from tateop.padic import (
     PrimeParams,
     capped_product,
+    coupling_total,
     coupling_weights,
     format_rational,
     int_valuation,
@@ -158,3 +163,43 @@ def test_capped_product_stops_past_the_cap():
 def test_coupling_weights_are_the_two_powers(p):
     for m in range(1, 41):
         assert coupling_weights(p, m) == tuple(p ** (m - u) + p**u for u in range(m + 1))
+        assert coupling_total(p, m) == sum(p ** (m - u) + p**u for u in range(1, m))
+
+
+def _table_bytes(table):
+    """sys.getsizeof summed over the table's distinct entries (w_u and
+    w_(m-u) may be one object)."""
+    return sum(sys.getsizeof(w) for w in {id(w): w for w in table}.values())
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# At p = 2, m = 20000 the table is about 20 MB.
+BIG_TABLE = (2, 20000)
+
+
+@pytest.fixture
+def clear_big_table():
+    yield
+    for cache in (coupling_weights, coupling_total, angular.angular_circulant_check):
+        cache.cache_clear()
+
+
+def test_the_coupling_table_is_built_without_a_list_of_powers(clear_big_table):
+    coupling_weights.cache_clear()
+    peak = _traced_peak(coupling_weights, *BIG_TABLE)
+    assert peak < 1.2 * _table_bytes(coupling_weights(*BIG_TABLE))
+
+
+def test_the_angular_circulant_check_holds_nothing_of_the_tables_size(clear_big_table):
+    # Run on the cached table: no copy of it, no list of m coefficients.
+    size = _table_bytes(coupling_weights(*BIG_TABLE))
+    angular.angular_circulant_check.cache_clear()
+    assert _traced_peak(angular.angular_circulant_check, *BIG_TABLE) < 0.1 * size
