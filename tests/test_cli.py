@@ -10,6 +10,8 @@ import pytest
 
 from tateop.cli import main
 
+from test_matrix import corrupt_symmetrically
+
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -204,6 +206,54 @@ def test_matrix_payload_and_dump(tmp_path):
     assert csv_text.splitlines()[0] == "basis,v0.k1.c1,v0.k1.c2,v1.k1.c1,v1.k1.c2"
     manifest = json.loads((tmp_path / "mx.basis.json").read_text())
     assert manifest["dimension"] == 4
+
+
+MATRIX_CHECKS = (
+    "dimension",
+    "symmetric",
+    "row_sums_zero",
+    "min_eigenvalue",
+    "positive_semidefinite",
+    "kernel_dimension",
+    "multiset_deviation",
+    "spectrum_match",
+    "eigenfunction_residual",
+    "eigenfunctions_ok",
+)
+
+
+def test_a_failing_matrix_report_lists_its_failures(monkeypatch):
+    # A symmetric corruption of one cell keeps the index symmetric and
+    # fails every other check.
+    from tateop import matrix
+
+    build = matrix.build_matrix
+
+    def corrupt(level, ctx, cap=None):
+        mx = build(level, ctx, cap)
+        return corrupt_symmetrically(mx, 0, mx.dimension - 1)
+
+    monkeypatch.setattr(matrix, "build_matrix", corrupt)
+    argv = ["matrix", "--p", "3", "--m", "2", "--level", "2"]
+    code, out, _ = run_cli(argv)
+    assert code == 1
+    doc = json.loads(out)
+    report = doc["report"]
+    assert tuple(report) == MATRIX_CHECKS + ("failures", "passed")
+    assert report["failures"] == [
+        "row sums",
+        "positive semidefiniteness",
+        "kernel dimension",
+        "eigenvalue multiset",
+        "eigenfunction residuals",
+    ]
+    assert report["dimension"] == doc["dimension"] == 12 and report["symmetric"] is True
+    assert report["passed"] is False and doc["all_pass"] is False
+    code, out, _ = run_cli(argv + ["--format", "csv"])
+    assert code == 1
+    rows = [line.split(",") for line in out.splitlines()]
+    assert [row[0] for row in rows] == ["check", *MATRIX_CHECKS, "all_pass"]
+    assert rows[-1] == ["all_pass", "false"]
 
 
 def test_correlator_payload():
