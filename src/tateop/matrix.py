@@ -98,6 +98,9 @@ class OperatorMatrix(Record):
     values: tuple[Fraction, ...]
     index: np.ndarray
 
+    def __init__(self, ctx, level, basis, values, index) -> None:
+        self._bind(ctx, level, basis, values, index)
+
     @property
     def dimension(self) -> int:
         return len(self.basis)
@@ -218,47 +221,6 @@ def build_matrix(level: int, ctx: PrimeParams, dim_cap: int | None = None) -> Op
     return OperatorMatrix(ctx, level, basis, values, index)
 
 
-class MatrixReport(Record):
-    """Structural and spectral checks of one assembled matrix, with the
-    ascending eigenvalues they were made on."""
-
-    __slots__ = _fields = (
-        "eigenvalues",
-        "dimension",
-        "symmetric",
-        "row_sums_zero",
-        "min_eigenvalue",
-        "positive_semidefinite",
-        "kernel_dimension",
-        "multiset_deviation",
-        "spectrum_match",
-        "eigenfunction_residual",
-        "eigenfunctions_ok",
-        "failures",
-    )
-    eigenvalues: list[float]
-    dimension: int
-    symmetric: bool
-    row_sums_zero: bool
-    min_eigenvalue: float
-    positive_semidefinite: bool
-    kernel_dimension: int
-    multiset_deviation: float
-    spectrum_match: bool
-    eigenfunction_residual: float
-    eigenfunctions_ok: bool
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        """Every field after the eigenvalues, in order, then the verdict."""
-        data = {name: getattr(self, name) for name in self._fields[1:]}
-        return {**data, "failures": list(self.failures), "passed": self.passed}
-
-
 def label_vectors(mx: OperatorMatrix, characters):
     """Every joint character with its values on the basis, as (n, l, vec):
     levels n ascending, the radial characters ``characters[n]`` of
@@ -291,10 +253,14 @@ def label_vectors(mx: OperatorMatrix, characters):
                 yield n, l, roots[(offset + radial) % (m * phi)].ravel()
 
 
-def verify_matrix(mx: OperatorMatrix) -> MatrixReport:
+def verify_matrix(mx: OperatorMatrix) -> tuple[list[float], dict]:
     """Check symmetry, row sums, positivity, kernel dimension, the
     eigenvalue multiset, and the character eigenvectors, both float checks
-    against one table of eigenvalues per (conductor, l)."""
+    against one table of eigenvalues per (conductor, l).
+
+    Returns the ascending eigenvalues and the report: every check in that
+    order, then the names of the failed ones and the verdict.
+    """
     import numpy as np
 
     ctx = mx.ctx
@@ -345,17 +311,17 @@ def verify_matrix(mx: OperatorMatrix) -> MatrixReport:
     eigenfunctions_ok = worst < 1e-10 * scale
     if not eigenfunctions_ok:
         failures.append("eigenfunction residuals")
-    return MatrixReport(
-        eigenvalues=eigs,
-        dimension=dim,
-        symmetric=symmetric,
-        row_sums_zero=row_sums_zero,
-        min_eigenvalue=min_eig,
-        positive_semidefinite=psd,
-        kernel_dimension=kernel_dim,
-        multiset_deviation=deviation,
-        spectrum_match=spectrum_match,
-        eigenfunction_residual=worst,
-        eigenfunctions_ok=eigenfunctions_ok,
-        failures=tuple(failures),
-    )
+    return eigs, {
+        "dimension": dim,
+        "symmetric": symmetric,
+        "row_sums_zero": row_sums_zero,
+        "min_eigenvalue": min_eig,
+        "positive_semidefinite": psd,
+        "kernel_dimension": kernel_dim,
+        "multiset_deviation": deviation,
+        "spectrum_match": spectrum_match,
+        "eigenfunction_residual": worst,
+        "eigenfunctions_ok": eigenfunctions_ok,
+        "failures": failures,
+        "passed": not failures,
+    }

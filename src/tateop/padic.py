@@ -78,30 +78,13 @@ class Record:
 
     Equality (between records of the same class only), hashing and repr
     read the field tuple, as a frozen dataclass's do; further slots hold
-    values derived from it.  The base ``__init__`` takes the fields by
-    position or keyword; a record that validates or derives writes its own
-    and ends in one ``_bind``.  Afterwards no attribute can be assigned or
+    values derived from it.  Each record writes its own ``__init__``, which
+    ends in one ``_bind``.  Afterwards no attribute can be assigned or
     deleted.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        fields, name = self._fields, self.__class__.__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in values:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-            values[key] = value
-        missing = [key for key in fields if key not in values]
-        if missing:
-            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
-        self._bind(*[values[key] for key in fields])
 
     def _bind(self, *values) -> None:
         """Set the first ``len(values)`` slots, in ``__slots__`` order; every

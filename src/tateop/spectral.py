@@ -240,19 +240,6 @@ def primitive_character(p: int, n: int) -> UnitCharacter | None:
     return UnitCharacter(p, n, 1)
 
 
-class AngularCharacter(Record):
-    """Character of Z/mZ acting on the valuation class: v -> e^(2 pi i l v / m)."""
-
-    __slots__ = _fields = ("m", "l")
-    m: int
-    l: int
-
-    def __init__(self, m: int, l: int) -> None:
-        if m < 1:
-            raise ValueError("modulus must be >= 1")
-        self._bind(m, l % m)
-
-
 def eigenvalue_radial_closed(n: int, ctx: PrimeParams) -> Fraction:
     """(p - 1) p^(n - 1) for conductor n >= 1; independent of m."""
     if n < 1:
@@ -260,10 +247,9 @@ def eigenvalue_radial_closed(n: int, ctx: PrimeParams) -> Fraction:
     return Fraction((ctx.p - 1) * ctx.p ** (n - 1))
 
 
-def eigenvalue_radial_integral(
-    chi: UnitCharacter, zeta: AngularCharacter, ctx: PrimeParams
-) -> complex:
-    """Defining integral of the eigenvalue at a nontrivial radial character.
+def eigenvalue_radial_integral(chi: UnitCharacter, l: int, ctx: PrimeParams) -> complex:
+    """Defining integral of the eigenvalue at a nontrivial radial character
+    and the angular character v -> e^(2 pi i l v / m).
 
     Expands -c_p * int H(z,1) (pi(z) - 1) d*z over level-N balls,
     N = level of chi: a singular-term sum over unit residues plus the
@@ -271,7 +257,7 @@ def eigenvalue_radial_integral(
     character (exactly zero) is kept in the formula, which is what makes
     the result visibly independent of the angular part.
     """
-    if chi.p != ctx.p or zeta.m != ctx.m:
+    if chi.p != ctx.p:
         raise ValueError("character data does not match the prime context")
     if chi.is_trivial:
         raise ValueError("trivial radial character: use eigenvalue_angular")
@@ -293,12 +279,13 @@ def eigenvalue_radial_integral(
             s_main += p ** (2 * int_valuation(u - 1, p)) * (1 - val) / p_n
     q1 = p**m - 1
     total = s_main + Fraction(2, q1) * (mu_units - s_hat)
-    # zeta(v) is the (l v mod m)-th of the m roots.  An int true division
-    # is correctly rounded, so each coupling has its Fraction's bits.
+    # The angular character at v is the (l v mod m)-th of the m roots.  An
+    # int true division is correctly rounded, so each coupling has its
+    # Fraction's bits.
     angular = root_table(m)
     weights = coupling_weights(p, m)
     for v in range(1, m):
-        total += complex(weights[v] / q1) * (mu_units - angular[zeta.l * v % m] * s_hat)
+        total += complex(weights[v] / q1) * (mu_units - angular[l * v % m] * s_hat)
     return complex(c_p_const(p)) * total
 
 
@@ -365,6 +352,9 @@ class SpectrumEntry(Record):
     index: int
     eigenvalue: object
     multiplicity: int
+
+    def __init__(self, kind, index, eigenvalue, multiplicity) -> None:
+        self._bind(kind, index, eigenvalue, multiplicity)
 
     def to_json_dict(self) -> dict:
         """The entry's fields under their report keys; the eigenvalue is

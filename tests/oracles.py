@@ -6,10 +6,11 @@ weak delta identity of the Green's function, the mass-dimension relation,
 the determinant's radial factor), so the package's closed forms have
 something independent to agree with.  General partitions of the domain
 into balls, and the character values at a single point, live here too.
-Importing this module also gives the package's classes the methods only
-the tests read: ``OperatorMatrix.entries`` and ``apply``,
-``Ball.children``, ``TatePoint.norm``, and the ``exponent`` and ``value``
-of both character classes (with ``AngularCharacter.is_trivial``).
+The angular characters, which the package reads only as an index l, are
+records here.  Importing this module also gives the package's classes the
+methods only the tests read: ``OperatorMatrix.entries`` and ``apply``,
+``Ball.children``, ``TatePoint.norm``, and ``UnitCharacter.exponent`` and
+``value``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from tateop.padic import (
     tate_div,
     valuation,
 )
-from tateop.spectral import AngularCharacter, UnitCharacter, unit_group_order, unit_log
+from tateop.spectral import UnitCharacter, unit_group_order, unit_log
 
 
 def norm_from_valuation(v: int, p: int) -> Fraction:
@@ -242,6 +243,9 @@ class HeightProfile(Record):
     __slots__ = _fields = ("base",)
     base: TatePoint
 
+    def __init__(self, base: TatePoint) -> None:
+        self._bind(base)
+
     @property
     def ctx(self) -> PrimeParams:
         return self.base.ctx
@@ -317,6 +321,25 @@ def weak_delta_check(y: TatePoint, f: StepFunction) -> tuple[Fraction, Fraction]
         lhs += df_b * prof.integrate_over_ball(b)
     rhs = f.value_at(y) - f.integral() / total_volume(y.ctx)
     return lhs, rhs
+
+
+class AngularCharacter(Record):
+    """Character of Z/mZ acting on the valuation class: v -> e^(2 pi i l v / m)."""
+
+    __slots__ = _fields = ("m", "l")
+    m: int
+    l: int
+
+    def __init__(self, m: int, l: int) -> None:
+        if m < 1:
+            raise ValueError("modulus must be >= 1")
+        self._bind(m, l % m)
+
+    def exponent(self, v: int) -> Fraction:
+        return Fraction(self.l * v, self.m) % 1
+
+    def value(self, v: int):
+        return root_of_unity(self.exponent(v))
 
 
 def character_value(chi: UnitCharacter, u):
@@ -495,26 +518,9 @@ class _UnitCharacter:
         return root_of_unity(self.exponent(u))
 
 
-class _AngularCharacter:
-    """An angular character's value at one shell, set on AngularCharacter below."""
-
-    def exponent(self, v: int) -> Fraction:
-        return Fraction(self.l * v, self.m) % 1
-
-    def value(self, v: int):
-        return root_of_unity(self.exponent(v))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.l == 0
-
-
 OperatorMatrix.entries = _DenseOperatorMatrix.entries
 OperatorMatrix.apply = _DenseOperatorMatrix.apply
 Ball.children = _Ball.children
 TatePoint.norm = _TatePoint.norm
 UnitCharacter.exponent = _UnitCharacter.exponent
 UnitCharacter.value = _UnitCharacter.value
-AngularCharacter.exponent = _AngularCharacter.exponent
-AngularCharacter.value = _AngularCharacter.value
-AngularCharacter.is_trivial = _AngularCharacter.is_trivial

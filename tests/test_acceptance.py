@@ -26,7 +26,6 @@ from tateop.matrix import build_matrix, verify_matrix
 from tateop.operator import apply_D_height, height_check_points, kernel_H
 from tateop.padic import point, tate_div, tate_inv, valuation
 from tateop.spectral import (
-    AngularCharacter,
     eigenvalue_angular,
     eigenvalue_angular_sum,
     eigenvalue_radial_closed,
@@ -37,6 +36,7 @@ from tateop.spectral import (
 )
 
 from oracles import (
+    AngularCharacter,
     ShellPartition,
     StepFunction,
     character_value,
@@ -161,7 +161,7 @@ def test_criterion_04_spectrum_cross_checks():
             chars = enumerate_conductor(p, n)[:2]
             for chi in chars:
                 for ell in range(m):
-                    got = eigenvalue_radial_integral(chi, AngularCharacter(m, ell), ctx)
+                    got = eigenvalue_radial_integral(chi, ell, ctx)
                     if abs(got - lam) > 1e-10:
                         failures.append(("radial", p, m, n, ell, got, lam))
     # angular eigenvalues: closed form vs defining sum, m <= 12
@@ -209,16 +209,16 @@ def test_criterion_05_matrix_consistency():
     dims = []
     for p, m, k in [(3, 2, 2), (2, 3, 3), (5, 1, 2), (2, 1, 4)]:
         ctx = PrimeParams(p, m)
-        rep = verify_matrix(build_matrix(k, ctx))
-        dims.append(rep.dimension)
-        if not rep.symmetric or not rep.row_sums_zero:
-            failures.append((p, m, k, "exactness", rep.failures))
-        if rep.min_eigenvalue < -1e-9:
-            failures.append((p, m, k, "min eigenvalue", rep.min_eigenvalue))
-        if rep.multiset_deviation > 1e-8 or not rep.spectrum_match:
-            failures.append((p, m, k, "multiset", rep.multiset_deviation))
-        if not rep.passed:
-            failures.append((p, m, k, rep.failures))
+        _, rep = verify_matrix(build_matrix(k, ctx))
+        dims.append(rep["dimension"])
+        if not rep["symmetric"] or not rep["row_sums_zero"]:
+            failures.append((p, m, k, "exactness", rep["failures"]))
+        if rep["min_eigenvalue"] < -1e-9:
+            failures.append((p, m, k, "min eigenvalue", rep["min_eigenvalue"]))
+        if rep["multiset_deviation"] > 1e-8 or not rep["spectrum_match"]:
+            failures.append((p, m, k, "multiset", rep["multiset_deviation"]))
+        if not rep["passed"]:
+            failures.append((p, m, k, rep["failures"]))
     elapsed = time.perf_counter() - t0
     if elapsed >= 60.0:
         failures.append(("runtime", elapsed))

@@ -20,9 +20,10 @@ from tateop.matrix import (
 )
 from tateop.operator import _kernel_by_valuations, integrate_H_over_ball
 from tateop.padic import c_p_const
-from tateop.spectral import AngularCharacter, enumerate_conductor, enumerate_spectrum
+from tateop.spectral import enumerate_conductor, enumerate_spectrum
 
 from oracles import (
+    AngularCharacter,
     ShellPartition,
     StepFunction,
     _row_totals,
@@ -107,14 +108,14 @@ def test_matrix_symmetry_and_row_sums_exact():
 
 
 def test_verify_matrix_report():
-    rep = verify_matrix(build_matrix(1, PrimeParams(3, 2)))
-    assert rep.passed and rep.failures == ()
-    assert rep.dimension == 4
-    assert rep.kernel_dimension == 1
-    assert rep.multiset_deviation < 1e-10
-    assert rep.eigenfunction_residual < 1e-10
-    d = rep.to_json_dict()
-    assert d["passed"] is True and d["dimension"] == 4
+    mx = build_matrix(1, PrimeParams(3, 2))
+    eigs, rep = verify_matrix(mx)
+    assert eigs == mx.eigenvalues()
+    assert rep["passed"] is True and rep["failures"] == []
+    assert rep["dimension"] == 4
+    assert rep["kernel_dimension"] == 1
+    assert rep["multiset_deviation"] < 1e-10
+    assert rep["eigenfunction_residual"] < 1e-10
 
 
 def test_character_count_matches_dimension(monkeypatch):
@@ -248,8 +249,8 @@ def test_label_vectors_match_root_of_unity(p, m, level):
 def test_verify_passes_on_every_oracle_config(p, m, level):
     # (2, 1, 1) is the dimension-1 matrix, whose only eigenvalue is 0, and
     # p = 2, k = 1 has its largest eigenvalue below 1.
-    rep = verify_matrix(build_matrix(level, PrimeParams(p, m)))
-    assert rep.failures == () and rep.kernel_dimension == 1
+    _, rep = verify_matrix(build_matrix(level, PrimeParams(p, m)))
+    assert rep["failures"] == [] and rep["kernel_dimension"] == 1
 
 
 @pytest.mark.parametrize("p,m,level", [(3, 2, 2), (2, 3, 3), (5, 1, 1)])
@@ -261,18 +262,18 @@ def test_one_eigenvalue_table_feeds_both_float_checks(monkeypatch, p, m, level):
     monkeypatch.setattr(
         matrix, "eigenvalue_radial_closed", lambda n, ctx: closed(n, ctx) + (n == level)
     )
-    rep = verify_matrix(mx)
-    assert rep.failures == ("eigenvalue multiset", "eigenfunction residuals")
-    assert rep.multiset_deviation > 0.5 and rep.eigenfunction_residual > 0.5
+    _, rep = verify_matrix(mx)
+    assert rep["failures"] == ["eigenvalue multiset", "eigenfunction residuals"]
+    assert rep["multiset_deviation"] > 0.5 and rep["eigenfunction_residual"] > 0.5
 
 
 def test_verify_reports_a_corrupted_entry():
     mx = build_matrix(2, PrimeParams(3, 2))
     index = mx.index.copy()
     index[0, 1] = index[0, 0]
-    rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, index))
-    assert "symmetry" in rep.failures and "row sums" in rep.failures
-    assert rep.passed is False
+    _, rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, index))
+    assert "symmetry" in rep["failures"] and "row sums" in rep["failures"]
+    assert rep["passed"] is False
 
 
 def corrupt_symmetrically(mx, i, j):
@@ -299,9 +300,9 @@ def test_verify_catches_rows_that_leave_their_shell_profile(p, m, level):
     # A symmetric corruption keeps the index symmetric, so only the exact
     # row sums (and the float spectrum) can see it.
     mx = build_matrix(level, PrimeParams(p, m))
-    rep = verify_matrix(corrupt_symmetrically(mx, 0, mx.dimension - 1))
-    assert rep.symmetric and not rep.row_sums_zero
-    assert rep.failures[0] == "row sums" and "symmetry" not in rep.failures
+    _, rep = verify_matrix(corrupt_symmetrically(mx, 0, mx.dimension - 1))
+    assert rep["symmetric"] and not rep["row_sums_zero"]
+    assert rep["failures"][0] == "row sums" and "symmetry" not in rep["failures"]
 
 
 def test_verify_builds_the_float_copy_once(monkeypatch):
@@ -313,8 +314,8 @@ def test_verify_builds_the_float_copy_once(monkeypatch):
         return as_float(self)
 
     monkeypatch.setattr(OperatorMatrix, "as_float", counted)
-    rep = verify_matrix(build_matrix(2, PrimeParams(3, 2)))
-    assert rep.passed and len(calls) == 1
+    _, rep = verify_matrix(build_matrix(2, PrimeParams(3, 2)))
+    assert rep["passed"] and len(calls) == 1
 
 
 def test_verify_takes_the_angular_eigenvalues_in_one_pass():
@@ -326,7 +327,7 @@ def test_verify_takes_the_angular_eigenvalues_in_one_pass():
         ctx = PrimeParams(p, m)
         mx = build_matrix(1, ctx)
         check.cache_clear()
-        assert verify_matrix(mx).passed
+        assert verify_matrix(mx)[1]["passed"]
         assert check.cache_info().misses == 1
 
 
@@ -340,7 +341,7 @@ def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):
     # eigvalsh reads only the lower triangle, so moving entry (0, 1) of the
     # float copy leaves the eigenvalues as they are and moves row 0 of every
     # residual by the same amount (each label vector has unit entries).
-    for factor, failures in ((0.9, ()), (1.1, ("eigenfunction residuals",))):
+    for factor, failures in ((0.9, []), (1.1, ["eigenfunction residuals"])):
 
         def perturbed(self, factor=factor):
             a = as_float(self)
@@ -348,9 +349,9 @@ def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):
             return a
 
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
-        rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, mx.index))
-        assert 1e-10 < rep.eigenfunction_residual
-        assert rep.failures == failures
+        _, rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, mx.index))
+        assert 1e-10 < rep["eigenfunction_residual"]
+        assert rep["failures"] == failures
 
 
 def test_multiset_bound_scales_with_the_largest_eigenvalue(monkeypatch):
@@ -361,8 +362,8 @@ def test_multiset_bound_scales_with_the_largest_eigenvalue(monkeypatch):
     # Moving diagonal entry (0, 0) shifts one eigenvalue of the 1007-fold
     # cluster by about as much; the residuals fail at either size.
     for factor, failures in (
-        (0.9, ("eigenfunction residuals",)),
-        (1.1, ("eigenvalue multiset", "eigenfunction residuals")),
+        (0.9, ["eigenfunction residuals"]),
+        (1.1, ["eigenvalue multiset", "eigenfunction residuals"]),
     ):
 
         def perturbed(self, factor=factor):
@@ -371,6 +372,6 @@ def test_multiset_bound_scales_with_the_largest_eigenvalue(monkeypatch):
             return a
 
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
-        rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, mx.index))
-        assert 1e-8 < rep.multiset_deviation
-        assert rep.failures == failures
+        _, rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, mx.index))
+        assert 1e-8 < rep["multiset_deviation"]
+        assert rep["failures"] == failures

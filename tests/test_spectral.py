@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from tateop import angular, cli, determinant, spectral
 from tateop.padic import PrimeParams
 from tateop.spectral import (
-    AngularCharacter,
     OutOfRegimeError,
     SpectrumEntry,
     UnitCharacter,
@@ -136,15 +135,13 @@ def test_radial_integral_matches_closed_form():
             lam = eigenvalue_radial_closed(n, ctx)
             for chi in enumerate_conductor(p, n):
                 for ell in range(m):
-                    got = eigenvalue_radial_integral(chi, AngularCharacter(m, ell), ctx)
+                    got = eigenvalue_radial_integral(chi, ell, ctx)
                     assert abs(got - lam) < 1e-10
 
 
 def test_radial_integral_rejects_trivial():
     with pytest.raises(ValueError):
-        eigenvalue_radial_integral(
-            UnitCharacter.trivial(3), AngularCharacter(2, 0), PrimeParams(3, 2)
-        )
+        eigenvalue_radial_integral(UnitCharacter.trivial(3), 0, PrimeParams(3, 2))
 
 
 def test_angular_eigenvalue_oracles():
@@ -337,7 +334,7 @@ def test_exact_radial_identity_matches_the_float_integral():
             exact = eigenvalue_radial_exact(chi, ctx)
             assert exact == eigenvalue_radial_closed(chi.conductor, ctx)
             for ell in range(m):
-                got = eigenvalue_radial_integral(chi, AngularCharacter(m, ell), ctx)
+                got = eigenvalue_radial_integral(chi, ell, ctx)
                 assert abs(got - complex(float(exact))) < 1e-10, (chi, m, ell)
 
 
