@@ -9,12 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .padic import PrimeParams, TatePoint, c_p_const, coupling_weights, point, valuation
-
-if TYPE_CHECKING:
-    from .domain import Ball
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,8 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
 
