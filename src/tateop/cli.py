@@ -67,8 +67,8 @@ INTEGRAL_CHECK_MODULUS_CAP = 5000
 # quick usage error, not a call that runs without end.  At p = 999983 and
 # the other parameters small, a call at any one cap took at most 40 s and
 # 600 MB on a 2-core Xeon VM (README, "Caps").  --m is capped through the
-# coupling table w_0..w_m that every subcommand but tree builds, about
-# m^2 log2(p) bits.
+# coupling table w_0..w_m that greens, spectrum, det and matrix build, about
+# m^2 log2(p) bits; correlator, which reads one weight, keeps the same cap.
 P_CAP = 10**6
 TABLE_BITS_CAP = 3 * 10**9
 GREENS_M_CAP = 1000
@@ -282,9 +282,7 @@ def cmd_det(args: argparse.Namespace) -> Report:
         closed = determinant.zeta_pi_value(float(s), ctx)
         series = determinant.zeta_pi_series(float(s), ctx)
         err = abs(closed - series)
-        # zeta_pi_value is m times an m-free number, so the bound scales
-        # with the closed value once it passes 1, as verify_matrix's do.
-        ok = err < 1e-12 * max(1.0, abs(closed))
+        ok = determinant.zeta_pi_exact(s, ctx) == determinant.zeta_pi_series_sum(s, ctx)
         series_checks.append(
             {"s": s, "closed": closed, "series": series, "abs_error": err, "pass": ok}
         )

@@ -11,28 +11,29 @@ import math
 from fractions import Fraction
 
 from .padic import PrimeParams
-from .angular import angular_eigenvalues
+from .angular import _closed_coefficients, angular_circulant_check
 
 ZETA_SERIES_TERMS = 200
 
 
 def angular_determinant(ctx: PrimeParams) -> Fraction:
-    """Product of the nonzero angular eigenvalues:
-    m^2 (p-1)^(m+1) p^(m-1) / (p^m - 1)^2, exactly.
+    """Product of the nonzero angular eigenvalues a t_l / (b + c t_l) over
+    l = 1..m-1: a^(m-1) m^2 b / (p^m - 1)^2, exactly.
 
-    The product of the float eigenvalues over l = 1..m-1 is recomputed as
-    a guard, in log space: |sum of log lambda_l - log closed| <= 1e-9, to
-    first order the relative 1e-9 bound on the product, with no float
-    underflow at large m.  The factors are proved exactly by the angular
-    circulant check, once per (p, m).
+    The angular circulant check proves each factor, once per (p, m).  Over
+    the m-th roots x = e^(2 pi i l / m) != 1, t_l = (1 - x)(1 - 1/x) and
+    b + c t_l = -(p/x)(x - p)(x - 1/p) multiply to m^2 and (p^m - 1)^2 / b,
+    the cyclotomic resultants of x^m - 1 with x - 1, x - p and x - 1/p.
     """
     p, m = ctx.p, ctx.m
-    closed = Fraction(m * m * (p - 1) ** (m + 1) * p ** (m - 1), (p**m - 1) ** 2)
-    log_product = math.fsum(math.log(float(lam)) for lam in angular_eigenvalues(range(1, m), ctx))
-    log_closed = math.log(closed.numerator) - math.log(closed.denominator)
-    if abs(log_product - log_closed) > 1e-9:
-        raise ArithmeticError("angular product disagrees with its closed form")
-    return closed
+    angular_circulant_check(p, m)
+    a, b, _ = _closed_coefficients(p)
+    return Fraction(a ** (m - 1) * m * m * b, (p**m - 1) ** 2)
+
+
+def _zeta_closed(m, p, ps, p1s):
+    """The closed form from ps = p^s and p1s = (p-1)^s, floats or Fractions."""
+    return m * (ps * p - 2 * ps + 1) / ((ps - p) * p1s)
 
 
 def zeta_pi_value(s: float, ctx: PrimeParams) -> float:
@@ -44,8 +45,21 @@ def zeta_pi_value(s: float, ctx: PrimeParams) -> float:
     p, m = ctx.p, ctx.m
     if s == 1:
         raise ValueError("s = 1 is the pole of the radial zeta function")
-    ps = float(p) ** s
-    return m * (ps * p - 2 * ps + 1) / ((ps - p) * float(p - 1) ** s)
+    return _zeta_closed(m, p, float(p) ** s, float(p - 1) ** s)
+
+
+def zeta_pi_exact(s: int, ctx: PrimeParams) -> Fraction:
+    """The closed form of ``zeta_pi_value`` at an integer s > 1, exactly."""
+    p, m = ctx.p, ctx.m
+    return _zeta_closed(m, p, Fraction(p) ** s, Fraction(p - 1) ** s)
+
+
+def zeta_pi_series_sum(s: int, ctx: PrimeParams) -> Fraction:
+    """The whole defining series at an integer s > 1, exactly: m (p-2)(p-1)^(-s)
+    at level 1, then levels 2, 3, ... as m (p-1)^2 ((p-1) p)^(-s) / (1 - p^(1-s))."""
+    p, m = ctx.p, ctx.m
+    tail = m * (p - 1) ** 2 / Fraction((p - 1) * p) ** s / (1 - Fraction(p) ** (1 - s))
+    return m * (p - 2) / Fraction(p - 1) ** s + tail
 
 
 def zeta_pi_series(s: float, ctx: PrimeParams) -> float:
@@ -86,28 +100,16 @@ def zeta_prime_at_zero(ctx: PrimeParams) -> float:
     return analytic
 
 
-def _radial_factor(ctx: PrimeParams, zeta_prime: float) -> Fraction:
-    """(p/(p-1))^m, checked against exp(-zeta'(0)) in log space: |log of
-    the closed form + zeta'(0)| <= 1e-8, to first order the relative 1e-8
-    bound on the exponentials, with no float overflow at large m."""
-    closed = Fraction(ctx.p, ctx.p - 1) ** ctx.m
-    log_closed = math.log(closed.numerator) - math.log(closed.denominator)
-    if abs(log_closed + zeta_prime) > 1e-8:
-        raise ArithmeticError("exponentiated zeta derivative misses the closed form")
-    return closed
-
-
 def det_factors(ctx: PrimeParams) -> tuple[Fraction, Fraction, Fraction, float]:
     """(det D, angular factor, radial factor, zeta'(0)), each computed once.
 
     det D = m^2 (1 - 1/p) / (1 - p^(-m))^2 must equal angular x radial
-    exactly.
+    exactly, the radial factor being exp(-zeta'(0)) = (p/(p-1))^m.
     """
     p, m = ctx.p, ctx.m
     closed = Fraction(m * m) * (1 - Fraction(1, p)) / (1 - Fraction(1, p**m)) ** 2
     angular = angular_determinant(ctx)
-    zeta_prime = zeta_prime_at_zero(ctx)
-    radial = _radial_factor(ctx, zeta_prime)
+    radial = Fraction(p, p - 1) ** m
     if closed != angular * radial:
         raise ArithmeticError("determinant does not factor as angular x radial")
-    return closed, angular, radial, zeta_prime
+    return closed, angular, radial, zeta_prime_at_zero(ctx)

@@ -32,7 +32,9 @@ from .padic import PrimeParams, Record, c_p_const, capped_product, format_ration
 from .spectral import eigenvalue_radial_closed, enumerate_conductor, unit_group_order, unit_log
 
 # Largest dimension whose `matrix` call (build and verify) finished within
-# 60 s on a 2-core Xeon VM: 3072 took 49 s, 2048 took 9.2 s (README).
+# 60 s on a 2-core Xeon VM: 3072 at (p, m, level) = (2, 3, 11) took 49 s,
+# 2048 at (2, 1, 12) 9.2 s (README).  It bounds the dimension, not m:
+# (2, 3072, 1) has the same dimension and takes about twice as long.
 DEFAULT_DIM_CAP = 3072
 
 
@@ -229,28 +231,29 @@ def label_vectors(mx: OperatorMatrix, characters):
     The character (l, chi) takes the value e^(2 pi i j / N) at ball (v, c),
     N = m |(Z/p^n)^x| and j = l v |(Z/p^n)^x| + m chi.turns(log c): the
     same rational turn as its exponents, looked up in a table of the N
-    roots.  The logs, the roots and the angular offsets l v |(Z/p^n)^x|
-    are built once per level n, and each character is one lookup into a
-    fresh 1-D C-contiguous vector (a lookup per radial character would
-    hold m vectors at once, dim^2 complex entries where m is about dim).
+    roots.  The logs and the roots are built once per level n, the angular
+    part l v |(Z/p^n)^x| of the turn once per l as a column over the
+    shells v (an m x m table of them would be dim^2 integers where m is
+    about dim), and each character is one lookup into a fresh 1-D
+    C-contiguous vector (a lookup per radial character would hold m
+    vectors at once, dim^2 complex entries).
     """
     import numpy as np
 
     p, m = mx.ctx.p, mx.ctx.m
     units = [b.center for b in mx.basis if b.v == 0]
+    shells = np.arange(m)[:, None]
     for n, chars in enumerate(characters):
         if not chars:
             continue
         phi = unit_group_order(p, n)
         roots = np.array(root_table(m * phi))
-        # offsets[l, v] = l v phi, the angular part of the turn.
-        offsets = phi * np.outer(range(m), range(m))[:, :, None]
         logs = np.array([unit_log(p, n, c % p**n) if n else 0 for c in units]).T
         for chi in chars:
             # The trivial character's turns are a scalar 0; its logs are the zeros.
             radial = m * chi.turns(logs) if n else logs
-            for l, offset in enumerate(offsets):
-                yield n, l, roots[(offset + radial) % (m * phi)].ravel()
+            for l in range(m):
+                yield n, l, roots[(l * phi * shells + radial) % (m * phi)].ravel()
 
 
 def verify_matrix(mx: OperatorMatrix) -> tuple[list[float], dict]:

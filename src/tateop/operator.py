@@ -10,7 +10,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PrimeParams, TatePoint, c_p_const, coupling_weights, point, valuation
+from .padic import (
+    PrimeParams,
+    TatePoint,
+    c_p_const,
+    coupling_weight,
+    coupling_weights,
+    point,
+    valuation,
+)
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +39,7 @@ def _kernel_by_valuations(p: int, m: int, vx: int, vz: int, vdiff: int) -> Fract
     else:
         if not 0 < u < m:
             raise ValueError("shell distance must lie strictly between 0 and m")
-        case_form = Fraction(coupling_weights(p, m)[u], q1)
+        case_form = Fraction(coupling_weight(p, m, u), q1)
     if norm_form != case_form:
         raise ArithmeticError(
             f"kernel forms disagree at p={p}, m={m}, valuations ({vx}, {vz}, {vdiff})"

@@ -207,6 +207,11 @@ def coupling_weights(p: int, m: int) -> tuple[int, ...]:
     return tuple(half[min(u, m - u)] for u in range(m + 1))
 
 
+def coupling_weight(p: int, m: int, u: int) -> int:
+    """w_u = p^(m-u) + p^u, one entry of ``coupling_weights``, without the table."""
+    return p ** (m - u) + p**u
+
+
 @lru_cache(maxsize=None)
 def coupling_total(p: int, m: int) -> int:
     """w_1 + ... + w_(m-1): one shell's couplings to all the others, summed

@@ -35,9 +35,10 @@ def run_python():
 
 @pytest.fixture
 def skew_coupling(monkeypatch):
-    """skew(p, m, u) makes entry u of coupling_weights(p, m) one too large
-    in every module that reads the table, and clears the caches the table
-    feeds, then and after the test, so no value of either table is reused."""
+    """skew(p, m, u) makes w_u at (p, m) one too large in every module that
+    reads it, as entry u of coupling_weights(p, m) or as
+    coupling_weight(p, m, u), and clears the caches they feed, then and
+    after the test, so no value of either is reused."""
     from tateop import angular, operator, padic, spectral
 
     caches = (
@@ -45,7 +46,7 @@ def skew_coupling(monkeypatch):
         angular.angular_circulant_check,
         padic.coupling_total,
     )
-    original = padic.coupling_weights
+    original, original_weight = padic.coupling_weights, padic.coupling_weight
 
     def skew(p, m, u):
         table = original(p, m)
@@ -54,8 +55,12 @@ def skew_coupling(monkeypatch):
         def weights(p2, m2):
             return skewed if (p2, m2) == (p, m) else original(p2, m2)
 
+        def weight(p2, m2, u2):
+            return original_weight(p2, m2, u2) + ((p2, m2, u2) == (p, m, u))
+
         for module in (angular, operator, padic, spectral):
             monkeypatch.setattr(module, "coupling_weights", weights)
+        monkeypatch.setattr(operator, "coupling_weight", weight)
         for cache in caches:
             cache.cache_clear()
 

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from tateop.correlator import _pair_valuations
-from tateop.determinant import _radial_factor, det_factors, zeta_prime_at_zero
+from tateop.determinant import det_factors
 from tateop.domain import Ball
 from tateop.matrix import OperatorMatrix, _profile_totals, level_basis
 from tateop.operator import integrate_H_over_ball
@@ -435,8 +435,9 @@ def limit_finite_part(x1: TatePoint, x2: TatePoint, ctx: PrimeParams) -> float:
 
 
 def radial_det_contribution(ctx: PrimeParams) -> Fraction:
-    """exp(-zeta'(0)) resummed over the radial tower: (p/(p-1))^m exactly."""
-    return _radial_factor(ctx, zeta_prime_at_zero(ctx))
+    """exp(-zeta'(0)) resummed over the radial tower: (p/(p-1))^m exactly,
+    as the determinant's radial factor."""
+    return det_factors(ctx)[2]
 
 
 def det_D(ctx: PrimeParams) -> Fraction:

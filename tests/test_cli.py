@@ -533,7 +533,8 @@ def test_matrix_cap_env(monkeypatch):
 
 
 def test_det_at_a_large_period_is_fast(run_python):
-    # The m - 1 angular guards take one pass over the shells, not one each.
+    # The angular product is a closed form that one circulant check over
+    # the shells proves, with no pass per angular eigenvalue.
     start = time.perf_counter()
     proc = run_python("-m", "tateop", "det", "--p", "2", "--m", "1100")
     assert time.perf_counter() - start < 5.0
@@ -543,8 +544,9 @@ def test_det_at_a_large_period_is_fast(run_python):
 
 def test_det_series_checks_scale_with_the_closed_value():
     # zeta_pi_value is m times an m-free number: at p = 2, m = 2157 and
-    # s = 2 the closed value is 1078.5, and the series misses it by about
-    # 1e-12 in absolute terms, 1e-15 relative.
+    # s = 2 the closed value is 1078.5, and the float series misses it by
+    # about 1e-12.  The verdict compares the exact closed form with the
+    # exact series sum, so no float error of any size decides it.
     code, out, err = run_cli(["det", "--p", "2", "--m", "2157"])
     assert code == 0, err
     row = json.loads(out)["zeta_series_checks"][0]

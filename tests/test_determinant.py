@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from tateop import cli, determinant
+from tateop import angular, cli, determinant
 from tateop.determinant import (
     angular_determinant,
     zeta_pi_series,
@@ -64,6 +64,9 @@ def test_zeta_series_matches_closed_form():
             ctx = PrimeParams(p, m)
             for s in (2, 3, 4):
                 assert abs(zeta_pi_series(s, ctx) - zeta_pi_value(s, ctx)) < 1e-12
+                exact = determinant.zeta_pi_exact(s, ctx)
+                assert exact == determinant.zeta_pi_series_sum(s, ctx)
+                assert float(exact) == pytest.approx(zeta_pi_value(s, ctx), rel=1e-15)
 
 
 def test_zeta_series_requires_convergence():
@@ -90,10 +93,10 @@ def test_radial_contribution_oracles():
     assert radial_det_contribution(PrimeParams(3, 2)) == Fraction(9, 4)
     assert radial_det_contribution(PrimeParams(2, 1)) == 2
     assert radial_det_contribution(PrimeParams(5, 3)) == Fraction(125, 64)
-    # (p/(p-1))^m outgrows any absolute tolerance; the bound is relative.
+    # (p/(p-1))^m is formed exactly, however far it outgrows a float:
+    # 2^1100 does not fit one.
     assert radial_det_contribution(PrimeParams(2, 24)) == 2**24
     assert radial_det_contribution(PrimeParams(2, 100)) == 2**100
-    # 2^1100 does not fit a float: the check runs in log space.
     assert radial_det_contribution(PrimeParams(2, 1100)) == 2**1100
     # The finite-difference error of zeta'(0) grows like m; its bound does too.
     assert radial_det_contribution(PrimeParams(11, 5000)) == Fraction(11, 10) ** 5000
@@ -135,14 +138,20 @@ def test_angular_product_guard_past_the_float_range():
 
 
 def test_angular_product_guard_sees_a_wrong_factor(monkeypatch):
-    def skewed(ls, ctx):
-        lams = angular_eigenvalues(ls, ctx)
-        return [lams[0] * (1 + 1e-7)] + lams[1:]
+    # The product's closed form rests on the angular circulant check, which
+    # a wrong coefficient of the eigenvalues' closed form fails.
+    closed = angular._closed_coefficients
 
-    monkeypatch.setattr(determinant, "angular_eigenvalues", skewed)
+    def skewed(p):
+        a, b, c = closed(p)
+        return a + 1, b, c
+
+    monkeypatch.setattr(angular, "_closed_coefficients", skewed)
     for m in (5, 1100):
-        with pytest.raises(ArithmeticError, match="angular product"):
+        angular.angular_circulant_check.cache_clear()
+        with pytest.raises(ArithmeticError, match="angular circulant"):
             angular_determinant(PrimeParams(2, m))
+        assert _det_cli(2, m)[0] == 1
 
 
 def _det_cli(p, m):
@@ -177,5 +186,26 @@ def test_det_prints_an_exact_value_past_the_str_digit_limit():
 
 def test_det_passes_where_two_minus_two_cos_cancels():
     # 2 - 2 cos(2 pi l / m) loses digits to cancellation at small l / m; at
-    # m = 14002 that error alone broke the 1e-9 angular-product guard.
+    # m = 14002 that error alone broke the float angular-product guard that
+    # det once ran.  The float eigenvalues read 4 sin^2(pi l / m), and their
+    # product meets the exact one to 1e-9 in log space.
     assert _det_cli(2, 14002)[0] == 0
+    ctx = PrimeParams(2, 14002)
+    logs = math.fsum(math.log(float(lam)) for lam in angular_eigenvalues(range(1, ctx.m), ctx))
+    exact = angular_determinant(ctx)
+    assert abs(logs - math.log(exact.numerator) + math.log(exact.denominator)) <= 1e-9
+
+
+def test_det_series_verdict_is_exact(monkeypatch):
+    # A relative skew of 1e-15 in the exact series sum at s = 3, a thousand
+    # times finer than a 1e-12 float bound, fails that row and the call.
+    exact = determinant.zeta_pi_series_sum
+
+    def skewed(s, ctx):
+        return exact(s, ctx) * (1 + Fraction(1, 10**15) * (s == 3))
+
+    monkeypatch.setattr(determinant, "zeta_pi_series_sum", skewed)
+    code, out = _det_cli(3, 2)
+    assert code == 1
+    rows = json.loads(out)["zeta_series_checks"]
+    assert [row["pass"] for row in rows] == [True, False, True]

@@ -71,9 +71,9 @@ LADDER_DUMP_SHA256 = {
 # json stdout.  They print the float radial integrals, the determinant
 # factors of the spectral layer and the exact height identity at every
 # sampled point.  The last four run every reader of the shell couplings at
-# a large m: the kernel's case form, the height action's shell loops, the
-# angular circulant check, the float and exact radial sums, and the
-# correlator's two limits.
+# a large m: the height action's shell loops, the angular circulant check
+# and the float and exact radial sums read the table; the correlator's
+# kernel match reads the kernel's case form, which computes its one weight.
 SWEEP_STDOUT_SHA256 = {
     "spectrum --p 2 --m 1 --max-conductor 12": "739450f602de23583192638735f76b12e1ffca2f9a56901645a0dd5d11206313",
     "spectrum --p 3 --m 2 --max-conductor 7": "3402f92649ada078cc5485047e3da6dc7830779adbaefed356735b29020a7e76",
@@ -100,7 +100,7 @@ SWEEP_STDOUT_SHA256 = {
     "greens --p 101 --m 3 --max-vdist 100": "e2c8800312fae9081648167bc977b0aa44dc8dd28bf16c1417b8223ba4bddb50",
 }
 
-# Matrices of dimension 192 and 972: both float checks over every conductor
+# Matrices of dimension 96 and 972: both float checks over every conductor
 # level up to 6.  The eigen-solve's bits at dimension 972 depend on the BLAS
 # thread count, so these are taken from a fresh process on one thread.
 ONE_THREAD_MATRIX_STDOUT_SHA256 = {

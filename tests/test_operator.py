@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop import cli
+from tateop import cli, padic
 from tateop.domain import Ball, PrimeParams
 from tateop.operator import (
+    _kernel_by_valuations,
     apply_D_height,
     c_p_const,
     height_check_points,
@@ -225,14 +226,25 @@ def test_a_skewed_coupling_fails_greens(skew_coupling):
 
 
 def test_a_skewed_coupling_splits_the_kernel_forms_of_matrix(skew_coupling):
-    # The norm form does not read the table, the case form does: the build
-    # raises, and the call exits 1.
+    # The norm form does not read the couplings, the case form reads one
+    # weight: the build raises, and the call exits 1.
     argv = ["matrix", "--p", "3", "--m", "3", "--level", "1"]
     assert _run(argv) == 0
     skew_coupling(3, 3, 2)
     with pytest.raises(ArithmeticError, match="kernel forms disagree"):
         kernel_H(point(1, PrimeParams(3, 3)), point(9, PrimeParams(3, 3)))
     assert _run(argv) == 1
+
+
+def test_the_kernel_builds_no_coupling_table():
+    # The case form computes its one weight: at m = 2000 the table would be
+    # 2001 integers of up to 2000 bits.
+    padic.coupling_weights.cache_clear()
+    _kernel_by_valuations.cache_clear()
+    ctx = PrimeParams(2, 2000)
+    for x1, x2 in [(4, 1), (3, 1), (2**1999, 2**1000)]:
+        kernel_H(point(x1, ctx), point(x2, ctx))
+    assert padic.coupling_weights.cache_info().currsize == 0
 
 
 def test_height_check_points_cover_all_strata():
