@@ -354,9 +354,13 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
     # A tiny delta makes the second term, about 2 / (m delta log p), infinite.
     if not math.isfinite(value):
         raise UsageError(overflow)
-    at_one = correlator.two_point(x1, x2, 1.0)
-    kernel = float(operator.kernel_H(x1, x2))
-    kernel_ok = abs(at_one - kernel) <= 1e-12 * (1 + abs(kernel))
+    # Both sides are the one rational H(x1, x2), correctly rounded.
+    try:
+        at_one = correlator.two_point(x1, x2, 1.0)
+        kernel = float(operator.kernel_H(x1, x2))
+    except OverflowError as exc:
+        raise UsageError("the delta = 1 kernel at these points overflows a float") from exc
+    kernel_ok = at_one == kernel
     # The exact coefficient decides the height verdict; the extrapolated
     # limit is reported beside it, as its steps lose accuracy at large m.
     coefficient, twice_height = correlator.height_coefficient(x1, x2)

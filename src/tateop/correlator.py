@@ -2,10 +2,11 @@
 recovers the height.
 
 Floating point throughout: the scaling dimension is a continuous
-parameter and log p is transcendental.  Two exceptions: integer
-dimensions evaluate through exact rationals before the final float, so
-the degeneration to the kernel at dimension 1 is exact; and the height
-is checked exactly against the expansion's coefficient of log p delta.
+parameter and log p is transcendental.  Two exceptions: at an integer
+dimension d the two-point function is the operator's kernel with p
+replaced by p^d, so it is that exact rational, correctly rounded (at
+d = 1 the kernel itself); and the height is checked exactly against the
+expansion's coefficient of log p delta.
 """
 
 from __future__ import annotations
@@ -13,23 +14,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .padic import TatePoint, local_height, tate_div, valuation
-
-
-def _pair_valuations(x1: TatePoint, x2: TatePoint) -> tuple[int, int, int]:
-    if x1.ctx != x2.ctx:
-        raise ValueError("mixed prime contexts")
-    if x1.value == x2.value:
-        raise ValueError("coincident points")
-    return x1.v, x2.v, valuation(x1.value - x2.value, x1.ctx.p)
+from .operator import _kernel_by_valuations, _pair_valuations
+from .padic import TatePoint, local_height, tate_div
 
 
 def two_point(x1: TatePoint, x2: TatePoint, delta: float) -> float:
     """(|x1||x2|/|x1-x2|^2)^delta + (r^delta + r^(-delta))/(p^(m delta) - 1),
     r = |x1|/|x2|, with p and m read off the two points.
 
-    Integer dimensions take an exact rational path, so delta = 1
-    reproduces the kernel on the nose.
+    An integer dimension d evaluates the kernel at base p^d exactly, so
+    delta = 1 reproduces the kernel on the nose.
     """
     if delta <= 0:
         raise ValueError("dimension must be positive")
@@ -40,8 +34,8 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float) -> float:
         e = 2 * vd - v1 - v2
         # log2 of the first term, p^(d e), and a bound on log2 of the second,
         # which is at most 4 p^(d |v1 - v2| - m d).  They settle the float
-        # before the exact powers, whose size grows with the dimension, are
-        # built; in float arithmetic, so a huge d gives an infinity.
+        # before the kernel at base p^d, whose size grows with the dimension,
+        # is built; in float arithmetic, so a huge d gives an infinity.
         lp2 = math.log2(p)
         first_log2 = e * lp2 * d
         second_log2 = 2 + (abs(v1 - v2) - m) * lp2 * d
@@ -55,11 +49,7 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float) -> float:
         # The sum is below 2^-1076, under half the least subnormal: it rounds to 0.
         if max(first_log2, second_log2) < -1077:
             return 0.0
-        base = Fraction(p)
-        exact = base ** (d * e) + (
-            base ** (d * (v2 - v1)) + base ** (d * (v1 - v2))
-        ) / (p ** (m * d) - 1)
-        return float(exact)
+        return float(_kernel_by_valuations(p**d, m, v1, v2, vd))
     lp = math.log(p)
     first = math.exp(delta * (2 * vd - v1 - v2) * lp)
     try:

@@ -28,7 +28,8 @@ def _kernel_by_valuations(p: int, m: int, vx: int, vz: int, vdiff: int) -> Fract
     Evaluates both the norm form |x||z|/|x-z|^2 + (|x/z| + |z/x|)/(q - 1)
     and its case form (equal shells: same singular term plus 2/(q - 1);
     different shells: (p^(m-u) + p^u)/(q - 1) with u the shell distance)
-    and insists they agree.
+    and insists they agree.  The correlator passes the base p^d: at an
+    integer dimension d its two-point function is this kernel.
     """
     q1 = p**m - 1
     base = Fraction(p)
@@ -47,14 +48,18 @@ def _kernel_by_valuations(p: int, m: int, vx: int, vz: int, vdiff: int) -> Fract
     return norm_form
 
 
+def _pair_valuations(x1: TatePoint, x2: TatePoint) -> tuple[int, int, int]:
+    """(v(x1), v(x2), v(x1 - x2)) of two distinct points of one curve."""
+    if x1.ctx != x2.ctx:
+        raise ValueError("mixed prime contexts")
+    if x1.value == x2.value:
+        raise ValueError("coincident points")
+    return x1.v, x2.v, valuation(x1.value - x2.value, x1.ctx.p)
+
+
 def kernel_H(z: TatePoint, x: TatePoint) -> Fraction:
     """Symmetric interaction kernel between two distinct domain points."""
-    if z.ctx != x.ctx:
-        raise ValueError("mixed prime contexts")
-    if z.value == x.value:
-        raise ValueError("kernel is singular on the diagonal")
-    p, m = x.ctx.p, x.ctx.m
-    return _kernel_by_valuations(p, m, x.v, z.v, valuation(z.value - x.value, p))
+    return _kernel_by_valuations(x.ctx.p, x.ctx.m, *_pair_valuations(x, z))
 
 
 def integrate_H_over_ball(b: Ball, x: TatePoint) -> Fraction:

@@ -177,17 +177,9 @@ def canonical_center(u: Rational, k: int, p: int) -> int:
     return frac.numerator * pow(frac.denominator, -1, mod) % mod
 
 
-@lru_cache(maxsize=None)
 def c_p_const(p: int) -> Fraction:
-    """Normalizing constant p (p - 1) / (p + 1).
-
-    Written as p (1 - 1/p)^2 / (1 - 1/p^2); the reduced form is checked
-    against it.
-    """
-    raw = p * (1 - Fraction(1, p)) ** 2 / (1 - Fraction(1, p * p))
-    if raw != Fraction(p * (p - 1), p + 1):
-        raise ArithmeticError(f"c_p at p={p}: {raw} differs from p(p-1)/(p+1)")
-    return raw
+    """Normalizing constant p (1 - 1/p)^2 / (1 - 1/p^2) = p (p - 1) / (p + 1)."""
+    return Fraction(p * (p - 1), p + 1)
 
 
 @lru_cache(maxsize=None)

@@ -196,7 +196,7 @@ def _conductor_of(chi: UnitCharacter) -> int:
 
 
 def enumerate_conductor(p: int, n: int) -> tuple[UnitCharacter, ...]:
-    """All characters of exact conductor n, with the count checked.
+    """All characters of exact conductor n.
 
     The index sets of :func:`_conductor_of`, in a fixed order: for odd p
     the exponents a prime to p (at n = 1 that is 1..p-2); for p = 2 the
@@ -212,24 +212,15 @@ def enumerate_conductor(p: int, n: int) -> tuple[UnitCharacter, ...]:
         return (UnitCharacter.trivial(p),)
     if p == 2:
         if n == 1:
-            chars = ()
-        elif n == 2:
-            chars = (UnitCharacter(2, 2, 0, 1),)
-        elif n == 3:
-            chars = (UnitCharacter(2, 3, 1), UnitCharacter(2, 3, 0, 1))
-        else:
-            chars = tuple(
-                UnitCharacter(2, n, a, eps) for eps in (0, 1) for a in range(1, 2 ** (n - 2), 2)
-            )
-        expected = 0 if n == 1 else (1 if n == 2 else 2 ** (n - 2))
-    else:
-        chars = tuple(UnitCharacter(p, n, a) for a in range(1, unit_group_order(p, n)) if a % p)
-        expected = p - 2 if n == 1 else (p - 1) ** 2 * p ** (n - 2)
-    if len(chars) != expected:
-        raise ArithmeticError(
-            f"{len(chars)} characters of conductor {n} mod {p}^{n}, expected {expected}"
+            return ()
+        if n == 2:
+            return (UnitCharacter(2, 2, 0, 1),)
+        if n == 3:
+            return (UnitCharacter(2, 3, 1), UnitCharacter(2, 3, 0, 1))
+        return tuple(
+            UnitCharacter(2, n, a, eps) for eps in (0, 1) for a in range(1, 2 ** (n - 2), 2)
         )
-    return chars
+    return tuple(UnitCharacter(p, n, a) for a in range(1, unit_group_order(p, n)) if a % p)
 
 
 def primitive_character(p: int, n: int) -> UnitCharacter | None:
@@ -373,14 +364,14 @@ def enumerate_spectrum(max_conductor: int, ctx: PrimeParams) -> tuple[SpectrumEn
     """Zero mode, angular pairs, and radial levels up to the given conductor.
 
     The angular closed forms are proved by one angular circulant check per
-    (p, m).  The total multiplicity must equal m (p-1) p^(N-1), the
-    dimension of the level-N step-function space; anything else raises.
+    (p, m).  The total multiplicity is m (p-1) p^(N-1), the dimension of
+    the level-N step-function space: ``spectrum``'s Weyl row checks it,
+    through :func:`weyl_count`.
     """
     if max_conductor < 1:
         raise ValueError("max conductor must be >= 1")
-    p, m = ctx.p, ctx.m
     entries = [SpectrumEntry("zero", 0, Fraction(0), 1)]
-    ls = range(1, m // 2 + 1)
+    ls = range(1, ctx.m // 2 + 1)
     for l, lam in zip(ls, angular_eigenvalues(ls, ctx)):
         entries.append(SpectrumEntry("angular", l, lam, multiplicity("angular", l, ctx)))
     for n in range(1, max_conductor + 1):
@@ -388,9 +379,6 @@ def enumerate_spectrum(max_conductor: int, ctx: PrimeParams) -> tuple[SpectrumEn
         if mult == 0:
             continue
         entries.append(SpectrumEntry("radial", n, eigenvalue_radial_closed(n, ctx), mult))
-    total = sum(e.multiplicity for e in entries)
-    if total != m * (p - 1) * p ** (max_conductor - 1):
-        raise ArithmeticError("spectrum multiplicities violate the count identity")
     return tuple(entries)
 
 
@@ -410,14 +398,15 @@ def spectral_gap(ctx: PrimeParams):
 
 
 def weyl_count(lam: Rational, ctx: PrimeParams) -> int:
-    """Number of eigenvalues <= lam, counted with multiplicity.
+    """Number of eigenvalues <= lam, counted with multiplicity, by
+    enumeration.
 
     Valid once lam clears every angular eigenvalue, i.e. lam >= p - 1;
-    then the count is m (p-1) p^(M-1) = m * lambda_M with M the largest
-    radial level at or below lam.  Computed by the closed formula and by
-    enumeration, which must agree.
+    then the count should be m (p-1) p^(M-1) = m * lambda_M with M the
+    largest radial level at or below lam, which ``spectrum``'s Weyl row
+    checks.
     """
-    p, m = ctx.p, ctx.m
+    p = ctx.p
     bound = Fraction(lam)
     if bound < p - 1:
         raise OutOfRegimeError(
@@ -426,11 +415,4 @@ def weyl_count(lam: Rational, ctx: PrimeParams) -> int:
     big_m = 1
     while Fraction((p - 1) * p**big_m) <= bound:
         big_m += 1
-    formula = m * (p - 1) ** 2 * sum(p**i for i in range(big_m - 1)) + m * (p - 2) + m
-    expected = m * (p - 1) * p ** (big_m - 1)
-    enumerated = sum(
-        e.multiplicity for e in enumerate_spectrum(big_m, ctx) if e.eigenvalue <= bound
-    )
-    if formula != expected or enumerated != expected:
-        raise ArithmeticError("eigenvalue count mismatch between formula and enumeration")
-    return formula
+    return sum(e.multiplicity for e in enumerate_spectrum(big_m, ctx) if e.eigenvalue <= bound)

@@ -19,11 +19,10 @@ import cmath
 import math
 from fractions import Fraction
 
-from tateop.correlator import _pair_valuations
 from tateop.determinant import det_factors
 from tateop.domain import Ball
 from tateop.matrix import OperatorMatrix, _profile_totals, level_basis
-from tateop.operator import integrate_H_over_ball
+from tateop.operator import _pair_valuations, integrate_H_over_ball
 from tateop.padic import (
     PrimeParams,
     Rational,
