@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import math
-import os
 import re
 import sys
 import types
@@ -21,6 +20,7 @@ from fractions import Fraction
 
 from .padic import (
     PrimeParams,
+    capped_product,
     format_float,
     format_rational,
     parse_rational,
@@ -63,17 +63,22 @@ tree = _lazy_module("tree")
 
 LIMIT_TOLERANCE = 1e-6
 INTEGRAL_CHECK_MODULUS_CAP = 5000
-# The parameter caps, checked before any work so that a huge value is a
-# quick usage error, not a call that runs without end.  At p = 999983 and
-# the other parameters small, a call at any one cap took at most 40 s and
-# 600 MB on a 2-core Xeon VM (README, "Caps").  --m is capped through the
-# coupling table w_0..w_m that greens, spectrum, det and matrix build, about
-# m^2 log2(p) bits; correlator, which reads one weight, keeps the same cap.
+# The caps, each checked here once before any work so that a huge value is
+# a quick usage error, not a call that runs without end; the library holds
+# none.  A call at its caps took at most 18 s and 205 MB on a 2-core Xeon VM,
+# `matrix` at its dimension cap 60 s (README, "Caps").  --m is capped through
+# the coupling table w_0..w_m that greens, spectrum, det and matrix build,
+# about m^2 log2(p) bits; correlator, which reads one weight, keeps the cap.
 P_CAP = 10**6
 TABLE_BITS_CAP = 3 * 10**9
 GREENS_M_CAP = 1000
 MAX_CONDUCTOR_CAP = 500
 MAX_VDIST_CAP = 600
+# The largest dimension tried whose `matrix` call (build and verify) took
+# about a minute at most on a 2-core Xeon VM: 27 s at (p, m, level) =
+# (2, 3, 11), 60 s at (2, 3072, 1).  It bounds m and the level together.
+MATRIX_DIM_CAP = 3072
+TREE_NODE_CAP = 20000
 
 
 class UsageError(Exception):
@@ -301,14 +306,7 @@ def cmd_matrix(args: argparse.Namespace) -> Report:
     ctx = PrimeParams(args.p, args.m)
     if args.level < 1:
         raise UsageError("--level must be >= 1")
-    cap_env = os.environ.get("TATE_MAX_DIM")
-    cap = None
-    if cap_env is not None:
-        try:
-            cap = int(cap_env)
-        except ValueError as exc:
-            raise UsageError(f"TATE_MAX_DIM must be an integer, got {cap_env!r}") from exc
-    mx = matrix.build_matrix(args.level, ctx, cap)
+    mx = matrix.build_matrix(args.level, ctx)
     if args.dump:
         import json
 
@@ -396,7 +394,9 @@ def cmd_tree(args: argparse.Namespace) -> Report:
 
 def _check_caps(args: argparse.Namespace) -> None:
     """Refuse a parameter over its cap: --p before its primality test, and
-    --m before any power of p is formed."""
+    --m, the matrix dimension m (p-1) p^(level-1) and the tree's m p^depth
+    nodes before any power of p is formed.  A size is checked only where
+    p >= 2, m >= 1 and --level or --depth are in range: the handlers say why."""
     p, m = args.p, args.m
     if p > P_CAP:
         raise UsageError(f"--p {p} exceeds the cap of {P_CAP}")
@@ -410,6 +410,15 @@ def _check_caps(args: argparse.Namespace) -> None:
         value = getattr(args, dest, None)
         if value is not None and value > cap:
             raise UsageError(f"--{dest.replace('_', '-')} {value} exceeds the cap of {cap}")
+    if p < 2 or m < 1:
+        return
+    if args.command == "matrix" and args.level >= 1:
+        k = args.level - 1
+        if capped_product(m * (p - 1), p, k, MATRIX_DIM_CAP) > MATRIX_DIM_CAP:
+            raise UsageError(f"matrix dimension {m}*{p - 1}*{p}^{k} exceeds cap {MATRIX_DIM_CAP}")
+    if args.command == "tree" and args.depth >= 0:
+        if capped_product(m, p, args.depth, TREE_NODE_CAP) > TREE_NODE_CAP:
+            raise UsageError(f"{m}*{p}^{args.depth} nodes exceeds the node cap of {TREE_NODE_CAP}")
 
 
 def _write(option: str, path: str, text: str) -> None:

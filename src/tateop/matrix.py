@@ -28,14 +28,8 @@ from itertools import accumulate
 from .angular import angular_eigenvalues, root_table
 from .domain import Ball
 from .operator import _kernel_by_valuations
-from .padic import PrimeParams, Record, c_p_const, capped_product, format_rational
+from .padic import PrimeParams, Record, c_p_const, format_rational
 from .spectral import eigenvalue_radial_closed, enumerate_conductor, unit_group_order, unit_log
-
-# Largest dimension whose `matrix` call (build and verify) finished within
-# 60 s on a 2-core Xeon VM: 3072 at (p, m, level) = (2, 3, 11) took 49 s,
-# 2048 at (2, 1, 12) 9.2 s (README).  It bounds the dimension, not m:
-# (2, 3072, 1) has the same dimension and takes about twice as long.
-DEFAULT_DIM_CAP = 3072
 
 
 def _profile_totals(index: np.ndarray, values) -> tuple[list[Fraction], list[int]]:
@@ -66,21 +60,6 @@ def level_basis(ctx: PrimeParams, level: int) -> tuple[Ball, ...]:
         for c in range(1, ctx.p**level)
         if c % ctx.p
     )
-
-
-def matrix_dimension(level: int, ctx: PrimeParams, cap: int) -> int:
-    """Number of level-k balls across all shells: m (p-1) p^(k-1).
-
-    A dimension over ``cap`` is a ValueError, found without forming the
-    power: at a huge level it would cost seconds and thousands of digits.
-    """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    p, m = ctx.p, ctx.m
-    dim = capped_product(m * (p - 1), p, level - 1, cap)
-    if dim > cap:
-        raise ValueError(f"matrix dimension {m}*{p - 1}*{p}^{level - 1} exceeds cap {cap}")
-    return dim
 
 
 class OperatorMatrix(Record):
@@ -157,7 +136,7 @@ def _digit_agreement(units: list[int], p: int, level: int) -> np.ndarray:
     return agree
 
 
-def build_matrix(level: int, ctx: PrimeParams, dim_cap: int | None = None) -> OperatorMatrix:
+def build_matrix(level: int, ctx: PrimeParams) -> OperatorMatrix:
     """Assemble the exact matrix: column j is the operator applied to the
     indicator of ball j, evaluated at the ball centers.
 
@@ -168,10 +147,10 @@ def build_matrix(level: int, ctx: PrimeParams, dim_cap: int | None = None) -> Op
     row sum zero, and is taken once per shell from the same structure.
     """
     p, m = ctx.p, ctx.m
-    dim = matrix_dimension(level, ctx, DEFAULT_DIM_CAP if dim_cap is None else dim_cap)
     import numpy as np
 
     basis = level_basis(ctx, level)
+    dim = len(basis)
     n = dim // m
     agree = _digit_agreement([b.center for b in basis[:n]], p, level)
     counts = np.bincount(agree.ravel(), minlength=level + 1).tolist()

@@ -131,9 +131,10 @@ def apply_D_height(x: TatePoint) -> Fraction:
         # p^ell (p - 1)^2 these read (ell + 1)(p - 1) + 1 and ell (p - 1).
         tail = (ell + 1) * (p - 1) + 1 - ell * (p - 1)
         num += (p ** (2 * ell) * q1 + 2) * tail * two_m
-        for v in range(1, m):
-            # (p - 1)/p w_v/(q - 1) (v (v - m)/(2m) - ell)
-            num += (p - 1) ** 2 * w[v] * (v * (v - m) - two_m * ell) * p_ell
+        # (p - 1)/p w_v/(q - 1) (v (v - m)/(2m) - ell) on each other shell,
+        # summed before the common factor (p - 1)^2 p^ell is multiplied in.
+        shells = sum(w[v] * (v * (v - m) - two_m * ell) for v in range(1, m))
+        num += (p - 1) ** 2 * p_ell * shells
     else:
         a_x = vx * (vx - m)  # 2m times the height's v-part at x
         # The height difference vanishes identically on the shell of x,
@@ -141,11 +142,10 @@ def apply_D_height(x: TatePoint) -> Fraction:
         # integrates to 1/(p - 1); the remaining shells are constant.
         # w_vx/(q - 1) (1/(p - 1) - (p - 1)/p a_x/(2m))
         num += w[vx] * (two_m * p - (p - 1) ** 2 * a_x)
-        for v in range(1, m):
-            if v == vx:
-                continue
-            # (p - 1)/p w_|v - vx|/(q - 1) (v (v - m) - a_x)/(2m)
-            num += (p - 1) ** 2 * w[abs(v - vx)] * (v * (v - m) - a_x)
+        # (p - 1)/p w_|v - vx|/(q - 1) (v (v - m) - a_x)/(2m) on each other
+        # shell, summed before the common factor (p - 1)^2.
+        shells = sum(w[abs(v - vx)] * (v * (v - m) - a_x) for v in range(1, m) if v != vx)
+        num += (p - 1) ** 2 * shells
     den = p * p_ell * q1 * two_m * (p - 1)
     c_p = c_p_const(p)
     return Fraction(-c_p.numerator * num, c_p.denominator * den)

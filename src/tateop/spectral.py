@@ -25,12 +25,6 @@ from .padic import (
     is_prime,
 )
 
-DLOG_TABLE_LIMIT = 10**6
-
-
-class OutOfRegimeError(ArithmeticError):
-    """Raised when the eigenvalue counting formula is used below its range."""
-
 
 @lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
@@ -69,8 +63,6 @@ def unit_group_order(p: int, n: int) -> int:
 def _unit_dlog_table(p: int, n: int) -> dict:
     """u -> t with g^t = u mod p^n, over all units u; odd p only."""
     mod = p**n
-    if mod > DLOG_TABLE_LIMIT:
-        raise ValueError(f"discrete log table for modulus {mod} exceeds cap")
     g = primitive_root(p)
     phi = unit_group_order(p, n)
     table: dict[int, int] = {}
@@ -87,8 +79,6 @@ def _unit_dlog_table(p: int, n: int) -> dict:
 def _two_adic_table(n: int) -> dict:
     """u -> (s, t) with u = (-1)^s 3^t mod 2^n, for n >= 3."""
     mod = 2**n
-    if mod > DLOG_TABLE_LIMIT:
-        raise ValueError(f"discrete log table for modulus {mod} exceeds cap")
     table: dict[int, tuple[int, int]] = {}
     cur = 1
     for t in range(2 ** (n - 2)):
@@ -399,19 +389,16 @@ def spectral_gap(ctx: PrimeParams):
 
 def weyl_count(lam: Rational, ctx: PrimeParams) -> int:
     """Number of eigenvalues <= lam, counted with multiplicity, by
-    enumeration.
+    enumeration, for every lam.
 
-    Valid once lam clears every angular eigenvalue, i.e. lam >= p - 1;
-    then the count should be m (p-1) p^(M-1) = m * lambda_M with M the
-    largest radial level at or below lam, which ``spectrum``'s Weyl row
-    checks.
+    Every angular eigenvalue lies below the radial floor p - 1 and the
+    radial ones grow with the level, so the levels up to the largest M
+    with lambda_M <= lam (M >= 1) hold every eigenvalue counted.  From
+    lam >= p - 1 on the count should be m (p-1) p^(M-1) = m * lambda_M,
+    which ``spectrum``'s Weyl row checks.
     """
     p = ctx.p
     bound = Fraction(lam)
-    if bound < p - 1:
-        raise OutOfRegimeError(
-            f"counting formula needs lam >= p - 1 = {p - 1}, got {bound}"
-        )
     big_m = 1
     while Fraction((p - 1) * p**big_m) <= bound:
         big_m += 1

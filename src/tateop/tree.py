@@ -9,9 +9,7 @@ the parent edge inside a branch, and the rest continue downward.
 
 from __future__ import annotations
 
-from .padic import capped_product, is_prime
-
-DEFAULT_NODE_CAP = 20000
+from .padic import is_prime
 
 
 def tree_quotient(p: int, m: int, depth: int) -> tuple[list[str], list[tuple[str, str]]]:
@@ -25,9 +23,7 @@ def tree_quotient(p: int, m: int, depth: int) -> tuple[list[str], list[tuple[str
         raise ValueError("cycle length must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    total = capped_product(m, p, depth, DEFAULT_NODE_CAP)
-    if total > DEFAULT_NODE_CAP:
-        raise ValueError(f"{m}*{p}^{depth} nodes exceeds the node cap of {DEFAULT_NODE_CAP}")
+    total = m * p**depth
     nodes = [f"c{i}" for i in range(m)]
     edges = [(f"c{i}", f"c{(i + 1) % m}") for i in range(m)]
     frontier = list(nodes)

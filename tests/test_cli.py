@@ -1,5 +1,6 @@
 """Command-line surface: determinism, exit codes, formats, file outputs."""
 
+import argparse
 import io
 import contextlib
 import json
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from tateop.cli import main
+from tateop.cli import UsageError, _check_caps, main
 
 from test_matrix import corrupt_symmetrically
 
@@ -234,8 +235,8 @@ def test_a_failing_matrix_report_lists_its_failures(monkeypatch):
 
     build = matrix.build_matrix
 
-    def corrupt(level, ctx, cap=None):
-        mx = build(level, ctx, cap)
+    def corrupt(level, ctx):
+        mx = build(level, ctx)
         return corrupt_symmetrically(mx, 0, mx.dimension - 1)
 
     monkeypatch.setattr(matrix, "build_matrix", corrupt)
@@ -456,6 +457,38 @@ def test_a_parameter_over_its_cap_is_a_quick_usage_error(argv, message):
     assert message in err
 
 
+def test_each_cap_admits_its_bound_and_refuses_one_more():
+    # (command, parameters at the bound, the one raised past it); the caps
+    # are checked on the parsed arguments alone, so nothing is computed.
+    cases = [
+        ("det", {"p": 10**6, "m": 1}, "p"),
+        ("det", {"p": 2, "m": 54772}, "m"),
+        ("greens", {"p": 2, "m": 1000, "max_vdist": 6}, "m"),
+        ("spectrum", {"p": 2, "m": 1, "max_conductor": 500}, "max_conductor"),
+        ("greens", {"p": 2, "m": 1, "max_vdist": 600}, "max_vdist"),
+        # Dimension 3 * 1 * 2^10 = 3072.
+        ("matrix", {"p": 2, "m": 3, "level": 11}, "level"),
+        # 32 * 5^4 = 20000 nodes.
+        ("tree", {"p": 5, "m": 32, "depth": 4}, "depth"),
+    ]
+    for command, params, raised in cases:
+        _check_caps(argparse.Namespace(command=command, **params))
+        over = {**params, raised: params[raised] + 1}
+        with pytest.raises(UsageError, match="exceeds"):
+            _check_caps(argparse.Namespace(command=command, **over))
+    # A size is not checked before its --level or --depth is in range, so
+    # those keep their own messages even where m (p - 1) or m is over a cap.
+    code, _, err = run_cli(["matrix", "--p", "4099", "--m", "1", "--level", "0"])
+    assert code == 2 and "--level must be >= 1" in err
+    code, _, err = run_cli(["tree", "--p", "2", "--m", "30000", "--depth", "-1"])
+    assert code == 2 and "--depth must be >= 0" in err
+    # Nor before p >= 2 and m >= 1: at p = 1 the product never passes a cap.
+    start = time.perf_counter()
+    code, _, err = run_cli(["tree", "--p", "1", "--m", "5", "--depth", "1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "1 is not prime" in err
+
+
 def test_the_caps_admit_the_largest_documented_period():
     # The other largest documented values, greens --max-vdist 600 and
     # spectrum --max-conductor 60, run in test_golden and above.
@@ -523,21 +556,26 @@ def test_negative_values_parse_in_the_documented_spelling():
     assert run_cli(["greens", "--p", "3", "--m", "2", "--expect", "-3/4"])[0] == 0
 
 
-def test_matrix_cap_env(monkeypatch):
-    monkeypatch.setenv("TATE_MAX_DIM", "4")
-    code, _, err = run_cli(["matrix", "--p", "3", "--m", "2", "--level", "2"])
-    assert code == 2
-    assert "cap" in err
-    monkeypatch.delenv("TATE_MAX_DIM")
-    assert run_cli(["matrix", "--p", "3", "--m", "2", "--level", "2"])[0] == 0
-
-
 def test_det_at_a_large_period_is_fast(run_python):
     # The angular product is a closed form that one circulant check over
     # the shells proves, with no pass per angular eigenvalue.
     start = time.perf_counter()
     proc = run_python("-m", "tateop", "det", "--p", "2", "--m", "1100")
     assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_pass"] is True
+
+
+def test_greens_at_a_large_prime_and_max_vdist_is_fast(run_python):
+    # The m - 1 shell terms of the height action are summed before their
+    # common factor p^ell, about 12000 bits at p = 999983 and ell = 600, is
+    # multiplied in: once per point, not once per shell, which took 13 s
+    # on a 2-core Xeon VM.
+    start = time.perf_counter()
+    proc = run_python(
+        "-m", "tateop", "greens", "--p", "999983", "--m", "200", "--max-vdist", "600"
+    )
+    assert time.perf_counter() - start < 6.5
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["all_pass"] is True
 

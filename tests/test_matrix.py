@@ -1,7 +1,6 @@
 """Exact operator matrices on full partitions and their verification report."""
 
 import inspect
-import time
 from fractions import Fraction
 
 import pytest
@@ -10,14 +9,7 @@ from hypothesis import strategies as st
 
 from tateop import angular, matrix
 from tateop.domain import PrimeParams
-from tateop.matrix import (
-    DEFAULT_DIM_CAP,
-    OperatorMatrix,
-    build_matrix,
-    label_vectors,
-    matrix_dimension,
-    verify_matrix,
-)
+from tateop.matrix import OperatorMatrix, build_matrix, label_vectors, verify_matrix
 from tateop.operator import _kernel_by_valuations, integrate_H_over_ball
 from tateop.padic import c_p_const
 from tateop.spectral import enumerate_conductor, enumerate_spectrum
@@ -40,14 +32,15 @@ ORACLE_CONFIGS = [
     for p in (2, 3, 5)
     for m in (1, 2, 3)
     for level in (1, 2, 3)
-    if matrix_dimension(level, PrimeParams(p, m), DEFAULT_DIM_CAP) <= 100
+    if m * (p - 1) * p ** (level - 1) <= 100
 ]
 
 
 def test_matrix_dimension_formula():
-    assert matrix_dimension(1, PrimeParams(3, 2), DEFAULT_DIM_CAP) == 4
-    assert matrix_dimension(2, PrimeParams(3, 2), DEFAULT_DIM_CAP) == 12
-    assert matrix_dimension(4, PrimeParams(2, 1), DEFAULT_DIM_CAP) == 8
+    # m (p - 1) p^(level - 1) level-k balls across the shells.
+    assert build_matrix(1, PrimeParams(3, 2)).dimension == 4
+    assert build_matrix(2, PrimeParams(3, 2)).dimension == 12
+    assert build_matrix(4, PrimeParams(2, 1)).dimension == 8
 
 
 def test_matrix_oracle_3_2_level_1():
@@ -122,7 +115,7 @@ def test_character_count_matches_dimension(monkeypatch):
     for p, m, level in [(2, 1, 3), (3, 2, 2), (2, 3, 2), (5, 1, 2)]:
         ctx = PrimeParams(p, m)
         count = m * sum(len(enumerate_conductor(p, n)) for n in range(level + 1))
-        assert count == matrix_dimension(level, ctx, DEFAULT_DIM_CAP)
+        assert count == m * (p - 1) * p ** (level - 1)
     # One character short of the basis is an error, not a failed check.
     mx = build_matrix(2, PrimeParams(3, 2))
     monkeypatch.setattr(matrix, "enumerate_conductor", lambda p, n: enumerate_conductor(p, n)[1:])
@@ -170,23 +163,6 @@ def test_csv_and_manifest_round_trip():
     manifest = mx.basis_manifest()
     assert manifest["dimension"] == 4
     assert manifest["basis"][0]["label"] == "v0.k1.c1"
-
-
-def test_dimension_cap_enforced():
-    with pytest.raises(ValueError):
-        build_matrix(3, PrimeParams(2, 1), dim_cap=2)
-    assert DEFAULT_DIM_CAP >= 1024
-
-
-def test_dimension_over_the_cap_is_found_without_the_full_power():
-    ctx = PrimeParams(3, 1)
-    assert matrix_dimension(7, ctx, 1458) == 2 * 3**6
-    with pytest.raises(ValueError, match=r"matrix dimension 1\*2\*3\^6 exceeds cap 1457"):
-        matrix_dimension(7, ctx, 1457)
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"1\*2\*3\^99999999 exceeds cap 3072"):
-        matrix_dimension(10**8, ctx, 3072)
-    assert time.perf_counter() - start < 0.5
 
 
 def test_level_one_assembly_evaluates_each_shell_distance_once():

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from tateop import angular, cli, determinant, spectral
 from tateop.padic import PrimeParams
 from tateop.spectral import (
-    OutOfRegimeError,
     SpectrumEntry,
     UnitCharacter,
     angular_eigenvalues,
@@ -226,10 +225,12 @@ def test_weyl_count_matches_enumeration():
 
 
 def test_weyl_count_out_of_regime():
-    with pytest.raises(OutOfRegimeError):
-        weyl_count(Fraction(1, 2), PrimeParams(3, 2))
-    with pytest.raises(OutOfRegimeError):
-        weyl_count(0, PrimeParams(5, 1))
+    # Below the radial floor p - 1 the count is not m * lambda, but the
+    # enumeration still counts exactly: the zero eigenvalue, then at
+    # (3, 2) the angular eigenvalue 3/2 = p (p - 1) 4 / ((p - 1)^2 + 4 p).
+    assert weyl_count(Fraction(1, 2), PrimeParams(3, 2)) == 1
+    assert weyl_count(Fraction(3, 2), PrimeParams(3, 2)) == 2
+    assert weyl_count(0, PrimeParams(5, 1)) == 1
 
 
 def test_dtn_cross_check_exact():

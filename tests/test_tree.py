@@ -49,11 +49,6 @@ def test_dot_output_shape_and_determinism():
     assert dot == tree_quotient_dot(2, 5, 1)
 
 
-def test_node_cap():
-    with pytest.raises(ValueError):
-        tree_quotient(2, 3, 20)
-
-
 def test_depth_validation():
     with pytest.raises(ValueError):
         tree_quotient(3, 1, -1)
