@@ -14,6 +14,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .padic import PrimeParams, c_p_const, coupling_total, coupling_weights
 
@@ -62,26 +63,30 @@ def angular_circulant_check(p: int, m: int) -> None:
     K T(x) (b x + c u(x)) = a u(x).  x^m - 1 has no repeated root, so that
     holds at all m roots exactly when it holds in Z[x]/(x^m - 1): one
     cyclic convolution of m integers, after clearing K's denominator.
-    Each coefficient of the left side is compared as it is formed, so
-    nothing of the size of the table is held beside it.
+    Coefficient r of the left side is d_0 t_r + d_1 t_(r-1) + d_2 t_(r-2),
+    with t_i the coefficients of T(x), indices mod m, and d_j those of
+    d(x) = b x + c u(x): one window of three slides over the weights as
+    they stream by, and each coefficient is compared as it is formed, so
+    nothing of the size of the weights is held.
     """
     a, b, c = _closed_coefficients(p)
     k = -c_p_const(p) * Fraction(p - 1, p * (p**m - 1))
-    # T(x) has the coefficients w_1..w_(m-1) and the constant term minus
-    # their sum; u(x) and d(x) = b x + c u(x) are reduced mod x^m - 1.
-    w, t0 = coupling_weights(p, m), -coupling_total(p, m)
-    u, d = (-1, 2, -1), (-c, b + 2 * c, -c)
-    rhs = [0] * m
-    for j, uj in enumerate(u):
-        rhs[j % m] += k.denominator * a * uj
-    for r, rhs_r in enumerate(rhs):
-        # Coefficient r of T(x) d(x): d_j t_i summed over i + j = r mod m.
-        lhs = 0
-        for j, dj in enumerate(d):
-            i = (r - j) % m
-            lhs += dj * (w[i] if i else t0)
-        if k.numerator * lhs != rhs_r:
+    d0, d1, d2 = -c, b + 2 * c, -c
+    # The right side k.denominator a u(x), reduced mod x^m - 1: no
+    # coefficient from r = 3 on.
+    rhs = {}
+    for j, uj in enumerate((-1, 2, -1)):
+        rhs[j % m] = rhs.get(j % m, 0) + k.denominator * a * uj
+    # t_0 is minus the weights' sum and t_v = w_v.  The windows end at
+    # t_2, ..., t_(m-1), then t_0 and t_1 again (t_1 is t_0 at m = 1).
+    t0 = -coupling_total(p, m)
+    weights = coupling_weights(p, m)
+    t1 = next(weights, t0)
+    low, mid = t0, t1
+    for r, high in zip(range(2, m + 2), chain(weights, (t0, t1))):
+        if k.numerator * (d0 * high + d1 * mid + d2 * low) != rhs.get(r % m, 0):
             raise ArithmeticError(f"angular circulant: the closed form fails at p={p}, m={m}")
+        low, mid = mid, high
 
 
 def _angular_closed(l: int, ctx: PrimeParams):

@@ -65,12 +65,13 @@ LIMIT_TOLERANCE = 1e-6
 INTEGRAL_CHECK_MODULUS_CAP = 5000
 # The caps, each checked here once before any work so that a huge value is
 # a quick usage error, not a call that runs without end; the library holds
-# none.  A call at its caps took at most 18 s and 205 MB on a 2-core Xeon VM,
+# none.  A call at its caps took at most 18 s and 63 MB on a 2-core Xeon VM,
 # `matrix` at its dimension cap 60 s (README, "Caps").  --m is capped through
-# the coupling table w_0..w_m that greens, spectrum, det and matrix build,
-# about m^2 log2(p) bits; correlator, which reads one weight, keeps the cap.
+# the bit operations of one pass over the shell couplings w_1..w_(m-1), about
+# m^2 log2(p), which greens, spectrum, det and matrix stream and none stores;
+# correlator, which reads one weight, keeps the cap.
 P_CAP = 10**6
-TABLE_BITS_CAP = 3 * 10**9
+COUPLING_BIT_OPS_CAP = 3 * 10**9
 GREENS_M_CAP = 1000
 MAX_CONDUCTOR_CAP = 500
 MAX_VDIST_CAP = 600
@@ -401,7 +402,7 @@ def _check_caps(args: argparse.Namespace) -> None:
     if p > P_CAP:
         raise UsageError(f"--p {p} exceeds the cap of {P_CAP}")
     if args.command != "tree" and p >= 2:
-        m_cap = math.isqrt(int(TABLE_BITS_CAP / math.log2(p)))
+        m_cap = math.isqrt(int(COUPLING_BIT_OPS_CAP / math.log2(p)))
         if args.command == "greens":
             m_cap = min(m_cap, GREENS_M_CAP)
         if m > m_cap:

@@ -82,22 +82,44 @@ def zeta_pi_series(s: float, ctx: PrimeParams) -> float:
     return total
 
 
-def zeta_prime_at_zero(ctx: PrimeParams) -> float:
-    """zeta'(0) = -m log(p/(p-1)), checked against a central difference
-    to 1e-6 m: zeta_pi_value is m times an m-free function, so the
-    difference's error grows like m.
+class _Dual:
+    """x + eps (y log p + z log(p - 1)) with eps^2 = 0, exactly: a value of
+    a function of s at s = 0 and its derivative there.  p^s is (1; 1, 0)
+    and (p - 1)^s is (1; 0, 1)."""
 
-    Differentiating the closed form at s = 0 collapses: with
-    N(s) = m(p^(s+1) - 2p^s + 1) and D(s) = (p^s - p)(p-1)^s one gets
-    (N'D - ND')/D^2 |_{s=0} = m(log(p-1) - log p).
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x, y=0, z=0) -> None:
+        self.x, self.y, self.z = Fraction(x), y, z
+
+    def __add__(self, other):
+        o = other if isinstance(other, _Dual) else _Dual(other)
+        return _Dual(self.x + o.x, self.y + o.y, self.z + o.z)
+
+    def __sub__(self, other):
+        return self + -1 * other
+
+    def __mul__(self, other):
+        o = other if isinstance(other, _Dual) else _Dual(other)
+        return _Dual(self.x * o.x, self.x * o.y + o.x * self.y, self.x * o.z + o.x * self.z)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        x = self.x / other.x
+        return _Dual(x, (self.y - x * other.y) / other.x, (self.z - x * other.z) / other.x)
+
+
+def zeta_prime_at_zero(ctx: PrimeParams) -> float:
+    """zeta'(0) = -m log(p/(p-1)) as a float, checked exactly: the closed
+    form, evaluated on dual numbers at s = 0, must give zeta(0) = -m and
+    zeta'(0) = -m log p + m log(p - 1).
     """
     p, m = ctx.p, ctx.m
-    analytic = -m * math.log(p / (p - 1))
-    h = 1e-6
-    fd = (zeta_pi_value(h, ctx) - zeta_pi_value(-h, ctx)) / (2 * h)
-    if abs(analytic - fd) > 1e-6 * m:
-        raise ArithmeticError("zeta derivative disagrees with finite differences")
-    return analytic
+    zeta = _zeta_closed(m, p, _Dual(1, 1, 0), _Dual(1, 0, 1))
+    if (zeta.x, zeta.y, zeta.z) != (-m, -m, m):
+        raise ArithmeticError("zeta derivative disagrees with the closed form's dual numbers")
+    return -m * math.log(p / (p - 1))
 
 
 def det_factors(ctx: PrimeParams) -> tuple[Fraction, Fraction, Fraction, float]:

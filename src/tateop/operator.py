@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .padic import (
     PrimeParams,
     TatePoint,
     c_p_const,
     coupling_weight,
-    coupling_weights,
     point,
     valuation,
 )
@@ -82,6 +82,14 @@ def integrate_H_over_ball(b: Ball, x: TatePoint) -> Fraction:
     return _kernel_by_valuations(p, m, x.v, b.v, vdiff) * b.measure()
 
 
+def _horner(p: int, coefficients) -> int:
+    """sum of c_i p^(n-1-i) over the n coefficients, by Horner's rule in p."""
+    total = 0
+    for c in coefficients:
+        total = total * p + c
+    return total
+
+
 def apply_D_height(x: TatePoint) -> Fraction:
     """Exact action of the operator on the height profile h, at x != 1.
 
@@ -91,17 +99,17 @@ def apply_D_height(x: TatePoint) -> Fraction:
     finitely many terms.  The result is the constant -p / (m (p - 1)),
     i.e. minus the reciprocal of the total volume.
 
-    p and m are read off x, and the shell couplings w_u / (q - 1) off
-    ``coupling_weights``.  Every term is an integer numerator over one
+    p and m are read off x.  Every term is an integer numerator over one
     denominator, p^(ell+1) (q - 1) 2m (p - 1) with ell = v(x - 1) on the
     unit shell and ell = 0 elsewhere; each comment gives the term as a
-    rational.
+    rational.  The shell couplings w_u / (q - 1), w_u = p^u + p^(m-u),
+    enter through sums over u of w_u g_u with small integers g_u, which
+    are summed as polynomials in p by Horner's rule.
     """
     p, m = x.ctx.p, x.ctx.m
     if x.value == 1:
         raise ValueError("height is singular at the identity")
     vx = x.v
-    w = coupling_weights(p, m)
     q1 = p**m - 1
     two_m = 2 * m
     ell = valuation(x.value - 1, p) if vx == 0 else 0
@@ -116,14 +124,10 @@ def apply_D_height(x: TatePoint) -> Fraction:
             num += (p - 2) * (q1 + 2) * (0 - ell) * p_ell * two_m * (p - 1)
         # Stratum 0 < t < ell: (p - 1)/p p^-t (p^(2t) + 2/(q - 1)) (t - ell),
         # which is (t - ell) (p^(ell+t) (q - 1) + 2 p^(ell-t)) without the
-        # common factor (p - 1)^2 2m.  Both powers are summed over t by
-        # Horner's rule in p: high is the sum of (t - ell) p^(t-1), low of
-        # (t - ell) p^(ell-t-1).
-        high = low = 0
-        for t in range(ell - 1, 0, -1):
-            high = high * p + (t - ell)
-        for t in range(1, ell):
-            low = low * p + (t - ell)
+        # common factor (p - 1)^2 2m.  high is the sum of (t - ell) p^(t-1),
+        # low of (t - ell) p^(ell-t-1).
+        high = _horner(p, range(-1, -ell, -1))
+        low = _horner(p, range(1 - ell, 0))
         strata = p * (p_ell * q1 * high + 2 * low)
         num += (p - 1) ** 2 * two_m * strata
         # (p - 1)/p (p^(2 ell) + 2/(q - 1)) tail, where the tail is the
@@ -131,21 +135,21 @@ def apply_D_height(x: TatePoint) -> Fraction:
         # p^ell (p - 1)^2 these read (ell + 1)(p - 1) + 1 and ell (p - 1).
         tail = (ell + 1) * (p - 1) + 1 - ell * (p - 1)
         num += (p ** (2 * ell) * q1 + 2) * tail * two_m
-        # (p - 1)/p w_v/(q - 1) (v (v - m)/(2m) - ell) on each other shell,
-        # summed before the common factor (p - 1)^2 p^ell is multiplied in.
-        shells = sum(w[v] * (v * (v - m) - two_m * ell) for v in range(1, m))
-        num += (p - 1) ** 2 * p_ell * shells
     else:
-        a_x = vx * (vx - m)  # 2m times the height's v-part at x
-        # The height difference vanishes identically on the shell of x,
-        # so that shell drops out.  On the unit shell the v(z - 1) profile
-        # integrates to 1/(p - 1); the remaining shells are constant.
-        # w_vx/(q - 1) (1/(p - 1) - (p - 1)/p a_x/(2m))
-        num += w[vx] * (two_m * p - (p - 1) ** 2 * a_x)
-        # (p - 1)/p w_|v - vx|/(q - 1) (v (v - m) - a_x)/(2m) on each other
-        # shell, summed before the common factor (p - 1)^2.
-        shells = sum(w[abs(v - vx)] * (v * (v - m) - a_x) for v in range(1, m) if v != vx)
-        num += (p - 1) ** 2 * shells
+        # The height difference vanishes identically on the shell of x, so
+        # that shell drops out.  On the unit shell the v(z - 1) profile
+        # integrates to 1/(p - 1): w_vx/(q - 1) 1/(p - 1).  Its v-part
+        # joins the other shells below.
+        num += coupling_weight(p, m, vx) * two_m * p
+    # (p - 1)/p w_u/(q - 1) (v (v - m) - a)/(2m) on each shell v != vx,
+    # u = v - vx mod m (w_u = w_(m-u)), with a = vx (vx - m) + 2m ell,
+    # summed before the common factor (p - 1)^2 p^ell is multiplied in.
+    a = vx * (vx - m) + two_m * ell
+    # As w_u = p^u + p^(m-u), the sum of g_u w_u is that of (g_u + g_(m-u)) p^u,
+    # whose coefficients read the same both ways: one Horner pass.
+    g = [v * (v - m) - a for v in chain(range(vx + 1, m), range(vx))]
+    shells = p * _horner(p, [gu + g_mu for gu, g_mu in zip(g, reversed(g))])
+    num += (p - 1) ** 2 * p_ell * shells
     den = p * p_ell * q1 * two_m * (p - 1)
     c_p = c_p_const(p)
     return Fraction(-c_p.numerator * num, c_p.denominator * den)

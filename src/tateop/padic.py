@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 
 Rational = int | Fraction
 
@@ -182,33 +181,28 @@ def c_p_const(p: int) -> Fraction:
     return Fraction(p * (p - 1), p + 1)
 
 
-@lru_cache(maxsize=None)
-def coupling_weights(p: int, m: int) -> tuple[int, ...]:
-    """(w_0, ..., w_m) with w_u = p^(m-u) + p^u: for 0 < u < m, the kernel
-    between shells u apart is w_u / (q - 1).
+def coupling_weights(p: int, m: int):
+    """w_1, ..., w_(m-1) in order, w_u = p^(m-u) + p^u: for 0 < u < m, the
+    kernel between shells u apart is w_u / (q - 1).
 
-    w_u = w_(m-u), so the half u <= m/2 is built, from both ends: one
-    multiplication and one exact division by p per entry, and no list of
-    powers beside it.  The other half repeats its entries.
+    Each weight is formed from the last, one multiplication and one exact
+    division by p, and none is kept.
     """
-    low, high = 1, p**m
-    half = []
-    for _ in range(m // 2 + 1):
-        half.append(high + low)
+    low, high = p, p ** (m - 1)
+    for _ in range(m - 1):
+        yield high + low
         low, high = low * p, high // p
-    return tuple(half[min(u, m - u)] for u in range(m + 1))
 
 
 def coupling_weight(p: int, m: int, u: int) -> int:
-    """w_u = p^(m-u) + p^u, one entry of ``coupling_weights``, without the table."""
+    """w_u = p^(m-u) + p^u, one weight of ``coupling_weights``."""
     return p ** (m - u) + p**u
 
 
-@lru_cache(maxsize=None)
 def coupling_total(p: int, m: int) -> int:
-    """w_1 + ... + w_(m-1): one shell's couplings to all the others, summed
-    once per (p, m) from ``coupling_weights``."""
-    return sum(coupling_weights(p, m)[1:m])
+    """w_1 + ... + w_(m-1) = 2 (p^m - p) / (p - 1): one shell's couplings to
+    all the others, summed in closed form."""
+    return 2 * (p**m - p) // (p - 1)
 
 
 class TatePoint(Record):

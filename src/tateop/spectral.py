@@ -19,7 +19,6 @@ from .padic import (
     Rational,
     Record,
     c_p_const,
-    coupling_total,
     coupling_weights,
     int_valuation,
     is_prime,
@@ -228,6 +227,15 @@ def eigenvalue_radial_closed(n: int, ctx: PrimeParams) -> Fraction:
     return Fraction((ctx.p - 1) * ctx.p ** (n - 1))
 
 
+@lru_cache(maxsize=None)
+def _float_couplings(p: int, m: int) -> tuple[float, ...]:
+    """The shell couplings w_v / (q - 1), v = 1..m-1, as floats, once per
+    (p, m): an int true division is correctly rounded, so each has its
+    Fraction's bits."""
+    q1 = p**m - 1
+    return tuple(w / q1 for w in coupling_weights(p, m))
+
+
 def eigenvalue_radial_integral(chi: UnitCharacter, l: int, ctx: PrimeParams) -> complex:
     """Defining integral of the eigenvalue at a nontrivial radial character
     and the angular character v -> e^(2 pi i l v / m).
@@ -258,15 +266,11 @@ def eigenvalue_radial_integral(chi: UnitCharacter, l: int, ctx: PrimeParams) -> 
         s_hat += val / p_n
         if u != 1:
             s_main += p ** (2 * int_valuation(u - 1, p)) * (1 - val) / p_n
-    q1 = p**m - 1
-    total = s_main + Fraction(2, q1) * (mu_units - s_hat)
-    # The angular character at v is the (l v mod m)-th of the m roots.  An
-    # int true division is correctly rounded, so each coupling has its
-    # Fraction's bits.
+    total = s_main + Fraction(2, p**m - 1) * (mu_units - s_hat)
+    # The angular character at v is the (l v mod m)-th of the m roots.
     angular = root_table(m)
-    weights = coupling_weights(p, m)
-    for v in range(1, m):
-        total += complex(weights[v] / q1) * (mu_units - angular[l * v % m] * s_hat)
+    for v, coupling in enumerate(_float_couplings(p, m), 1):
+        total += complex(coupling) * (mu_units - angular[l * v % m] * s_hat)
     return complex(c_p_const(p)) * total
 
 
@@ -284,13 +288,15 @@ def eigenvalue_radial_exact(chi: UnitCharacter, ctx: PrimeParams) -> Fraction:
         raise ValueError("character data does not match the prime context")
     if chi.is_trivial:
         raise ValueError("trivial radial character: use eigenvalue_angular")
-    p, m, f = ctx.p, ctx.m, chi.conductor
+    p, f = ctx.p, chi.conductor
     # A_t / p^n: |U_0| = (p - 1) p^(n-1), |U_t| = p^(n-t) for t >= 1.
     share = [Fraction(p - 1, p)] + [Fraction(1, p**t) for t in range(1, f)] + [Fraction(0)]
     s_main = sum(p ** (2 * t) * (share[t] - share[t + 1]) for t in range(f))
-    # 2/(q - 1) plus the couplings to the other m - 1 shells: the weight of
-    # the unit measure in the defining sums.
-    unit_weight = Fraction(2 + coupling_total(p, m), p**m - 1)
+    # The weight of the unit measure in the defining sums: 2/(q - 1) plus the
+    # couplings to the other m - 1 shells, whose sum 2 (q - p)/(p - 1) is
+    # ``coupling_total`` (the angular circulant check proves it against the
+    # weights), so 2 (q - 1)/((p - 1)(q - 1)) = 2/(p - 1), whatever m is.
+    unit_weight = Fraction(2, p - 1)
     return c_p_const(p) * (s_main + Fraction(p - 1, p) * unit_weight)
 
 
@@ -299,11 +305,9 @@ def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
     p, m = ctx.p, ctx.m
     mu_units = complex(Fraction(p - 1, p))
     roots = root_table(m)
-    q1 = p**m - 1
-    weights = coupling_weights(p, m)
     total = 0j
-    for v in range(1, m):
-        total += complex(weights[v] / q1) * (roots[l * v % m] - 1) * mu_units
+    for v, coupling in enumerate(_float_couplings(p, m), 1):
+        total += complex(coupling) * (roots[l * v % m] - 1) * mu_units
     return -complex(c_p_const(p)) * total
 
 

@@ -36,7 +36,7 @@ def run_python():
 @pytest.fixture
 def skew_coupling(monkeypatch):
     """skew(p, m, u) makes w_u at (p, m) one too large in every module that
-    reads it, as entry u of coupling_weights(p, m) or as
+    reads it, as the u-th weight that coupling_weights(p, m) yields or as
     coupling_weight(p, m, u), and clears the caches they feed, then and
     after the test, so no value of either is reused."""
     from tateop import angular, operator, padic, spectral
@@ -44,21 +44,19 @@ def skew_coupling(monkeypatch):
     caches = (
         operator._kernel_by_valuations,
         angular.angular_circulant_check,
-        padic.coupling_total,
+        spectral._float_couplings,
     )
     original, original_weight = padic.coupling_weights, padic.coupling_weight
 
     def skew(p, m, u):
-        table = original(p, m)
-        skewed = table[:u] + (table[u] + 1,) + table[u + 1 :]
-
         def weights(p2, m2):
-            return skewed if (p2, m2) == (p, m) else original(p2, m2)
+            for u2, w in enumerate(original(p2, m2), 1):
+                yield w + ((p2, m2, u2) == (p, m, u))
 
         def weight(p2, m2, u2):
             return original_weight(p2, m2, u2) + ((p2, m2, u2) == (p, m, u))
 
-        for module in (angular, operator, padic, spectral):
+        for module in (angular, padic, spectral):
             monkeypatch.setattr(module, "coupling_weights", weights)
         monkeypatch.setattr(operator, "coupling_weight", weight)
         for cache in caches:

@@ -604,7 +604,7 @@ def test_spectrum_at_a_large_conductor_is_fast(run_python):
 @pytest.mark.parametrize(
     "argv,seconds",
     [
-        # The couplings are summed once per (p, m), not once per conductor.
+        # The float couplings are formed once per (p, m), not once per conductor.
         ("spectrum --p 2 --m 20000 --max-conductor 300", 5),
         # The height action sums its strata by Horner's rule in p, not by
         # fresh powers of a large p per stratum.

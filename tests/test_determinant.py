@@ -209,3 +209,23 @@ def test_det_series_verdict_is_exact(monkeypatch):
     assert code == 1
     rows = json.loads(out)["zeta_series_checks"]
     assert [row["pass"] for row in rows] == [True, False, True]
+
+
+def test_det_zeta_prime_verdict_is_exact(monkeypatch):
+    # A term 1e-9 (p^s - 1) leaves zeta(0) alone and moves zeta'(0) by
+    # 1e-9 log p, a thousand times inside the 1e-6 m bound that a central
+    # difference needs; the dual-number derivative sees it, and det exits 1.
+    exact = determinant._zeta_closed
+
+    def skewed(m, p, ps, p1s):
+        return exact(m, p, ps, p1s) + (ps - 1) * Fraction(1, 10**9)
+
+    monkeypatch.setattr(determinant, "_zeta_closed", skewed)
+    for p, m in [(2, 1), (3, 2), (101, 24)]:
+        with pytest.raises(ArithmeticError, match="zeta derivative"):
+            zeta_prime_at_zero(PrimeParams(p, m))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["det", "--p", "3", "--m", "2"])
+    assert (code, out.getvalue()) == (1, "")
+    assert "zeta derivative" in err.getvalue()

@@ -71,11 +71,11 @@ LADDER_DUMP_SHA256 = {
 # json stdout.  They print the float radial integrals, the determinant
 # factors of the spectral layer and the exact height identity at every
 # sampled point.  The last four run every reader of the shell couplings at
-# a large m: the height action's shell loops, the angular circulant check
-# and the float and exact radial sums read the table; the correlator's
-# kernel match compares the two-point value at delta 1, which is the kernel
-# (both of its forms compared, the case form computing its one weight),
-# with kernel_H exactly.
+# a large m: the height action sums them by Horner's rule, the angular
+# circulant check streams them and their closed-form sum, and the float
+# radial sums read them as floats; the correlator's kernel match compares
+# the two-point value at delta 1, which is the kernel (both of its forms
+# compared, the case form computing its one weight), with kernel_H exactly.
 SWEEP_STDOUT_SHA256 = {
     "spectrum --p 2 --m 1 --max-conductor 12": "739450f602de23583192638735f76b12e1ffca2f9a56901645a0dd5d11206313",
     "spectrum --p 3 --m 2 --max-conductor 7": "3402f92649ada078cc5485047e3da6dc7830779adbaefed356735b29020a7e76",

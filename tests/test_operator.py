@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop import cli, padic
+from tateop import cli
 from tateop.domain import Ball, PrimeParams
 from tateop.operator import (
-    _kernel_by_valuations,
     apply_D_height,
     c_p_const,
     height_check_points,
@@ -234,17 +233,6 @@ def test_a_skewed_coupling_splits_the_kernel_forms_of_matrix(skew_coupling):
     with pytest.raises(ArithmeticError, match="kernel forms disagree"):
         kernel_H(point(1, PrimeParams(3, 3)), point(9, PrimeParams(3, 3)))
     assert _run(argv) == 1
-
-
-def test_the_kernel_builds_no_coupling_table():
-    # The case form computes its one weight: at m = 2000 the table would be
-    # 2001 integers of up to 2000 bits.
-    padic.coupling_weights.cache_clear()
-    _kernel_by_valuations.cache_clear()
-    ctx = PrimeParams(2, 2000)
-    for x1, x2 in [(4, 1), (3, 1), (2**1999, 2**1000)]:
-        kernel_H(point(x1, ctx), point(x2, ctx))
-    assert padic.coupling_weights.cache_info().currsize == 0
 
 
 def test_height_check_points_cover_all_strata():

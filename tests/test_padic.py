@@ -1,5 +1,5 @@
 """Valuations, norms, reduction into the fundamental domain, and the
-shell-coupling table."""
+shell couplings."""
 
 import sys
 import tracemalloc
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from tateop import angular
+from tateop import angular, determinant, padic, spectral
 from tateop.padic import (
     PrimeParams,
     capped_product,
@@ -162,14 +162,9 @@ def test_capped_product_stops_past_the_cap():
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
 def test_coupling_weights_are_the_two_powers(p):
     for m in range(1, 41):
-        assert coupling_weights(p, m) == tuple(p ** (m - u) + p**u for u in range(m + 1))
-        assert coupling_total(p, m) == sum(p ** (m - u) + p**u for u in range(1, m))
-
-
-def _table_bytes(table):
-    """sys.getsizeof summed over the table's distinct entries (w_u and
-    w_(m-u) may be one object)."""
-    return sum(sys.getsizeof(w) for w in {id(w): w for w in table}.values())
+        expected = [p ** (m - u) + p**u for u in range(1, m)]
+        assert list(coupling_weights(p, m)) == expected
+        assert coupling_total(p, m) == sum(expected)
 
 
 def _traced_peak(fn, *args):
@@ -181,25 +176,36 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-# At p = 2, m = 20000 the table is about 20 MB.
-BIG_TABLE = (2, 20000)
+# At p = 2, m = 20000 the weights sum to about 25 MB.
+BIG = PrimeParams(2, 20000)
 
 
 @pytest.fixture
-def clear_big_table():
+def cold_caches():
+    """Every cache of the package empty before and after the test, so a
+    peak counts what the call builds and the test leaves nothing behind."""
+
+    def clear():
+        for module in (angular, determinant, padic, spectral):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+    clear()
     yield
-    for cache in (coupling_weights, coupling_total, angular.angular_circulant_check):
-        cache.cache_clear()
+    clear()
 
 
-def test_the_coupling_table_is_built_without_a_list_of_powers(clear_big_table):
-    coupling_weights.cache_clear()
-    peak = _traced_peak(coupling_weights, *BIG_TABLE)
-    assert peak < 1.2 * _table_bytes(coupling_weights(*BIG_TABLE))
+def test_the_angular_circulant_check_holds_nothing_of_the_tables_size(cold_caches):
+    size = sum(sys.getsizeof(w) for w in coupling_weights(BIG.p, BIG.m))
+    assert _traced_peak(angular.angular_circulant_check, BIG.p, BIG.m) < 0.1 * size
 
 
-def test_the_angular_circulant_check_holds_nothing_of_the_tables_size(clear_big_table):
-    # Run on the cached table: no copy of it, no list of m coefficients.
-    size = _table_bytes(coupling_weights(*BIG_TABLE))
-    angular.angular_circulant_check.cache_clear()
-    assert _traced_peak(angular.angular_circulant_check, *BIG_TABLE) < 0.1 * size
+def test_the_determinant_holds_no_coupling_table(cold_caches):
+    assert _traced_peak(determinant.det_factors, BIG) < 2 * 2**20
+
+
+def test_the_radial_integral_holds_only_float_couplings(cold_caches):
+    # m floats and m roots of unity, about 1.4 MB; the weights are 25 MB.
+    chi = spectral.primitive_character(BIG.p, 5)
+    assert _traced_peak(spectral.eigenvalue_radial_integral, chi, 1, BIG) < 4 * 2**20
