@@ -12,7 +12,7 @@ import sys
 
 from tateop.determinant import det_factors
 from tateop.padic import PrimeParams, format_float
-from tateop.spectral import enumerate_spectrum, spectral_gap, weyl_count
+from tateop.spectral import enumerate_spectrum, spectral_gap
 
 
 def main() -> int:
@@ -33,7 +33,7 @@ def main() -> int:
         print(f"{e.kind:8s} {e.index:5d} {lam:>14s} {e.multiplicity:6d} {cum:8d}")
     lam_top = max(float(e.eigenvalue) for e in entries)
     print(f"\nspectral gap: {spectral_gap(ctx)}")
-    print(f"Weyl count at lambda={lam_top:g}: {weyl_count(lam_top, ctx)} (= m*lambda = {ctx.m * lam_top:g})")
+    print(f"Weyl count at lambda={lam_top:g}: {cum} (= m*lambda = {ctx.m * lam_top:g})")
     det, angular, radial, _ = det_factors(ctx)
     print(f"det D = {det} = {angular} (angular) * {radial} (radial)")
     return 0

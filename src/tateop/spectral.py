@@ -4,8 +4,8 @@ Radial characters (characters of the unit group mod p^n) are realized
 through discrete-log tables, angular characters are characters of Z/mZ
 acting on the valuation (their eigenvalues are in ``angular``).
 Eigenvalues come in a closed form per conductor and are cross-checked
-against the defining integrals; multiplicities, the spectral gap and the
-eigenvalue counting function live here too.
+against the defining integrals; multiplicities and the spectral gap live
+here too.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from functools import lru_cache
 from .angular import angular_eigenvalues, eigenvalue_angular, root_table
 from .padic import (
     PrimeParams,
-    Rational,
     Record,
     c_p_const,
     coupling_weights,
@@ -274,30 +273,33 @@ def eigenvalue_radial_integral(chi: UnitCharacter, l: int, ctx: PrimeParams) -> 
     return complex(c_p_const(p)) * total
 
 
-def eigenvalue_radial_exact(chi: UnitCharacter, ctx: PrimeParams) -> Fraction:
-    """The defining sum of :func:`eigenvalue_radial_integral`, exactly, in O(n).
+def eigenvalue_radial_exact(n: int, ctx: PrimeParams) -> Fraction:
+    """The defining sum of :func:`eigenvalue_radial_integral` at a character
+    of conductor n >= 1, exactly, in O(n) integer steps.
 
-    By orthogonality on U_t = 1 + p^t Z_p (U_0 the whole unit group), chi
-    sums to |U_t| over U_t mod p^n when t >= its conductor f, and to 0
-    below it.  So the unit average is 0, the angular part drops out, and
-    the singular sum collects p^(2t) (A_t - A_(t+1)) / p^n over the layers
-    v(u - 1) = t, where A_t = sum over U_t of (1 - chi(u)) is |U_t| for
-    t < f and 0 from f on.
+    By orthogonality on U_t = 1 + p^t Z_p (U_0 the whole unit group), the
+    character sums to |U_t| over U_t mod p^n when t >= n, and to 0 below
+    it.  So the unit average is 0, the angular part drops out, and the
+    singular sum collects p^(2t) (a_t - a_(t+1)) / p^n over the layers
+    v(u - 1) = t < n, where a_t = sum over U_t of (1 - chi(u)) is |U_t|
+    for t < n and 0 at t = n.
     """
-    if chi.p != ctx.p:
-        raise ValueError("character data does not match the prime context")
-    if chi.is_trivial:
-        raise ValueError("trivial radial character: use eigenvalue_angular")
-    p, f = ctx.p, chi.conductor
-    # A_t / p^n: |U_0| = (p - 1) p^(n-1), |U_t| = p^(n-t) for t >= 1.
-    share = [Fraction(p - 1, p)] + [Fraction(1, p**t) for t in range(1, f)] + [Fraction(0)]
-    s_main = sum(p ** (2 * t) * (share[t] - share[t + 1]) for t in range(f))
+    if n < 1:
+        raise ValueError("radial eigenvalues require conductor >= 1")
+    p = ctx.p
+    # Horner's rule in p^2 from the top layer t = n - 1 down, on the integers
+    # a_t = p^(n-t) for 0 < t < n; a_n = 0 and a_0 = (p - 1) p^(n-1).
+    layers, above, a = 0, 0, p
+    for _ in range(n - 1):
+        layers = layers * p * p + a - above
+        above, a = a, a * p
+    layers = layers * p * p + (p - 1) * p ** (n - 1) - above
     # The weight of the unit measure in the defining sums: 2/(q - 1) plus the
     # couplings to the other m - 1 shells, whose sum 2 (q - p)/(p - 1) is
     # ``coupling_total`` (the angular circulant check proves it against the
     # weights), so 2 (q - 1)/((p - 1)(q - 1)) = 2/(p - 1), whatever m is.
-    unit_weight = Fraction(2, p - 1)
-    return c_p_const(p) * (s_main + Fraction(p - 1, p) * unit_weight)
+    # Times the unit measure (p - 1)/p it adds 2/p = 2 p^(n-1) / p^n.
+    return c_p_const(p) * Fraction(layers + 2 * p ** (n - 1), p**n)
 
 
 def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
@@ -359,8 +361,8 @@ def enumerate_spectrum(max_conductor: int, ctx: PrimeParams) -> tuple[SpectrumEn
 
     The angular closed forms are proved by one angular circulant check per
     (p, m).  The total multiplicity is m (p-1) p^(N-1), the dimension of
-    the level-N step-function space: ``spectrum``'s Weyl row checks it,
-    through :func:`weyl_count`.
+    the level-N step-function space: ``spectrum``'s Weyl row checks it
+    on these entries.
     """
     if max_conductor < 1:
         raise ValueError("max conductor must be >= 1")
@@ -380,30 +382,16 @@ def spectral_gap(ctx: PrimeParams):
     """Smallest positive eigenvalue by the closed forms.
 
     For m >= 2 this is the fundamental angular eigenvalue, checked to lie
-    below the radial floor p - 1; for m = 1 it is p - 1 itself.
+    below the radial floor p - 1; for m = 1 it is the radial eigenvalue of
+    the first conductor that has a character: p - 1, or 2 at p = 2.
     """
     p, m = ctx.p, ctx.m
     if m == 1:
-        return Fraction(p - 1)
+        n = 1
+        while not multiplicity("radial", n, ctx):
+            n += 1
+        return eigenvalue_radial_closed(n, ctx)
     gap = eigenvalue_angular(1, ctx)
     if not gap < p - 1:
         raise ArithmeticError("angular gap is not below the radial floor")
     return gap
-
-
-def weyl_count(lam: Rational, ctx: PrimeParams) -> int:
-    """Number of eigenvalues <= lam, counted with multiplicity, by
-    enumeration, for every lam.
-
-    Every angular eigenvalue lies below the radial floor p - 1 and the
-    radial ones grow with the level, so the levels up to the largest M
-    with lambda_M <= lam (M >= 1) hold every eigenvalue counted.  From
-    lam >= p - 1 on the count should be m (p-1) p^(M-1) = m * lambda_M,
-    which ``spectrum``'s Weyl row checks.
-    """
-    p = ctx.p
-    bound = Fraction(lam)
-    big_m = 1
-    while Fraction((p - 1) * p**big_m) <= bound:
-        big_m += 1
-    return sum(e.multiplicity for e in enumerate_spectrum(big_m, ctx) if e.eigenvalue <= bound)

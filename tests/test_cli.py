@@ -181,7 +181,7 @@ def test_spectrum_payload():
     assert {"kind": "radial", "n": 2, "lambda": "6", "mult": 8} in doc["entries"]
     _, out, _ = run_cli(["spectrum", "--p", "2", "--m", "1", "--max-conductor", "3"])
     doc = json.loads(out)
-    assert doc["spectral_gap"] == "1"
+    assert doc["spectral_gap"] == "2"
     assert doc["total_multiplicity"] == 4
 
 

@@ -32,7 +32,8 @@ STDOUT_SHA256 = {
     ("spectrum --p 3 --m 2 --max-conductor 2", "json"): "7932119e17a4ff1934493bc090932e18da769e658852bf952b7f2c75cd3a1f87",
     ("spectrum --p 3 --m 2 --max-conductor 2", "csv"): "4baea9c22ded20d42f1596c2325f7242b8abef981c303691fc5a31890900a573",
     ("spectrum --p 3 --m 2 --max-conductor 2", "pretty"): "39ecbb2ce998b13ee41ed1b433786bb8eca0898f3b36b8ac25cb97ad977adb69",
-    ("spectrum --p 2 --m 1 --max-conductor 3", "json"): "b523857ce5dd1c6992bf1325701aafc5cc6c44b00b88ffa3d8420f5d76bd9f5b",
+    # At p = 2, m = 1 the gap is lambda_2 = 2: conductor 1 has no character.
+    ("spectrum --p 2 --m 1 --max-conductor 3", "json"): "d388eca49e6a1d5e0ba3390da7c9b4cf128500974aa4b8e6df668eeaee03e7f5",
     ("spectrum --p 2 --m 1 --max-conductor 3", "csv"): "80254afbbd54718590d4aa53cd06001f721debda5db9b1dc7c31d308cbc03fe6",
     ("spectrum --p 2 --m 1 --max-conductor 3", "pretty"): "c92b3b7a9556b83b9c50a09d4506ea6690f2c9eeb57e64fa0479db3187fd26f5",
     ("det --p 3 --m 2", "json"): "812ca184d4c86f3c4e3c483245227765fb1799d8fa8ca88a69dc6613a37bc6da",
@@ -77,7 +78,8 @@ LADDER_DUMP_SHA256 = {
 # the two-point value at delta 1, which is the kernel (both of its forms
 # compared, the case form computing its one weight), with kernel_H exactly.
 SWEEP_STDOUT_SHA256 = {
-    "spectrum --p 2 --m 1 --max-conductor 12": "739450f602de23583192638735f76b12e1ffca2f9a56901645a0dd5d11206313",
+    # The spectral gap 2, as at --max-conductor 3.
+    "spectrum --p 2 --m 1 --max-conductor 12": "3f934ce261ccb89a0628670b6f2f2bcecf5a86b4dbb8b78c3e04a4148d6077e1",
     "spectrum --p 3 --m 2 --max-conductor 7": "3402f92649ada078cc5485047e3da6dc7830779adbaefed356735b29020a7e76",
     "spectrum --p 5 --m 3 --max-conductor 5": "7d1c9d4d8457b6bb121ff73d46f7d16c93e507cbb24eb6a7c1f8010bb2163f76",
     "spectrum --p 7 --m 2 --max-conductor 4": "ff0edcea60de262a4d2ca5e277a0a5b01aae6c2ca6deba2c12968e69ddd625c6",

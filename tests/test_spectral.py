@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import io
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tateop import angular, cli, determinant, spectral
+from tateop.matrix import build_matrix
 from tateop.padic import PrimeParams
 from tateop.spectral import (
     SpectrumEntry,
@@ -28,7 +30,6 @@ from tateop.spectral import (
     root_table,
     spectral_gap,
     unit_group_order,
-    weyl_count,
 )
 
 from oracles import character_value, dtn_cross_check, root_of_unity
@@ -205,32 +206,32 @@ def test_spectral_gap_oracles():
         return spectral_gap(PrimeParams(p, m))
 
     assert gap(3, 2) == Fraction(3, 2)
-    assert gap(2, 1) == 1
+    assert gap(2, 1) == 2
     assert gap(3, 1) == 2
     assert gap(2, 4) == Fraction(4, 5)
     for p, m in [(2, 2), (3, 3), (5, 6)]:
         assert gap(p, m) < p - 1
 
 
+def test_spectral_gap_is_the_smallest_positive_matrix_eigenvalue():
+    for p, m, level in [(2, 1, 3), (3, 1, 2), (2, 2, 3), (3, 2, 2)]:
+        ctx = PrimeParams(p, m)
+        eigenvalues = build_matrix(level, ctx).eigenvalues()
+        smallest = min(lam for lam in eigenvalues if lam > 1e-9)
+        assert abs(smallest - float(spectral_gap(ctx))) < 1e-9, (p, m, smallest)
+
+
 def test_weyl_count_matches_enumeration():
+    # The Weyl row's count: the entries up to the top radial eigenvalue.
     for p in (2, 3, 5):
         for m in (1, 2, 3):
             ctx = PrimeParams(p, m)
             for big_m in range(2, 6):
                 lam = eigenvalue_radial_closed(big_m, ctx)
                 entries = enumerate_spectrum(big_m, ctx)
-                count = weyl_count(lam, ctx)
+                count = sum(e.multiplicity for e in entries if e.eigenvalue <= lam)
                 assert count == m * lam
                 assert count == sum(e.multiplicity for e in entries)
-
-
-def test_weyl_count_out_of_regime():
-    # Below the radial floor p - 1 the count is not m * lambda, but the
-    # enumeration still counts exactly: the zero eigenvalue, then at
-    # (3, 2) the angular eigenvalue 3/2 = p (p - 1) 4 / ((p - 1)^2 + 4 p).
-    assert weyl_count(Fraction(1, 2), PrimeParams(3, 2)) == 1
-    assert weyl_count(Fraction(3, 2), PrimeParams(3, 2)) == 2
-    assert weyl_count(0, PrimeParams(5, 1)) == 1
 
 
 def test_dtn_cross_check_exact():
@@ -332,7 +333,7 @@ def test_exact_radial_identity_matches_the_float_integral():
     for chi in chars:
         for m in (1, 2, 3):
             ctx = PrimeParams(chi.p, m)
-            exact = eigenvalue_radial_exact(chi, ctx)
+            exact = eigenvalue_radial_exact(chi.conductor, ctx)
             assert exact == eigenvalue_radial_closed(chi.conductor, ctx)
             for ell in range(m):
                 got = eigenvalue_radial_integral(chi, ell, ctx)
@@ -340,10 +341,17 @@ def test_exact_radial_identity_matches_the_float_integral():
 
 
 def test_exact_radial_identity_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eigenvalue_radial_exact(UnitCharacter.trivial(3), PrimeParams(3, 2))
-    with pytest.raises(ValueError):
-        eigenvalue_radial_exact(UnitCharacter(5, 1, 1), PrimeParams(3, 2))
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            eigenvalue_radial_exact(n, PrimeParams(3, 2))
+
+
+def test_exact_radial_identity_at_every_conductor_of_a_large_prime():
+    ctx = PrimeParams(999983, 1)
+    t0 = time.perf_counter()
+    for n in range(1, 501):
+        assert eigenvalue_radial_exact(n, ctx) == eigenvalue_radial_closed(n, ctx), n
+    assert time.perf_counter() - t0 < 4.0
 
 
 def test_one_pass_angular_sums_match_the_single_sums():
@@ -393,8 +401,8 @@ def test_a_wrong_radial_closed_form_fails_the_exact_check(monkeypatch):
     # which `spectrum` alone reads, so the printed entries stay as they are.
     exact = spectral.eigenvalue_radial_exact
 
-    def wrong(chi, ctx):
-        return exact(chi, ctx) + (1 if chi.conductor == 13 else 0)
+    def wrong(n, ctx):
+        return exact(n, ctx) + (1 if n == 13 else 0)
 
     monkeypatch.setattr(spectral, "eigenvalue_radial_exact", wrong)
     code, out_wrong = _cli(["spectrum", "--p", "2", "--m", "1", "--max-conductor", "14"])
@@ -419,6 +427,22 @@ def test_spectrum_runs_one_angular_pass():
         code, _ = _cli(["spectrum", "--p", str(p), "--m", str(m), "--max-conductor", str(n)])
         assert code == 0
         assert check.cache_info().misses == 1
+
+
+def test_spectrum_enumerates_its_spectrum_once(monkeypatch):
+    calls = []
+    enumerate_ = spectral.enumerate_spectrum
+
+    def counted(max_conductor, ctx):
+        calls.append((max_conductor, ctx))
+        return enumerate_(max_conductor, ctx)
+
+    monkeypatch.setattr(spectral, "enumerate_spectrum", counted)
+    for p, m, n in [(3, 2, 2), (2, 1, 3), (5, 4, 3)]:
+        calls.clear()
+        code, _ = _cli(["spectrum", "--p", str(p), "--m", str(m), "--max-conductor", str(n)])
+        assert code == 0
+        assert calls == [(n, PrimeParams(p, m))]
 
 
 @pytest.mark.parametrize(
