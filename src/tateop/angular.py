@@ -4,8 +4,9 @@ An angular character v -> e^(2 pi i l v / m) acts on the valuation class.
 The operator acts on these characters as a circulant over the m shells,
 so its eigenvalue at l is its symbol at the root x = e^(2 pi i l / m).  The
 closed form in t = 2 - x - 1/x is proved for every l at once by one exact
-identity of polynomials modulo x^m - 1, the angular circulant check.  The
-roots of unity that every character value reads live here too.
+identity of polynomials modulo x^m - 1, the angular circulant check; the
+values it takes, exact or float, sum to the circulant's trace, a closed
+form too.  The roots of unity that every character value reads live here.
 """
 
 from __future__ import annotations
@@ -107,6 +108,14 @@ def angular_eigenvalues(ls, ctx: PrimeParams) -> list:
     circulant check."""
     angular_circulant_check(ctx.p, ctx.m)
     return [_angular_closed(l, ctx) for l in ls]
+
+
+def angular_trace(ctx: PrimeParams) -> Fraction:
+    """The sum of the angular eigenvalues over l = 0..m-1: the trace of the
+    circulant, m times its diagonal -K coupling_total (K as in the angular
+    circulant check), that is 2 c_p m (q - p) / (p (q - 1))."""
+    p, m = ctx.p, ctx.m
+    return c_p_const(p) * Fraction(m * (p - 1) * coupling_total(p, m), p * (p**m - 1))
 
 
 def eigenvalue_angular(l: int, ctx: PrimeParams):

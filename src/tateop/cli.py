@@ -47,12 +47,12 @@ def _lazy_module(name: str) -> types.ModuleType:
 
 
 # A subcommand runs only the modules it reads.  Every one is registered,
-# angular and domain too though only the others read them: a module that
-# imports them later then finds them in sys.modules, and no import sets a
-# new attribute on the package while a caller iterates over its attributes
-# (as bench/tracer.py does).  A lookup in sys.modules after
-# `import tateop.cli` finds each.
-_lazy_module("angular")
+# domain too though only the others read it: a module that imports it
+# later then finds it in sys.modules, and no import sets a new attribute
+# on the package while a caller iterates over its attributes (as
+# bench/tracer.py does).  A lookup in sys.modules after `import tateop.cli`
+# finds each.
+angular = _lazy_module("angular")
 _lazy_module("domain")
 correlator = _lazy_module("correlator")
 determinant = _lazy_module("determinant")
@@ -66,7 +66,7 @@ INTEGRAL_CHECK_MODULUS_CAP = 5000
 # The caps, each checked here once before any work so that a huge value is
 # a quick usage error, not a call that runs without end; the library holds
 # none.  A call at its caps took at most 14 s and 63 MB on a 2-core Xeon VM,
-# `matrix` at its dimension cap 60 s (README, "Caps").  --m is capped through
+# `matrix` at its dimension cap 58 s (README, "Caps").  --m is capped through
 # the bit operations of one pass over the shell couplings w_1..w_(m-1), about
 # m^2 log2(p), which greens, spectrum, det and matrix stream and none stores;
 # correlator, which reads one weight, keeps the cap.
@@ -76,8 +76,9 @@ GREENS_M_CAP = 1000
 MAX_CONDUCTOR_CAP = 500
 MAX_VDIST_CAP = 600
 # The largest dimension tried whose `matrix` call (build and verify) took
-# about a minute at most on a 2-core Xeon VM: 27 s at (p, m, level) =
-# (2, 3, 11), 60 s at (2, 3072, 1).  It bounds m and the level together.
+# about a minute at most on a 2-core Xeon VM, one BLAS thread: 58 s at
+# (p, m, level) = (2, 3072, 1), 52 s at (3, 1536, 1), 54 s at (2, 3, 11).
+# It bounds m and the level together.
 MATRIX_DIM_CAP = 3072
 TREE_NODE_CAP = 20000
 
@@ -253,12 +254,17 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
                 "pass": ok,
             }
         )
-    # The filter fails the count if an angular eigenvalue exceeds lam_top.
+    # Every entry lies at or below lam_top (an angular eigenvalue above it,
+    # or an entry past max_conductor, leaves count below total), and the
+    # multiplicities add up to m lam_top.
     lam_top = spectral.eigenvalue_radial_closed(max_conductor, ctx)
     count = sum(e.multiplicity for e in entries if e.eigenvalue <= lam_top)
-    weyl_ok = count == ctx.m * lam_top
-    checks_pass = checks_pass and weyl_ok
     total = sum(e.multiplicity for e in entries)
+    weyl_ok = count == total == ctx.m * lam_top
+    # The angular entries sum to the circulant's trace (l = 0 adds 0).
+    trace = math.fsum(e.multiplicity * e.eigenvalue for e in entries if e.kind == "angular")
+    trace_ok = math.isclose(trace, angular.angular_trace(ctx), rel_tol=1e-12)
+    checks_pass = checks_pass and weyl_ok and trace_ok
     data = {
         "command": "spectrum",
         "p": ctx.p,

@@ -9,11 +9,13 @@ held as its few distinct exact values plus an integer array that says
 which value each entry takes.
 
 The work grows with the distinct pieces of that structure, not with the
-rows and characters: the diagonal is taken once per shell, the exact row
-sums of the check once per distinct row profile (how many entries take
-each value), the eigenvalues once per (conductor, l), and the character
-vectors are built from per-conductor-level tables.  Only the residual
-check is per character: one matrix-vector product on each vector.
+rows and characters: the matrix is I_m (x) A + C (x) J_n, built from one
+row of the shell block A, one row of the circulant C and one diagonal
+value; the exact row sums of the check are taken once per distinct row
+profile (how many entries take each value; an assembled matrix has one),
+the eigenvalues once per (conductor, l), and the character vectors are
+built from per-conductor-level tables.  Only the residual check is per
+character: one matrix-vector product on each vector.
 
 numpy is imported inside the functions that use it: no other subcommand
 needs it, and importing it is most of the CLI's start-up time.
@@ -23,12 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 
 from .angular import angular_eigenvalues, root_table
 from .domain import Ball
 from .operator import _kernel_by_valuations
-from .padic import PrimeParams, Record, c_p_const, format_rational
+from .padic import PrimeParams, Record, c_p_const, coupling_total, format_rational
 from .spectral import eigenvalue_radial_closed, enumerate_conductor, unit_group_order, unit_log
 
 
@@ -37,8 +38,8 @@ def _profile_totals(index: np.ndarray, values) -> tuple[list[Fraction], list[int
     row take each value.  Returns the totals, profiles in order of first
     appearance, and each row's position in them.
 
-    Rows with the same profile have the same sum, so each profile (one per
-    shell in an assembled matrix) is summed once.
+    Rows with the same profile have the same sum, so each profile is
+    summed once: an assembled matrix has one profile in all.
     """
     import numpy as np
 
@@ -87,10 +88,14 @@ class OperatorMatrix(Record):
         return len(self.basis)
 
     def as_float(self) -> np.ndarray:
-        """Entry-wise float copy; each distinct value is converted once."""
+        """Entry-wise float copy; each distinct value is converted once.
+        Values below the smallest normal float become 0: subnormal operands
+        (m log2 p past about 2044) slow the eigen-solve about twofold."""
         import numpy as np
 
-        return np.array([float(x) for x in self.values])[self.index]
+        floats = np.array([float(x) for x in self.values])
+        floats[np.abs(floats) < np.finfo(float).tiny] = 0.0
+        return floats[self.index]
 
     @cached_property
     def float_entries(self) -> np.ndarray:
@@ -142,9 +147,11 @@ def build_matrix(level: int, ctx: PrimeParams) -> OperatorMatrix:
 
     Off the diagonal, entry (i, j) is -c_p p^-k K(v_i, v_j, vdiff), with
     vdiff = min(v_i, v_j) across shells and v + v_p(c_j - c_i) within
-    shell v (what integrate_H_over_ball evaluates).  Each shell distance
-    and each (shell, vdiff) pair is evaluated once; the diagonal makes the
-    row sum zero, and is taken once per shell from the same structure.
+    shell v (what integrate_H_over_ball evaluates).  Either value depends
+    on the shells only through their distance, so the matrix is
+    I_m (x) A + C (x) J_n: the one block A on every shell, and the
+    constant C[(w - v) mod m] on block (v, w), C a symmetric circulant
+    with C[0] = 0.
     """
     p, m = ctx.p, ctx.m
     import numpy as np
@@ -159,46 +166,31 @@ def build_matrix(level: int, ctx: PrimeParams) -> OperatorMatrix:
         raise ValueError("singular integral: ball contains the evaluation point")
     agreements = [d for d in range(level) if counts[d]]
     scale = -c_p_const(p) / p**level
-    slots: dict[Fraction, int] = {}
-
-    def slot(vx: int, vz: int, vdiff: int) -> int:
-        value = scale * _kernel_by_valuations(p, m, vx, vz, vdiff)
-        return slots.setdefault(value, len(slots))
-
-    # same[v, d] is shell v's slot at digit agreement d; same[v, level] is
-    # the diagonal's, set once every other slot is made.  A cross-shell
-    # value depends on the two shells only through their distance u (both
-    # of its forms do), so it is taken once per u, as by_distance[u].  The
-    # slots are made in the order the rows meet them: shell 0 meets every u.
-    same = np.zeros((m, level + 1), dtype=np.intp)
-    by_distance = np.zeros(m, dtype=np.intp)
-    for v in range(m):
-        same[v, agreements] = [slot(v, v, v + d) for d in agreements]
-        if v == 0:
-            by_distance[1:] = [slot(0, u, 0) for u in range(1, m)]
-    off_diagonal = tuple(slots)
-    # A row of shell v has counts[d] / n entries at digit agreement d (the
-    # same for every row: the units are a group) and n entries in each
-    # other shell, at distances 1..v and 1..m-1-v; prefix[t] sums the
-    # cross-shell values at distances 1..t.
-    cross = [off_diagonal[s] for s in by_distance[1:].tolist()]
-    prefix = list(accumulate(cross, initial=Fraction(0)))
-    for v, row in enumerate(same.tolist()):
-        within = sum((counts[d] // n * off_diagonal[row[d]] for d in agreements), Fraction(0))
-        total = within + n * (prefix[v] + prefix[m - 1 - v])
-        same[v, level] = slots.setdefault(-total, len(slots))
-    values = tuple(slots)
-    # Every slot exists now, so the index takes the narrowest dtype that
-    # holds them from the start.
+    # A's values over the digit agreements d, taken at shell 0 (the kernel
+    # is p^(2d) + 2/(q - 1) in every shell), and C's over the shell
+    # distances u = 1..m-1.  A row has counts[d] / n entries at agreement d
+    # (the units are a group) and n in each other shell, whose couplings
+    # w_u / (q - 1) sum to coupling_total / (q - 1); the diagonal makes the
+    # row sum zero.  The slots are made in that order: A's, C's, the diagonal.
+    within = [scale * _kernel_by_valuations(p, m, 0, 0, d) for d in agreements]
+    cross = [scale * _kernel_by_valuations(p, m, 0, u, 0) for u in range(1, m)]
+    diagonal = -sum(counts[d] // n * x for d, x in zip(agreements, within))
+    diagonal -= n * scale * Fraction(coupling_total(p, m), p**m - 1)
+    values = tuple(dict.fromkeys(within + cross + [diagonal]))
+    slots = {x: i for i, x in enumerate(values)}
     dtype = np.min_scalar_type(len(values) - 1)
-    same, by_distance = same.astype(dtype), by_distance.astype(dtype)
+    # same[d] is A's slot at agreement d, the diagonal's at d = level;
+    # by_distance[u] is C's at shell distance u (u = 0 lies in A's blocks).
+    same = np.zeros(level + 1, dtype=dtype)
+    same[agreements + [level]] = [slots[x] for x in within + [diagonal]]
+    by_distance = np.array([0] + [slots[x] for x in cross], dtype=dtype)
     shells = np.arange(m)
     index = np.empty((dim, dim), dtype=dtype)
     # blocks[v, :, w, :] is the block of shell v's rows and shell w's
     # columns; agree is level exactly on the diagonal.
     blocks = index.reshape(m, n, m, n)
-    blocks[...] = by_distance[abs(shells[:, None] - shells)][:, None, :, None]
-    blocks[shells, :, shells, :] = same[:, agree]
+    blocks[...] = by_distance[(shells - shells[:, None]) % m][:, None, :, None]
+    blocks[shells, :, shells, :] = same[agree]
     return OperatorMatrix(ctx, level, basis, values, index)
 
 

@@ -1,13 +1,14 @@
 """Each identity is decided in one place and reported there: the kernel's
 two forms at base p^delta, the exact kernel match, the spectrum's count
-identity in its Weyl row, and a value no float holds as a usage error."""
+identity in its Weyl row and its angular trace, and a value no float
+holds as a usage error."""
 
 import contextlib
 import io
 import json
 from fractions import Fraction
 
-from tateop import cli, operator, spectral
+from tateop import angular, cli, operator, spectral
 
 
 def _cli(argv):
@@ -42,6 +43,31 @@ def test_a_wrong_radial_multiplicity_fails_the_weyl_row(monkeypatch):
     doc = json.loads(out)
     assert code == 1 and doc["all_pass"] is False
     assert doc["weyl"] == {"lambda": "18", "count": 37, "m_lambda": "36", "pass": False}
+
+
+def test_an_entry_past_max_conductor_fails_the_weyl_row(monkeypatch):
+    argv = ["spectrum", "--p", "3", "--m", "2", "--max-conductor", "3"]
+    assert _cli(argv)[0] == 0
+    listed = spectral.enumerate_spectrum
+    monkeypatch.setattr(spectral, "enumerate_spectrum", lambda n, ctx: listed(n + 1, ctx))
+    code, out, _ = _cli(argv)
+    doc = json.loads(out)
+    assert code == 1 and doc["all_pass"] is False
+    assert doc["total_multiplicity"] == 108
+    assert doc["weyl"] == {"lambda": "18", "count": 36, "m_lambda": "36", "pass": False}
+
+
+def test_a_wrong_exact_angular_value_fails_the_trace_check(monkeypatch):
+    # l = 75 of m = 300 is the quarter turn, where t = 2 exactly.
+    argv = ["spectrum", "--p", "3", "--m", "300", "--max-conductor", "5"]
+    assert _cli(argv)[0] == 0
+    monkeypatch.setitem(angular._EXACT_T, Fraction(1, 4), Fraction(3))
+    code, out, _ = _cli(argv)
+    doc = json.loads(out)
+    assert code == 1 and doc["all_pass"] is False
+    assert {"kind": "angular", "l": 75, "lambda": "18/13", "mult": 2} in doc["entries"]
+    # Only the trace sees it: the Weyl row and the radial checks pass.
+    assert doc["weyl"]["pass"] and all(c["pass"] for c in doc["integral_checks"])
 
 
 def test_kernel_match_is_exact(monkeypatch):

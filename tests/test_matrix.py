@@ -187,6 +187,20 @@ def test_assembly_matches_ball_integrals(p, m, level):
             if j != i:
                 assert row[j] == -c_p_const(p) * integrate_H_over_ball(b, centers[i])
         assert row[i] == -sum(x for j, x in enumerate(row) if j != i)
+    # The structure the build reads: I_m (x) A + C (x) J_n.  Every diagonal
+    # block is one block A, block (v, w) off it is the constant
+    # C[(w - v) mod m], read here off row 0, and C is symmetric.
+    n = mx.dimension // m
+
+    def block(v, w):
+        return [row[w * n : (w + 1) * n] for row in mx.entries[v * n : (v + 1) * n]]
+
+    circulant = [mx.entries[0][u * n] for u in range(m)]
+    for v in range(m):
+        assert block(v, v) == block(0, 0)
+        for w in set(range(m)) - {v}:
+            assert {x for row in block(v, w) for x in row} == {circulant[(w - v) % m]}
+    assert circulant[1:] == circulant[:0:-1]
 
 
 # The benchmark's ladder rungs: the two-adic (s, t) logs at n >= 3, and
@@ -279,6 +293,23 @@ def test_verify_catches_rows_that_leave_their_shell_profile(p, m, level):
     _, rep = verify_matrix(corrupt_symmetrically(mx, 0, mx.dimension - 1))
     assert rep["symmetric"] and not rep["row_sums_zero"]
     assert rep["failures"][0] == "row sums" and "symmetry" not in rep["failures"]
+
+
+def test_float_copy_holds_no_subnormal_value():
+    import numpy as np
+
+    # At m log2 p past about 2044 the far couplings lie below the smallest
+    # normal float, and subnormal operands slow the eigen-solve.
+    a = build_matrix(1, PrimeParams(2, 2100)).as_float()
+    assert not np.any((a != 0) & (np.abs(a) < np.finfo(float).tiny))
+
+
+def test_angular_trace_is_the_level_1_matrix_trace():
+    # At p = 2 and level 1 the matrix is the angular circulant itself.
+    for m in range(1, 7):
+        ctx = PrimeParams(2, m)
+        mx = build_matrix(1, ctx)
+        assert m * mx.values[mx.index[0, 0]] == angular.angular_trace(ctx)
 
 
 def test_verify_builds_the_float_copy_once(monkeypatch):
