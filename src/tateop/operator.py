@@ -16,7 +16,6 @@ from .padic import (
     TatePoint,
     c_p_const,
     coupling_weight,
-    point,
     valuation,
 )
 
@@ -119,9 +118,8 @@ def apply_D_height(x: TatePoint) -> Fraction:
         # Shell of x.  Stratify z by t = v(z - x) >= 0 and compare
         # v(z - 1) against ell; the t = ell stratum needs the inner
         # geometric sums.
-        if p > 2:
-            # (p - 2)/p (1 + 2/(q - 1)) (0 - ell)
-            num += (p - 2) * (q1 + 2) * (0 - ell) * p_ell * two_m * (p - 1)
+        # Stratum t = 0: (p - 2)/p (1 + 2/(q - 1)) (0 - ell), empty at p = 2.
+        num -= (p - 2) * (q1 + 2) * ell * p_ell * two_m * (p - 1)
         # Stratum 0 < t < ell: (p - 1)/p p^-t (p^(2t) + 2/(q - 1)) (t - ell),
         # which is (t - ell) (p^(ell+t) (q - 1) + 2 p^(ell-t)) without the
         # common factor (p - 1)^2 2m.  high is the sum of (t - ell) p^(t-1),
@@ -132,9 +130,9 @@ def apply_D_height(x: TatePoint) -> Fraction:
         num += (p - 1) ** 2 * two_m * strata
         # (p - 1)/p (p^(2 ell) + 2/(q - 1)) tail, where the tail is the
         # geom_sum sum_{j > ell} j p^-j less ell sum_{j > ell} p^-j; over
-        # p^ell (p - 1)^2 these read (ell + 1)(p - 1) + 1 and ell (p - 1).
-        tail = (ell + 1) * (p - 1) + 1 - ell * (p - 1)
-        num += (p ** (2 * ell) * q1 + 2) * tail * two_m
+        # p^ell (p - 1)^2 these read (ell + 1)(p - 1) + 1 and ell (p - 1),
+        # whose difference is p.
+        num += (p ** (2 * ell) * q1 + 2) * p * two_m
     else:
         # The height difference vanishes identically on the shell of x, so
         # that shell drops out.  On the unit shell the v(z - 1) profile
@@ -156,26 +154,21 @@ def apply_D_height(x: TatePoint) -> Fraction:
 
 
 def height_check_points(ctx: PrimeParams, max_vdist: int) -> tuple[TatePoint, ...]:
-    """Sample points hitting every shell and every v(x - 1) up to max_vdist."""
+    """Sample points on every shell and at every v(x - 1) up to max_vdist,
+    each built where it lies in the fundamental domain.
+
+    The units are x = 1 + u p^j for j = 0..max_vdist and the u in {1, 2, 3}
+    prime to p, so v(x - 1) = j; j = 0 is skipped where p divides 1 + u,
+    which is no unit.  Shell v = 1..m-1 gets u p^v for the u in
+    {1, 2, p + 1} prime to p.  Distinct (u, j) give distinct x - 1, so no
+    point repeats.
+    """
     p, m = ctx.p, ctx.m
-    pts: list[TatePoint] = []
-    seen: set[Fraction] = set()
-    for j in range(max_vdist + 1):
-        for u in (1, 2, 3):
-            if u % p == 0:
-                continue
-            x = point(Fraction(1 + u * p**j), ctx)
-            if x.value == 1 or x.v != 0 or valuation(x.value - 1, p) != j:
-                continue
-            if x.value not in seen:
-                seen.add(x.value)
-                pts.append(x)
-    for v in range(1, m):
-        for u in (1, 2, p + 1):
-            if u % p == 0:
-                continue
-            x = point(Fraction(u * p**v), ctx)
-            if x.value not in seen:
-                seen.add(x.value)
-                pts.append(x)
-    return tuple(pts)
+    units = [
+        1 + u * p**j
+        for j in range(max_vdist + 1)
+        for u in (1, 2, 3)
+        if u % p and (j or (1 + u) % p)
+    ]
+    shells = [u * p**v for v in range(1, m) for u in (1, 2, p + 1) if u % p]
+    return tuple(TatePoint(x, ctx) for x in units + shells)

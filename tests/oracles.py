@@ -3,7 +3,8 @@
 No subcommand runs these: they restate the operator's identities in their
 direct, slower form (step functions and their dense operator action, the
 weak delta identity of the Green's function, the mass-dimension relation,
-the determinant's radial factor), so the package's closed forms have
+the determinant's radial factor, the ``greens`` sample points drawn as
+filtered candidates), so the package's closed forms have
 something independent to agree with.  General partitions of the domain
 into balls, and the character values at a single point, live here too.
 The angular characters, which the package reads only as an index l, are
@@ -33,6 +34,7 @@ from tateop.padic import (
     format_rational,
     local_height,
     parse_rational,
+    point,
     tate_div,
     valuation,
 )
@@ -320,6 +322,35 @@ def weak_delta_check(y: TatePoint, f: StepFunction) -> tuple[Fraction, Fraction]
         lhs += df_b * prof.integrate_over_ball(b)
     rhs = f.value_at(y) - f.integral() / total_volume(y.ctx)
     return lhs, rhs
+
+
+def height_check_points_filtered(ctx: PrimeParams, max_vdist: int) -> tuple[TatePoint, ...]:
+    """The greens sample points drawn as candidates: each reduced by
+    ``point``, kept only on the shell and at the v(x - 1) it was drawn for,
+    and de-duplicated.  ``height_check_points`` builds the same tuple
+    directly."""
+    p, m = ctx.p, ctx.m
+    pts: list[TatePoint] = []
+    seen: set[Fraction] = set()
+    for j in range(max_vdist + 1):
+        for u in (1, 2, 3):
+            if u % p == 0:
+                continue
+            x = point(Fraction(1 + u * p**j), ctx)
+            if x.value == 1 or x.v != 0 or valuation(x.value - 1, p) != j:
+                continue
+            if x.value not in seen:
+                seen.add(x.value)
+                pts.append(x)
+    for v in range(1, m):
+        for u in (1, 2, p + 1):
+            if u % p == 0:
+                continue
+            x = point(Fraction(u * p**v), ctx)
+            if x.value not in seen:
+                seen.add(x.value)
+                pts.append(x)
+    return tuple(pts)
 
 
 class AngularCharacter(Record):

@@ -211,6 +211,23 @@ def test_det_series_verdict_is_exact(monkeypatch):
     assert [row["pass"] for row in rows] == [True, False, True]
 
 
+def test_det_ties_each_printed_float_to_its_exact_value(monkeypatch):
+    # Cut to two terms, the float series misses its exact sum by 0.111 at
+    # s = 2 while the exact identity still holds; a closed form skewed by
+    # 1e-9 is a thousand times past the relative 1e-12 bound.
+    monkeypatch.setattr(determinant, "ZETA_SERIES_TERMS", 2)
+    code, out = _det_cli(3, 2)
+    assert code == 1
+    rows = json.loads(out)["zeta_series_checks"]
+    assert rows[0]["abs_error"] > 0.1 and not any(row["pass"] for row in rows)
+    monkeypatch.undo()
+    exact = determinant.zeta_pi_value
+    monkeypatch.setattr(determinant, "zeta_pi_value", lambda s, ctx: exact(s, ctx) * (1 + 1e-9))
+    code, out = _det_cli(3, 2)
+    assert code == 1
+    assert not any(row["pass"] for row in json.loads(out)["zeta_series_checks"])
+
+
 def test_det_zeta_prime_verdict_is_exact(monkeypatch):
     # A term 1e-9 (p^s - 1) leaves zeta(0) alone and moves zeta'(0) by
     # 1e-9 log p, a thousand times inside the 1e-6 m bound that a central

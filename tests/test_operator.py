@@ -27,6 +27,7 @@ from oracles import (
     apply_D_step,
     geom_sum,
     greens_function,
+    height_check_points_filtered,
     norm,
     total_volume,
     weak_delta_check,
@@ -245,6 +246,37 @@ def test_height_check_points_cover_all_strata():
     dists = {valuation(x.value - 1, 3) for x in pts if x.v == 0}
     assert dists >= set(range(6))
     assert all(x.value != 1 for x in pts)
+
+
+def test_height_check_points_equal_the_filtered_candidates():
+    # Built in the domain, the points are the candidates that reduction,
+    # the shell and v(x - 1) filters and de-duplication would keep.
+    for p in (2, 3, 5, 7, 11, 101, 65537):
+        for m in range(1, 8):
+            ctx = PrimeParams(p, m)
+            for max_vdist in range(10):
+                assert height_check_points(ctx, max_vdist) == height_check_points_filtered(
+                    ctx, max_vdist
+                )
+
+
+@pytest.mark.parametrize(
+    "kept",
+    [
+        lambda x: x.v != 1,
+        lambda x: x.v != 0 or valuation(x.value - 1, 3) != 6,
+        lambda x: x.v == 0,
+    ],
+    ids=["no-shell-1", "no-top-vdist", "unit-shell-only"],
+)
+def test_greens_fails_a_sample_that_misses_its_coverage(monkeypatch, kept):
+    argv = ["greens", "--p", "3", "--m", "3", "--max-vdist", "6"]
+    assert _run(argv) == 0
+    sampled = height_check_points
+    monkeypatch.setattr(
+        cli.operator, "height_check_points", lambda ctx, n: tuple(filter(kept, sampled(ctx, n)))
+    )
+    assert _run(argv) == 1
 
 
 def test_greens_function_matches_height_and_symmetry():
