@@ -12,7 +12,7 @@ import sys
 
 from tateop.determinant import det_factors
 from tateop.padic import PrimeParams, format_float
-from tateop.spectral import enumerate_spectrum, spectral_gap
+from tateop.spectral import enumerate_spectrum
 
 
 def main() -> int:
@@ -32,7 +32,8 @@ def main() -> int:
         lam = str(e.eigenvalue) if not isinstance(e.eigenvalue, float) else format_float(e.eigenvalue)
         print(f"{e.kind:8s} {e.index:5d} {lam:>14s} {e.multiplicity:6d} {cum:8d}")
     lam_top = max(float(e.eigenvalue) for e in entries)
-    print(f"\nspectral gap: {spectral_gap(ctx)}")
+    gap = min((e.eigenvalue for e in entries if e.eigenvalue > 0), default=None)
+    print(f"\nspectral gap: {gap}")
     print(f"Weyl count at lambda={lam_top:g}: {cum} (= m*lambda = {ctx.m * lam_top:g})")
     det, angular, radial, _ = det_factors(ctx)
     print(f"det D = {det} = {angular} (angular) * {radial} (radial)")

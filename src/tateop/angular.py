@@ -4,9 +4,11 @@ An angular character v -> e^(2 pi i l v / m) acts on the valuation class.
 The operator acts on these characters as a circulant over the m shells,
 so its eigenvalue at l is its symbol at the root x = e^(2 pi i l / m).  The
 closed form in t = 2 - x - 1/x is proved for every l at once by one exact
-identity of polynomials modulo x^m - 1, the angular circulant check; the
-values it takes, exact or float, sum to the circulant's trace, a closed
-form too.  The roots of unity that every character value reads live here.
+identity of polynomials modulo x^m - 1, the angular circulant check.
+``eigenvalue_angular`` is the one reader of that closed form, the zero
+mode l = 0 included; the values it takes, exact or float, sum to the
+circulant's trace, a closed form too.  The roots of unity that every
+character value reads live here.
 """
 
 from __future__ import annotations
@@ -90,26 +92,6 @@ def angular_circulant_check(p: int, m: int) -> None:
         low, mid = mid, high
 
 
-def _angular_closed(l: int, ctx: PrimeParams):
-    """a t / (b + c t) with t = 4 sin^2(pi l / m), folded to l <= m / 2 so
-    that t carries no cancellation; exact when t is rational."""
-    p, m = ctx.p, ctx.m
-    a, b, c = _closed_coefficients(p)
-    j = l % m
-    turns = Fraction(min(j, m - j), m)
-    t = _EXACT_T.get(turns)
-    if t is None:
-        t = 4 * math.sin(math.pi * float(turns)) ** 2
-    return a * t / (b + c * t)
-
-
-def angular_eigenvalues(ls, ctx: PrimeParams) -> list:
-    """The closed form at each l, proved for every l by the angular
-    circulant check."""
-    angular_circulant_check(ctx.p, ctx.m)
-    return [_angular_closed(l, ctx) for l in ls]
-
-
 def angular_trace(ctx: PrimeParams) -> Fraction:
     """The sum of the angular eigenvalues over l = 0..m-1: the trace of the
     circulant, m times its diagonal -K coupling_total (K as in the angular
@@ -119,5 +101,16 @@ def angular_trace(ctx: PrimeParams) -> Fraction:
 
 
 def eigenvalue_angular(l: int, ctx: PrimeParams):
-    """The closed form at l, proved by the angular circulant check."""
-    return angular_eigenvalues((l,), ctx)[0]
+    """a t / (b + c t) with t = 4 sin^2(pi l / m), proved for every l by the
+    angular circulant check (run once per (p, m)).  l is folded to
+    l <= m / 2 so that t carries no cancellation; the value is exact when
+    t is rational, so the zero mode l = 0 is exactly 0."""
+    p, m = ctx.p, ctx.m
+    angular_circulant_check(p, m)
+    a, b, c = _closed_coefficients(p)
+    j = l % m
+    turns = Fraction(min(j, m - j), m)
+    t = _EXACT_T.get(turns)
+    if t is None:
+        t = 4 * math.sin(math.pi * float(turns)) ** 2
+    return a * t / (b + c * t)

@@ -272,7 +272,9 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
     # The angular entries sum to the circulant's trace (l = 0 adds 0).
     trace = math.fsum(e.multiplicity * e.eigenvalue for e in entries if e.kind == "angular")
     trace_ok = math.isclose(trace, angular.angular_trace(ctx), rel_tol=1e-12)
-    checks_pass = checks_pass and weyl_ok and trace_ok
+    # One zero mode, the constants: the kernel of D is one-dimensional.
+    zero_ok = [e.multiplicity for e in entries if e.eigenvalue == 0] == [1]
+    checks_pass = checks_pass and weyl_ok and trace_ok and zero_ok
     data = {
         "command": "spectrum",
         "p": ctx.p,
@@ -280,7 +282,9 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
         "max_conductor": max_conductor,
         "entries": [e.to_json_dict() for e in entries],
         "total_multiplicity": total,
-        "spectral_gap": spectral.spectral_gap(ctx),
+        # The least positive listed eigenvalue; None where only the zero
+        # mode is listed (p = 2, m = 1, max_conductor = 1).
+        "spectral_gap": min((e.eigenvalue for e in entries if e.eigenvalue > 0), default=None),
         "weyl": {
             "lambda": lam_top,
             "count": count,

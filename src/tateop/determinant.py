@@ -113,13 +113,14 @@ class _Dual:
 def zeta_prime_at_zero(ctx: PrimeParams) -> float:
     """zeta'(0) = -m log(p/(p-1)) as a float, checked exactly: the closed
     form, evaluated on dual numbers at s = 0, must give zeta(0) = -m and
-    zeta'(0) = -m log p + m log(p - 1).
+    zeta'(0) = -m log p + m log(p - 1).  It is summed as -m log1p(1/(p-1)):
+    rounding p/(p-1) to a float would lose about log10 p digits.
     """
     p, m = ctx.p, ctx.m
     zeta = _zeta_closed(m, p, _Dual(1, 1, 0), _Dual(1, 0, 1))
     if (zeta.x, zeta.y, zeta.z) != (-m, -m, m):
         raise ArithmeticError("zeta derivative disagrees with the closed form's dual numbers")
-    return -m * math.log(p / (p - 1))
+    return -m * math.log1p(1 / (p - 1))
 
 
 def det_factors(ctx: PrimeParams) -> tuple[Fraction, Fraction, Fraction, float]:

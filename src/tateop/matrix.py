@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .angular import angular_eigenvalues, root_table
+from .angular import eigenvalue_angular, root_table
 from .domain import Ball
 from .operator import _kernel_by_valuations
 from .padic import PrimeParams, Record, c_p_const, coupling_total, format_rational
@@ -255,7 +255,7 @@ def verify_matrix(mx: OperatorMatrix) -> tuple[list[float], dict]:
     characters = [enumerate_conductor(ctx.p, n) for n in range(mx.level + 1)]
     if ctx.m * sum(map(len, characters)) != dim:
         raise ArithmeticError("character count does not match the basis dimension")
-    lams = [[float(x) for x in angular_eigenvalues(range(ctx.m), ctx)]]
+    lams = [[float(eigenvalue_angular(l, ctx)) for l in range(ctx.m)]]
     for n in range(1, mx.level + 1):
         lams.append([float(eigenvalue_radial_closed(n, ctx))] * ctx.m)
     expected = sorted(x for lam, chars in zip(lams, characters) for x in lam * len(chars))

@@ -4,8 +4,8 @@ Radial characters (characters of the unit group mod p^n) are realized
 through discrete-log tables, angular characters are characters of Z/mZ
 acting on the valuation (their eigenvalues are in ``angular``).
 Eigenvalues come in a closed form per conductor and are cross-checked
-against the defining integrals; multiplicities and the spectral gap live
-here too.
+against the defining integrals; multiplicities and the enumerated
+spectrum, the zero mode first, live here too.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .angular import angular_eigenvalues, eigenvalue_angular, root_table
+from .angular import eigenvalue_angular, root_table
 from .padic import (
     PrimeParams,
     Record,
@@ -359,16 +359,17 @@ class SpectrumEntry(Record):
 def enumerate_spectrum(max_conductor: int, ctx: PrimeParams) -> tuple[SpectrumEntry, ...]:
     """Zero mode, angular pairs, and radial levels up to the given conductor.
 
-    The angular closed forms are proved by one angular circulant check per
-    (p, m).  The total multiplicity is m (p-1) p^(N-1), the dimension of
-    the level-N step-function space: ``spectrum``'s Weyl row checks it
-    on these entries.
+    The zero mode and the angular entries are ``eigenvalue_angular`` at
+    l = 0..m/2, whose closed form one angular circulant check per (p, m)
+    proves: at l = 0 it is exactly 0.  The total multiplicity is
+    m (p-1) p^(N-1), the dimension of the level-N step-function space:
+    ``spectrum``'s Weyl row checks it on these entries.
     """
     if max_conductor < 1:
         raise ValueError("max conductor must be >= 1")
-    entries = [SpectrumEntry("zero", 0, Fraction(0), 1)]
-    ls = range(1, ctx.m // 2 + 1)
-    for l, lam in zip(ls, angular_eigenvalues(ls, ctx)):
+    entries = [SpectrumEntry("zero", 0, eigenvalue_angular(0, ctx), 1)]
+    for l in range(1, ctx.m // 2 + 1):
+        lam = eigenvalue_angular(l, ctx)
         entries.append(SpectrumEntry("angular", l, lam, multiplicity("angular", l, ctx)))
     for n in range(1, max_conductor + 1):
         mult = multiplicity("radial", n, ctx)
@@ -376,22 +377,3 @@ def enumerate_spectrum(max_conductor: int, ctx: PrimeParams) -> tuple[SpectrumEn
             continue
         entries.append(SpectrumEntry("radial", n, eigenvalue_radial_closed(n, ctx), mult))
     return tuple(entries)
-
-
-def spectral_gap(ctx: PrimeParams):
-    """Smallest positive eigenvalue by the closed forms.
-
-    For m >= 2 this is the fundamental angular eigenvalue, checked to lie
-    below the radial floor p - 1; for m = 1 it is the radial eigenvalue of
-    the first conductor that has a character: p - 1, or 2 at p = 2.
-    """
-    p, m = ctx.p, ctx.m
-    if m == 1:
-        n = 1
-        while not multiplicity("radial", n, ctx):
-            n += 1
-        return eigenvalue_radial_closed(n, ctx)
-    gap = eigenvalue_angular(1, ctx)
-    if not gap < p - 1:
-        raise ArithmeticError("angular gap is not below the radial floor")
-    return gap

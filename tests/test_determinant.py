@@ -1,6 +1,7 @@
 """Angular product, radial zeta function, and the regularized determinant."""
 
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -16,8 +17,8 @@ from tateop.determinant import (
     zeta_pi_value,
     zeta_prime_at_zero,
 )
-from tateop.padic import PrimeParams
-from tateop.spectral import angular_eigenvalues, eigenvalue_angular
+from tateop.padic import PrimeParams, format_float
+from tateop.spectral import eigenvalue_angular
 
 from oracles import det_D, radial_det_contribution
 
@@ -191,9 +192,21 @@ def test_det_passes_where_two_minus_two_cos_cancels():
     # product meets the exact one to 1e-9 in log space.
     assert _det_cli(2, 14002)[0] == 0
     ctx = PrimeParams(2, 14002)
-    logs = math.fsum(math.log(float(lam)) for lam in angular_eigenvalues(range(1, ctx.m), ctx))
+    logs = math.fsum(math.log(float(eigenvalue_angular(ell, ctx))) for ell in range(1, ctx.m))
     exact = angular_determinant(ctx)
     assert abs(logs - math.log(exact.numerator) + math.log(exact.denominator)) <= 1e-9
+
+
+def test_zeta_prime_at_zero_is_printed_to_its_digits():
+    # Rounding p/(p - 1) to a float loses about log10 p digits of its log:
+    # at p = 999983 the printed value was wrong from the 10th digit on.
+    with decimal.localcontext() as dc:
+        dc.prec = 60
+        for p, m in [(999983, 3), (999983, 12247), (9973, 1)]:
+            exact = -m * (decimal.Decimal(p) / (p - 1)).ln()
+            code, out = _det_cli(p, m)
+            assert code == 0
+            assert json.loads(out)["zeta_prime_zero"] == float(format_float(float(exact))), (p, m)
 
 
 def test_det_series_verdict_is_exact(monkeypatch):

@@ -1,7 +1,7 @@
 """Each identity is decided in one place and reported there: the kernel's
 two forms at base p^delta, the exact kernel match, the spectrum's count
-identity in its Weyl row and its angular trace, and a value no float
-holds as a usage error."""
+identity in its Weyl row, its angular trace and its zero mode, and a
+value no float holds as a usage error."""
 
 import contextlib
 import io
@@ -68,6 +68,27 @@ def test_a_wrong_exact_angular_value_fails_the_trace_check(monkeypatch):
     assert {"kind": "angular", "l": 75, "lambda": "18/13", "mult": 2} in doc["entries"]
     # Only the trace sees it: the Weyl row and the radial checks pass.
     assert doc["weyl"]["pass"] and all(c["pass"] for c in doc["integral_checks"])
+
+
+def test_a_zero_mode_read_as_1_fails_spectrum(monkeypatch):
+    # The Weyl row counts multiplicities and the trace reads only the
+    # angular entries, so neither sees the zero mode's value.
+    configs = [(3, 2, 2), (2, 1, 3), (5, 3, 3)]
+    argvs = [["spectrum", "--p", str(p), "--m", str(m), "--max-conductor", str(n)] for p, m, n in configs]
+    assert all(_cli(argv)[0] == 0 for argv in argvs)
+    listed = spectral.enumerate_spectrum
+
+    def shifted(n, ctx):
+        zero, *rest = listed(n, ctx)
+        return (spectral.SpectrumEntry("zero", 0, Fraction(1), 1), *rest)
+
+    monkeypatch.setattr(spectral, "enumerate_spectrum", shifted)
+    for argv in argvs:
+        code, out, _ = _cli(argv)
+        doc = json.loads(out)
+        assert code == 1 and doc["all_pass"] is False
+        assert doc["entries"][0] == {"kind": "zero", "lambda": "1", "mult": 1}
+        assert doc["weyl"]["pass"]
 
 
 def test_kernel_match_is_exact(monkeypatch):

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import io
+import json
 import time
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from tateop.padic import PrimeParams
 from tateop.spectral import (
     SpectrumEntry,
     UnitCharacter,
-    angular_eigenvalues,
     eigenvalue_angular,
     eigenvalue_angular_sum,
     eigenvalue_radial_closed,
@@ -28,7 +28,6 @@ from tateop.spectral import (
     primitive_character,
     primitive_root,
     root_table,
-    spectral_gap,
     unit_group_order,
 )
 
@@ -201,16 +200,23 @@ def test_spectrum_entry_json_shape():
     assert zero["lambda"] == 0 and zero["mult"] == 1 and "n" not in zero
 
 
-def test_spectral_gap_oracles():
-    def gap(p, m):
-        return spectral_gap(PrimeParams(p, m))
+def _printed_gap(p, m, max_conductor):
+    argv = ["spectrum", "--p", str(p), "--m", str(m), "--max-conductor", str(max_conductor)]
+    code, out = _cli(argv)
+    assert code == 0
+    return json.loads(out)["spectral_gap"]
 
-    assert gap(3, 2) == Fraction(3, 2)
-    assert gap(2, 1) == 2
-    assert gap(3, 1) == 2
-    assert gap(2, 4) == Fraction(4, 5)
+
+def test_spectral_gap_oracles():
+    assert _printed_gap(3, 2, 3) == "3/2"
+    assert _printed_gap(2, 1, 3) == "2"
+    assert _printed_gap(3, 1, 3) == "2"
+    assert _printed_gap(2, 4, 3) == "4/5"
     for p, m in [(2, 2), (3, 3), (5, 6)]:
-        assert gap(p, m) < p - 1
+        assert Fraction(_printed_gap(p, m, 3)) < p - 1
+    # At p = 2, m = 1 conductor 1 has no character: the level-1 space is the
+    # constants, whose one eigenvalue is 0.
+    assert _printed_gap(2, 1, 1) is None
 
 
 def test_spectral_gap_is_the_smallest_positive_matrix_eigenvalue():
@@ -218,7 +224,8 @@ def test_spectral_gap_is_the_smallest_positive_matrix_eigenvalue():
         ctx = PrimeParams(p, m)
         eigenvalues = build_matrix(level, ctx).eigenvalues()
         smallest = min(lam for lam in eigenvalues if lam > 1e-9)
-        assert abs(smallest - float(spectral_gap(ctx))) < 1e-9, (p, m, smallest)
+        gap = float(Fraction(_printed_gap(p, m, level)))
+        assert abs(smallest - gap) < 1e-9, (p, m, smallest)
 
 
 def test_weyl_count_matches_enumeration():
@@ -357,10 +364,8 @@ def test_exact_radial_identity_at_every_conductor_of_a_large_prime():
 def test_one_pass_angular_sums_match_the_single_sums():
     for p, m in [(2, 1), (2, 7), (3, 12), (5, 9), (7, 30)]:
         ctx = PrimeParams(p, m)
-        ls = list(range(-1, m + 2))
-        lams = angular_eigenvalues(ls, ctx)
-        assert lams == [eigenvalue_angular(ell, ctx) for ell in ls]
-        for ell, lam in zip(ls, lams):
+        for ell in range(-1, m + 2):
+            lam = eigenvalue_angular(ell, ctx)
             assert abs(complex(lam) - eigenvalue_angular_sum(ell, ctx)) < 1e-10
 
 
@@ -384,7 +389,7 @@ def test_a_wrong_angular_closed_form_raises_from_the_guard(monkeypatch):
     angular.angular_circulant_check.cache_clear()
     ctx = PrimeParams(3, 7)
     with pytest.raises(ArithmeticError, match="angular circulant"):
-        angular_eigenvalues(range(1, 7), ctx)
+        eigenvalue_angular(1, ctx)
     with pytest.raises(ArithmeticError):
         determinant.angular_determinant(ctx)
     with pytest.raises(ArithmeticError):
