@@ -22,8 +22,20 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float) -> float:
     """(|x1||x2|/|x1-x2|^2)^delta + (r^delta + r^(-delta))/(p^(m delta) - 1),
     r = |x1|/|x2|, with p and m read off the two points.
 
-    An integer dimension d evaluates the kernel at base p^d exactly, so
-    delta = 1 reproduces the kernel on the nose.
+    An integer dimension d gives the kernel at base P = p^d, correctly
+    rounded, so delta = 1 reproduces the kernel on the nose.  The kernel is
+    a leading power P^k plus a rest 0 < r <= 4 P^g: on one shell
+    P^(2t) + 2/(P^m - 1), with t = v(x1 - x2) - v, so k = 2t and g = -m;
+    across shells (P^u + P^(m-u))/(P^m - 1), with u = min(|v1 - v2|,
+    m - |v1 - v2|), so k = -u and g = u - m.  P^k is formed exactly, and
+    Ziv's rounding test returns its float wherever r cannot carry the sum
+    across the rounding boundary above it, or the float above where P^k
+    is a tie that rounded down.  The distance to the boundary is at least
+    2^-(2 u d log2 p + 54) across shells and 2^-53 on one shell, so the
+    kernel at base P, of size d m log2 p bits, is built only where
+    (m - 3u) d log2 p <= 57 and, past the underflow guard,
+    u d log2 p <= 1079, or on one shell where d m log2 p <= 56: at most
+    about 3300 bits.
     """
     if delta <= 0:
         raise ValueError("dimension must be positive")
@@ -33,9 +45,8 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float) -> float:
         d = int(delta)
         e = 2 * vd - v1 - v2
         # log2 of the first term, p^(d e), and a bound on log2 of the second,
-        # which is at most 4 p^(d |v1 - v2| - m d).  They settle the float
-        # before the kernel at base p^d, whose size grows with the dimension,
-        # is built; in float arithmetic, so a huge d gives an infinity.
+        # which is at most 4 p^(d |v1 - v2| - m d); in float arithmetic, so a
+        # huge d gives an infinity.
         lp2 = math.log2(p)
         first_log2 = e * lp2 * d
         second_log2 = 2 + (abs(v1 - v2) - m) * lp2 * d
@@ -43,12 +54,22 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float) -> float:
         # (the second is positive): refuse.
         if first_log2 > 2048:
             raise OverflowError("the two-point value exceeds the float range")
-        # 1 + s with 0 < s < 2^-53 rounds to 1.
-        if e == 0 and second_log2 < -55:
-            return 1.0
         # The sum is below 2^-1076, under half the least subnormal: it rounds to 0.
         if max(first_log2, second_log2) < -1077:
             return 0.0
+        u = min(abs(v1 - v2), m - abs(v1 - v2))
+        k, g = (e, -m) if u == 0 else (-u, u - m)
+        lead = Fraction(p) ** (d * k)
+        value = float(lead)
+        gap = Fraction(value) + Fraction(math.ulp(value)) / 2 - lead
+        if not gap:
+            # A tie that rounded down: the rest carries it to the float
+            # above, unless it reaches the next boundary, ulp(value) or more away.
+            value, gap = math.nextafter(value, math.inf), Fraction(math.ulp(value))
+        # log2 of the rest's bound 4 P^g, and one bit of margin for the
+        # float logarithms.
+        if math.log2(gap.numerator) - math.log2(gap.denominator) > 3 + g * lp2 * d:
+            return value
         return float(_kernel_by_valuations(p**d, m, v1, v2, vd))
     lp = math.log(p)
     first = math.exp(delta * (2 * vd - v1 - v2) * lp)

@@ -408,6 +408,30 @@ def test_correlator_at_a_huge_dimension_is_fast():
     assert doc["all_pass"] is True
 
 
+@pytest.mark.parametrize("x1,delta", [("3", 600), ("1/3", 130)])
+def test_an_integer_delta_at_a_large_period_never_builds_the_kernel_at_base_p_to_the_delta(
+    monkeypatch, x1, delta
+):
+    # Both pairs are one shell apart (1/3 reduces to 3^39999, 39999 shells
+    # up and one round): the value is 3^-delta plus a rest below
+    # 4 * 3^(-39999 delta), so the leading power decides the float.
+    from tateop import correlator
+
+    def refuse(*args):
+        raise RuntimeError("the kernel at base p^delta was built")
+
+    monkeypatch.setattr(correlator, "_kernel_by_valuations", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["correlator", "--p", "3", "--m", "40000", "--x1", x1, "--x2", "1", "--delta", str(delta)]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["two_point"] == float(format(1 / 3**delta, ".15g"))
+    assert doc["kernel_match"] is True and doc["all_pass"] is True
+
+
 def test_tree_at_a_huge_depth_is_a_quick_usage_error():
     start = time.perf_counter()
     code, out, err = run_cli(["tree", "--p", "3", "--m", "2", "--depth", "10000000"])

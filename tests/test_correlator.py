@@ -1,6 +1,7 @@
 """Boundary two-point function, mass/dimension relation, and the height limit."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tateop.correlator import height_coefficient, height_limit_check, two_point
-from tateop.operator import kernel_H
+from tateop.operator import _kernel_by_valuations, kernel_H
 from tateop.padic import PrimeParams, point, valuation
 
 from oracles import delta_from_mass, limit_finite_part, mass_from_delta, real_dimension_threshold
@@ -77,6 +78,65 @@ def test_integer_dimensions_round_like_the_exact_value(p, m, a, b, deltas):
         assert two_point(x1, x2, 1075) == 5e-324
 
 
+def _points_at_valuations(p, m, v1, v2, t):
+    """Two points on shells v1 and v2; on one shell v(x1 - x2) = v1 + t."""
+    ctx = PrimeParams(p, m)
+    if v1 != v2:
+        return point(p**v1, ctx), point((1 + p) * p**v2, ctx)
+    other = 2 if t == 0 else 1 + p**t
+    return point(p**v1, ctx), point(other * p**v1, ctx)
+
+
+def test_integer_dimensions_build_the_exact_kernel_only_where_the_leading_power_leaves_the_float_open(
+    monkeypatch,
+):
+    # Random small inputs, and the ties: 3^34 between two floats, and 2^-1075
+    # between 0 and the least subnormal.  Wherever the leading power decides,
+    # its float is the exact value's; elsewhere the kernel at base p^d is
+    # built, and only within the bounds two_point states.
+    from tateop import correlator
+
+    built = []
+
+    def record(base, m, v1, v2, vd):
+        built.append(base)
+        return _kernel_by_valuations(base, m, v1, v2, vd)
+
+    monkeypatch.setattr(correlator, "_kernel_by_valuations", record)
+    rng = random.Random(30)
+    cases = [(3, 3, 17, 0, 0, 1), (2, 5, 1075, 0, 1, 0)]
+    for _ in range(3000):
+        p, m = rng.choice((2, 3, 5, 7, 101)), rng.randint(1, 60)
+        v1, v2 = rng.randrange(m), rng.randrange(m)
+        cases.append((p, m, rng.randint(1, 30), v1, v2, rng.randint(p == 2, 4)))
+    undecided = []
+    for i, (p, m, d, v1, v2, t) in enumerate(cases):
+        x1, x2 = _points_at_valuations(p, m, v1, v2, t)
+        built.clear()
+        try:
+            got = two_point(x1, x2, d)
+        except OverflowError:
+            got = "overflow"
+        try:
+            exact = _exact_two_point(x1, x2, d)
+        except OverflowError:
+            exact = "overflow"
+        assert got == exact, (p, m, d, v1, v2, t)
+        if not built:
+            continue
+        undecided.append(i)
+        assert built == [p**d]
+        bits = d * math.log2(p)
+        u = min(abs(v1 - v2), m - abs(v1 - v2))
+        if u == 0:
+            assert m * bits <= 56
+        else:
+            assert (m - 3 * u) * bits <= 57 and u * bits <= 1079
+        assert m * bits <= 3300
+    assert 0 not in undecided and 1 not in undecided
+    assert len(undecided) < len(cases) // 4
+
+
 def _float_two_point(x1, x2, delta):
     """The non-integer expression, term by term in floats."""
     p, m = x1.ctx.p, x1.ctx.m
@@ -95,6 +155,27 @@ def test_non_integer_dimensions_keep_the_float_expression(a, b):
     x1, x2 = point(Fraction(a), ctx), point(Fraction(b), ctx)
     for delta in (0.25, 0.5, 1.5, 3.5, 120.5, 322.5):
         assert two_point(x1, x2, delta) == _float_two_point(x1, x2, delta), delta
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_the_float_expression_next_to_delta_one_is_the_kernel(p):
+    # At delta = 1 +- h the value moves from the kernel K by h times its
+    # log-derivative, which is below (|e| + m) log p K; a wrong sign or
+    # exponent in the float expression moves it by a multiple of that.
+    h = 2.0**-30
+    for m in (1, 2, 3, 7, 12):
+        ctx = PrimeParams(p, m)
+        values = {u * p**v for v in {0, 1 % m, m // 2, m - 1} for u in (1, 2, p + 1, 1 + p**3)}
+        pts = [point(x, ctx) for x in sorted(values)]
+        for i, x1 in enumerate(pts):
+            for x2 in pts[i + 1 :]:
+                if x1.value == x2.value:
+                    continue
+                kernel = float(kernel_H(x1, x2))
+                e = 2 * valuation(x1.value - x2.value, p) - x1.v - x2.v
+                bound = 2 * h * (abs(e) + m) * math.log(p) * kernel
+                for delta in (1 + h, 1 - h):
+                    assert abs(two_point(x1, x2, delta) - kernel) <= bound, (m, x1.value, x2.value, delta)
 
 
 @pytest.mark.parametrize(

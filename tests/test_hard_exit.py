@@ -1,9 +1,9 @@
 """Only the entry function ends the process without interpreter teardown:
 ``os._exit`` appears once in the package, inside ``run`` in
 ``__main__.py``.  No other function, ``main()`` and the subcommand handlers
-included, ends the process, so the tests, ``scripts/`` and the benchmark's
-in-process replays can call them.  ``__main__.py`` is also the only module
-with an ``if __name__ == "__main__"`` block, so no entry path skips ``run``."""
+included, ends the process, so the tests and the benchmark's in-process
+replays can call them.  ``__main__.py`` is also the only module with an
+``if __name__ == "__main__"`` block, so no entry path skips ``run``."""
 
 import ast
 from pathlib import Path

@@ -1,8 +1,8 @@
 """Every public top-level function and class of the package is named
-somewhere outside its own definition: elsewhere in ``src/tateop``, in
-``scripts/``, or among the names ``bench/tracer.py`` wraps.  Every public
-method of a top-level class is read as an attribute in the same places,
-outside its own definition.  Code that only the tests reach lives in
+somewhere outside its own definition: elsewhere in ``src/tateop``, or
+among the names ``bench/tracer.py`` wraps.  Every public method of a
+top-level class is read as an attribute in the same places, outside its
+own definition.  Code that only the tests reach lives in
 ``tests/oracles.py``."""
 
 import ast
@@ -138,10 +138,6 @@ def _load_tracer():
 
 def test_every_public_definition_is_reached():
     outside = {part for _, attr in _load_tracer().SPANNED for part in attr.split(".")}
-    scripts = sorted((ROOT / "scripts").glob("*.py"))
-    assert scripts
-    for path in scripts:
-        outside |= names_read(ast.parse(path.read_text()))
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert sources
     assert unreached(sources, outside) == []

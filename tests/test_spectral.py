@@ -4,6 +4,7 @@ import cmath
 import contextlib
 import io
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -150,6 +151,18 @@ def test_angular_eigenvalue_oracles():
     assert eigenvalue_angular(3, PrimeParams(2, 6)) == Fraction(8, 9)
     got = eigenvalue_angular(1, PrimeParams(3, 5))
     assert got == pytest.approx(1.0179106138016738, abs=1e-12)
+
+
+def test_each_exact_t_is_a_rational_value_at_its_turn():
+    # c = 1 - t/2 = cos(2 pi j/n) makes T_n(c) = cos(2 pi j) = 1, with T_n
+    # the Chebyshev polynomial, and t is 4 sin^2(pi j/n) to the float.
+    for turn, t in angular._EXACT_T.items():
+        c = 1 - t / 2
+        previous, current = Fraction(1), c
+        for _ in range(turn.denominator - 1):
+            previous, current = current, 2 * c * current - previous
+        assert current == 1, turn
+        assert abs(float(t) - 4 * math.sin(math.pi * turn) ** 2) <= 4 * math.ulp(float(t)), turn
 
 
 def test_angular_eigenvalue_matches_defining_sum():
