@@ -7,8 +7,8 @@ closed form in t = 2 - x - 1/x is proved for every l at once by one exact
 identity of polynomials modulo x^m - 1, the angular circulant check.
 ``eigenvalue_angular`` is the one reader of that closed form, the zero
 mode l = 0 included; the values it takes, exact or float, sum to the
-circulant's trace, a closed form too.  The roots of unity that every
-character value reads live here.
+circulant's trace and their squares to its Parseval sum, closed forms
+too.  The roots of unity that every character value reads live here.
 """
 
 from __future__ import annotations
@@ -98,6 +98,16 @@ def angular_trace(ctx: PrimeParams) -> Fraction:
     circulant check), that is 2 c_p m (q - p) / (p (q - 1))."""
     p, m = ctx.p, ctx.m
     return c_p_const(p) * Fraction(m * (p - 1) * coupling_total(p, m), p * (p**m - 1))
+
+
+def angular_square_sum(ctx: PrimeParams) -> Fraction:
+    """The sum of the squared angular eigenvalues over l = 0..m-1, by Parseval
+    m K^2 (coupling_total^2 + the sum of the w_v^2 = p^(2v) + p^(2(m-v)) + 2q)."""
+    p, m = ctx.p, ctx.m
+    q = p**m
+    k = c_p_const(p) * Fraction(p - 1, p * (q - 1))
+    squares = 2 * (q * q - p * p) // (p * p - 1) + 2 * (m - 1) * q
+    return m * k * k * (coupling_total(p, m) ** 2 + squares)
 
 
 def eigenvalue_angular(l: int, ctx: PrimeParams):

@@ -12,10 +12,10 @@ The work grows with the distinct pieces of that structure, not with the
 rows and characters: the matrix is I_m (x) A + C (x) J_n, built from one
 row of the shell block A, one row of the circulant C and one diagonal
 value; the exact row sums of the check are taken once per distinct row
-profile (how many entries take each value; an assembled matrix has one),
-the eigenvalues once per (conductor, l), and the character vectors are
-built from per-conductor-level tables.  Only the residual check is per
-character: one matrix-vector product on each vector.
+of value counts (how many entries take each value; an assembled matrix
+has one), the eigenvalues once per (conductor, l), and the character
+vectors are built from per-conductor-level tables.  Only the residual
+check is per character: one matrix-vector product on each vector.
 
 numpy is imported inside the functions that use it: no other subcommand
 needs it, and importing it is most of the CLI's start-up time.
@@ -31,25 +31,6 @@ from .domain import Ball
 from .operator import _kernel_by_valuations
 from .padic import PrimeParams, Record, c_p_const, coupling_total, format_rational
 from .spectral import eigenvalue_radial_closed, enumerate_conductor, unit_group_order, unit_log
-
-
-def _profile_totals(index: np.ndarray, values) -> tuple[list[Fraction], list[int]]:
-    """Exact row sums, one per distinct row profile: how many entries of a
-    row take each value.  Returns the totals, profiles in order of first
-    appearance, and each row's position in them.
-
-    Rows with the same profile have the same sum, so each profile is
-    summed once: an assembled matrix has one profile in all.
-    """
-    import numpy as np
-
-    k = len(values)
-    cells = np.arange(len(index))[:, None] * k + index
-    counts = np.bincount(cells.ravel(), minlength=len(index) * k).reshape(-1, k)
-    profiles: dict[tuple[int, ...], int] = {}
-    rows = [profiles.setdefault(tuple(r), len(profiles)) for r in counts.tolist()]
-    totals = [sum((c * x for c, x in zip(r, values) if c), Fraction(0)) for r in profiles]
-    return totals, rows
 
 
 def level_basis(ctx: PrimeParams, level: int) -> tuple[Ball, ...]:
@@ -244,9 +225,13 @@ def verify_matrix(mx: OperatorMatrix) -> tuple[list[float], dict]:
     symmetric = np.array_equal(mx.index, mx.index.T)
     if not symmetric:
         failures.append("symmetry")
-    # Every profile is some row's, so the rows all sum to zero exactly
-    # when the profile totals do.
-    row_sums_zero = not any(_profile_totals(mx.index, mx.values)[0])
+    # Rows that take each value equally often have equal exact sums, so one
+    # sum per distinct row of value counts decides them all: an assembled
+    # matrix has one such row.
+    k = len(mx.values)
+    counts = np.bincount((np.arange(dim)[:, None] * k + mx.index).ravel(), minlength=dim * k)
+    rows = set(map(tuple, counts.reshape(dim, k).tolist()))
+    row_sums_zero = not any(sum(c * x for c, x in zip(row, mx.values) if c) for row in rows)
     if not row_sums_zero:
         failures.append("row sums")
     # The joint characters (l, chi), chi of conductor n <= k, are the

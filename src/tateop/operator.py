@@ -89,8 +89,9 @@ def _horner(p: int, coefficients) -> int:
     return total
 
 
-def apply_D_height(x: TatePoint) -> Fraction:
-    """Exact action of the operator on the height profile h, at x != 1.
+def apply_D_height(p: int, m: int, vx: int, ell: int) -> Fraction:
+    """Exact action of the operator on the height profile h at the points
+    x != 1 of class (vx, ell) = (v(x), v(x - 1)), which is all of x it reads.
 
     Splits the domain by shell.  Within the shell of x the kernel's
     singular term and the height's v-part interact through geometric
@@ -98,20 +99,18 @@ def apply_D_height(x: TatePoint) -> Fraction:
     finitely many terms.  The result is the constant -p / (m (p - 1)),
     i.e. minus the reciprocal of the total volume.
 
-    p and m are read off x.  Every term is an integer numerator over one
-    denominator, p^(ell+1) (q - 1) 2m (p - 1) with ell = v(x - 1) on the
-    unit shell and ell = 0 elsewhere; each comment gives the term as a
-    rational.  The shell couplings w_u / (q - 1), w_u = p^u + p^(m-u),
-    enter through sums over u of w_u g_u with small integers g_u, which
-    are summed as polynomials in p by Horner's rule.
+    Every term is an integer numerator over one denominator,
+    p^(ell+1) (q - 1) 2m (p - 1) (ell = 0 off the unit shell); each
+    comment gives the term as a rational.  The shell couplings
+    w_u / (q - 1), w_u = p^u + p^(m-u), enter through sums over u of
+    w_u g_u with small integers g_u, which are summed as polynomials in p
+    by Horner's rule.  A class that no point has is a ValueError: off the
+    unit shell v(x - 1) = 0, and at p = 2 every unit has v(x - 1) >= 1.
     """
-    p, m = x.ctx.p, x.ctx.m
-    if x.value == 1:
-        raise ValueError("height is singular at the identity")
-    vx = x.v
+    if not 0 <= vx < m or ell < 0 or (ell and vx) or (p, vx, ell) == (2, 0, 0):
+        raise ValueError(f"no point has class (v, v(x - 1)) = ({vx}, {ell}) at p={p}, m={m}")
     q1 = p**m - 1
     two_m = 2 * m
-    ell = valuation(x.value - 1, p) if vx == 0 else 0
     p_ell = p**ell
     num = 0
     if vx == 0:

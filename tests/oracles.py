@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from tateop.determinant import det_factors
 from tateop.domain import Ball
-from tateop.matrix import OperatorMatrix, _profile_totals, level_basis
+from tateop.matrix import OperatorMatrix, level_basis
 from tateop.operator import _pair_valuations, integrate_H_over_ball
 from tateop.padic import (
     PrimeParams,
@@ -491,12 +491,6 @@ def galerkin_consistency_check(mx: OperatorMatrix, f: StepFunction) -> bool:
         product[i] == apply_D_step(f, b.center_point())
         for i, b in enumerate(mx.basis)
     )
-
-
-def _row_totals(index: np.ndarray, values) -> list[Fraction]:
-    """Exact sum of each row."""
-    totals, rows = _profile_totals(index, values)
-    return [totals[i] for i in rows]
 
 
 class _DenseOperatorMatrix:

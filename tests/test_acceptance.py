@@ -85,7 +85,7 @@ def test_criterion_01_height_is_greens_function():
         if not dists >= required:
             failures.append((p, m, "missing unit-shell distances", dists))
         for x in pts:
-            got = apply_D_height(x)
+            got = apply_D_height(p, m, x.v, valuation(x.value - 1, p))
             checked += 1
             if got != expected:
                 failures.append((p, m, str(x.value), got, expected))

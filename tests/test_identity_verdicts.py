@@ -1,14 +1,19 @@
 """Each identity is decided in one place and reported there: the kernel's
 two forms at base p^delta, the exact kernel match, the spectrum's count
-identity in its Weyl row, its angular trace and its zero mode, and a
-value no float holds as a usage error."""
+identity in its Weyl row, its float integrals, its angular trace and
+Parseval sum and its zero mode, and a value no float holds as a usage
+error."""
 
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 
+import pytest
+
 from tateop import angular, cli, operator, spectral
+from tateop.padic import PrimeParams
 
 
 def _cli(argv):
@@ -70,9 +75,61 @@ def test_a_wrong_exact_angular_value_fails_the_trace_check(monkeypatch):
     assert doc["weyl"]["pass"] and all(c["pass"] for c in doc["integral_checks"])
 
 
+@pytest.mark.parametrize("factor", [0.1, 10])
+@pytest.mark.parametrize("n", [2, 12])
+def test_an_integral_row_bounds_its_error_relative_to_the_eigenvalue(monkeypatch, n, factor):
+    # At p = 2 the radial eigenvalues run from 2, the least of any p, at
+    # n = 2 to 2048 at n = 12; one integral is off by factor times the bound.
+    argv = ["spectrum", "--p", "2", "--m", "1", "--max-conductor", "12"]
+    exact = spectral.eigenvalue_radial_integral
+
+    def off(chi, ell, ctx):
+        if chi.n != n:
+            return exact(chi, ell, ctx)
+        lam = float(spectral.eigenvalue_radial_closed(n, ctx))
+        return complex(lam * (1 + factor * cli.INTEGRAL_CHECK_REL_TOLERANCE))
+
+    monkeypatch.setattr(spectral, "eigenvalue_radial_integral", off)
+    code, out, _ = _cli(argv)
+    doc = json.loads(out)
+    assert {c["n"]: c["pass"] for c in doc["integral_checks"]} == {
+        k: k != n or factor < 1 for k in range(2, 13)
+    }
+    assert code == int(factor > 1) and doc["weyl"]["pass"]
+
+
+@pytest.mark.parametrize("p,m,n", [(3, 6, 2), (2, 5, 3), (5, 7, 2)])
+def test_a_trace_preserving_angular_shift_fails_the_parseval_sum(monkeypatch, p, m, n):
+    # +delta at l = 1 and -delta mult_1 / mult_2 at l = 2 keep the trace,
+    # so only the sum of the squares sees them.
+    argv = ["spectrum", "--p", str(p), "--m", str(m), "--max-conductor", str(n)]
+    assert _cli(argv)[0] == 0
+    listed = spectral.enumerate_spectrum
+
+    def shifted(n, ctx):
+        entries = listed(n, ctx)
+        mult = {e.index: e.multiplicity for e in entries if e.kind == "angular"}
+        shift = {1: 1e-3, 2: -1e-3 * mult[1] / mult[2]}
+        return tuple(
+            spectral.SpectrumEntry(e.kind, e.index, e.eigenvalue + shift[e.index], e.multiplicity)
+            if e.kind == "angular" and e.index in shift
+            else e
+            for e in entries
+        )
+
+    monkeypatch.setattr(spectral, "enumerate_spectrum", shifted)
+    ctx = PrimeParams(p, m)
+    trace = math.fsum(e.multiplicity * e.eigenvalue for e in shifted(n, ctx) if e.kind == "angular")
+    assert math.isclose(trace, angular.angular_trace(ctx), rel_tol=1e-12)
+    code, out, _ = _cli(argv)
+    doc = json.loads(out)
+    assert code == 1 and doc["all_pass"] is False
+    assert doc["weyl"]["pass"] and all(c["pass"] for c in doc["integral_checks"])
+
+
 def test_a_zero_mode_read_as_1_fails_spectrum(monkeypatch):
-    # The Weyl row counts multiplicities and the trace reads only the
-    # angular entries, so neither sees the zero mode's value.
+    # The Weyl row counts multiplicities and the trace and Parseval sums
+    # read only the angular entries, so none sees the zero mode's value.
     configs = [(3, 2, 2), (2, 1, 3), (5, 3, 3)]
     argvs = [["spectrum", "--p", str(p), "--m", str(m), "--max-conductor", str(n)] for p, m, n in configs]
     assert all(_cli(argv)[0] == 0 for argv in argvs)

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop import cli
+from tateop import cli, operator
 from tateop.domain import Ball, PrimeParams
 from tateop.operator import (
     apply_D_height,
@@ -149,7 +150,7 @@ def test_height_is_greens_function_spot_checks():
         ctx = PrimeParams(p, m)
         expected = -Fraction(p, m * (p - 1))
         for x in height_check_points(ctx, max_vdist=3):
-            assert apply_D_height(x) == expected
+            assert apply_D_height(p, m, x.v, valuation(x.value - 1, p)) == expected
 
 
 def _coupling(p, m, u):
@@ -210,7 +211,8 @@ def test_integer_height_kernel_matches_the_fraction_oracle(p):
             {0} if p == 2 else set()
         )
         for x in pts:
-            assert apply_D_height(x) == apply_D_height_oracle(x)
+            got = apply_D_height(p, m, x.v, valuation(x.value - 1, p))
+            assert got == apply_D_height_oracle(x)
 
 
 def _run(argv):
@@ -223,6 +225,58 @@ def test_a_skewed_coupling_fails_greens(skew_coupling):
     assert _run(argv) == 0
     skew_coupling(3, 3, 1)
     assert _run(argv) == 1
+
+
+def _greens_rows(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())["rows"]
+
+
+def test_a_value_off_at_one_class_fails_exactly_its_greens_rows(monkeypatch):
+    # Every class expects the same constant, so a value reused across
+    # classes would pass: one keyed on v alone would reuse (0, 0)'s here.
+    argv = ["greens", "--p", "3", "--m", "2", "--max-vdist", "6"]
+    exact = operator.apply_D_height
+
+    def skewed(p, m, vx, ell):
+        return exact(p, m, vx, ell) + Fraction((vx, ell) == (0, 3), p**m)
+
+    monkeypatch.setattr(operator, "apply_D_height", skewed)
+    code, rows = _greens_rows(argv)
+    assert code == 1
+    failed = [row for row in rows if not row["pass"]]
+    assert failed == [row for row in rows if (row["v"], row["vdist"]) == (0, 3)]
+    # x = 1 + 27 and 1 + 54: at p = 3 the third sampled u, 3, is no unit.
+    assert len(failed) == 2
+
+
+def test_greens_evaluates_each_printed_class_once(monkeypatch):
+    calls = []
+    exact = operator.apply_D_height
+
+    def counted(p, m, vx, ell):
+        calls.append((vx, ell))
+        return exact(p, m, vx, ell)
+
+    monkeypatch.setattr(operator, "apply_D_height", counted)
+    for p, m in [(2, 3), (3, 2), (5, 4), (7, 1)]:
+        calls.clear()
+        code, rows = _greens_rows(["greens", "--p", str(p), "--m", str(m), "--max-vdist", "6"])
+        printed = [(row["v"], row["vdist"]) for row in rows]
+        assert code == 0 and len(printed) > len(set(printed))
+        assert sorted(calls) == sorted(set(printed))
+
+
+@pytest.mark.parametrize(
+    "p,m,vx,ell", [(3, 2, 2, 0), (3, 2, -1, 0), (3, 2, 0, -1), (3, 2, 1, 1), (2, 3, 0, 0)]
+)
+def test_a_class_that_no_point_has_is_a_value_error(p, m, vx, ell):
+    # v outside [0, m), a negative v(x - 1), v(x - 1) > 0 off the unit
+    # shell, and v(x - 1) = 0 on the unit shell at p = 2.
+    with pytest.raises(ValueError, match="no point has class"):
+        apply_D_height(p, m, vx, ell)
 
 
 def test_a_skewed_coupling_splits_the_kernel_forms_of_matrix(skew_coupling):
