@@ -70,6 +70,9 @@ INTEGRAL_CHECK_MODULUS_CAP = 5000
 # 305 (p, m, n), p < 72, m <= 8, p^n under the cap: as the eigenvalue grows
 # to about 5000 the error grows to 1e-11, so the bound is relative.
 INTEGRAL_CHECK_REL_TOLERANCE = 1e-12
+# The angular power sums met the circulant's trace and Parseval sum within a
+# relative 2.0e-16 over 15 (p, m), --m at its cap at p = 2 and 999983 included.
+CIRCULANT_REL_TOLERANCE = 1e-12
 # The caps, each checked here once before any work so that a huge value is
 # a quick usage error, not a call that runs without end; the library holds
 # none.  A call at its caps took at most 14 s and 63 MB on a 2-core Xeon VM,
@@ -130,7 +133,7 @@ def _scalar_rows(mapping: dict) -> list[tuple]:
     return [(k, v) for k, v in mapping.items() if not isinstance(v, (list, dict))]
 
 
-def _quantity_report(head: dict, body: dict) -> Report:
+def _quantity_report(body: dict, **head) -> Report:
     """JSON data is head then body; the rows are body's scalar quantities."""
     return Report({**head, **body}, ("quantity", "value"), _scalar_rows(body))
 
@@ -195,15 +198,14 @@ def render(report: Report, fmt: str) -> str:
 GREENS_COLUMNS = ("x", "v", "vdist", "Dh", "expected", "pass")
 
 
-def cmd_greens(args: argparse.Namespace) -> Report:
-    ctx = PrimeParams(args.p, args.m)
-    if args.max_vdist < 0:
-        raise UsageError("--max-vdist must be >= 0")
-    expected = (
-        parse_rational(args.expect)
-        if args.expect is not None
-        else -Fraction(ctx.p, ctx.m * (ctx.p - 1))
-    )
+def cmd_greens(args: argparse.Namespace, ctx: PrimeParams) -> Report:
+    if args.expect is None:
+        expected = -Fraction(ctx.p, ctx.m * (ctx.p - 1))
+    else:
+        try:
+            expected = parse_rational(args.expect)
+        except ValueError as exc:
+            raise UsageError(f"--expect: {exc}") from exc
     points = operator.height_check_points(ctx, args.max_vdist)
     if not points:
         raise UsageError(
@@ -223,9 +225,6 @@ def cmd_greens(args: argparse.Namespace) -> Report:
     promised |= {(v, 0) for v in range(1, ctx.m)}
     covered = values.keys() == promised
     data = {
-        "command": "greens",
-        "p": ctx.p,
-        "m": ctx.m,
         "expected": expected,
         "all_pass": covered and all(row["pass"] for row in rows),
         "rows": rows,
@@ -233,12 +232,8 @@ def cmd_greens(args: argparse.Namespace) -> Report:
     return Report(data, GREENS_COLUMNS, [tuple(row.values()) for row in rows])
 
 
-def cmd_spectrum(args: argparse.Namespace) -> Report:
-    ctx = PrimeParams(args.p, args.m)
-    max_conductor = args.max_conductor
-    if max_conductor < 1:
-        raise UsageError("--max-conductor must be >= 1")
-    entries = spectral.enumerate_spectrum(max_conductor, ctx)
+def cmd_spectrum(args: argparse.Namespace, ctx: PrimeParams) -> Report:
+    entries = spectral.enumerate_spectrum(args.max_conductor, ctx)
     integral_checks = []
     checks_pass = True
     for e in entries:
@@ -265,7 +260,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
     # Every entry lies at or below lam_top (an angular eigenvalue above it,
     # or an entry past max_conductor, leaves count below total), and the
     # multiplicities add up to m lam_top.
-    lam_top = spectral.eigenvalue_radial_closed(max_conductor, ctx)
+    lam_top = spectral.eigenvalue_radial_closed(args.max_conductor, ctx)
     count = sum(e.multiplicity for e in entries if e.eigenvalue <= lam_top)
     total = sum(e.multiplicity for e in entries)
     weyl_ok = count == total == ctx.m * lam_top
@@ -273,17 +268,16 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
     # their squares to its Parseval sum, which sees a shift the trace misses.
     circulant = [(e.multiplicity, e.eigenvalue) for e in entries if e.kind == "angular"]
     circulant_ok = all(
-        math.isclose(math.fsum(mult * lam**k for mult, lam in circulant), target, rel_tol=1e-12)
+        math.isclose(
+            math.fsum(mult * lam**k for mult, lam in circulant), target, rel_tol=CIRCULANT_REL_TOLERANCE
+        )
         for k, target in ((1, angular.angular_trace(ctx)), (2, angular.angular_square_sum(ctx)))
     )
     # One zero mode, the constants: the kernel of D is one-dimensional.
     zero_ok = [e.multiplicity for e in entries if e.eigenvalue == 0] == [1]
     checks_pass = checks_pass and weyl_ok and circulant_ok and zero_ok
     data = {
-        "command": "spectrum",
-        "p": ctx.p,
-        "m": ctx.m,
-        "max_conductor": max_conductor,
+        "max_conductor": args.max_conductor,
         "entries": [e.to_json_dict() for e in entries],
         "total_multiplicity": total,
         # The least positive listed eigenvalue; None where only the zero
@@ -302,8 +296,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Report:
     return Report(data, ("kind", "index", "lambda", "mult"), rows)
 
 
-def cmd_det(args: argparse.Namespace) -> Report:
-    ctx = PrimeParams(args.p, args.m)
+def cmd_det(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     det, angular, radial, zeta_prime = determinant.det_factors(ctx)
     series_checks = []
     for s in (2, 3, 4):
@@ -328,13 +321,10 @@ def cmd_det(args: argparse.Namespace) -> Report:
         "zeta_series_checks": series_checks,
         "all_pass": all(chk["pass"] for chk in series_checks),
     }
-    return _quantity_report({"command": "det", "p": ctx.p, "m": ctx.m}, body)
+    return _quantity_report(body)
 
 
-def cmd_matrix(args: argparse.Namespace) -> Report:
-    ctx = PrimeParams(args.p, args.m)
-    if args.level < 1:
-        raise UsageError("--level must be >= 1")
+def cmd_matrix(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     mx = matrix.build_matrix(args.level, ctx)
     if args.dump:
         import json
@@ -346,9 +336,6 @@ def cmd_matrix(args: argparse.Namespace) -> Report:
     eigenvalues, checks = matrix.verify_matrix(mx)
     passed = checks["passed"]
     data = {
-        "command": "matrix",
-        "p": ctx.p,
-        "m": ctx.m,
         "level": args.level,
         "dimension": mx.dimension,
         "eigenvalues": eigenvalues,
@@ -359,8 +346,7 @@ def cmd_matrix(args: argparse.Namespace) -> Report:
     return Report(data, ("check", "value"), rows + [("all_pass", passed)])
 
 
-def cmd_correlator(args: argparse.Namespace) -> Report:
-    ctx = PrimeParams(args.p, args.m)
+def cmd_correlator(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     delta = args.delta
     try:
         x1 = point(parse_rational(args.x1), ctx)
@@ -393,14 +379,6 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
     coefficient, twice_height = correlator.height_coefficient(x1, x2)
     estimate, target = correlator.height_limit_check(x1, x2)
     limit_ok = abs(estimate - target) < LIMIT_TOLERANCE * (1 + abs(target))
-    head = {
-        "command": "correlator",
-        "p": ctx.p,
-        "m": ctx.m,
-        "x1": x1.value,
-        "x2": x2.value,
-        "delta": float(delta),
-    }
     body = {
         "two_point": value,
         "two_point_at_delta_1": at_one,
@@ -411,21 +389,19 @@ def cmd_correlator(args: argparse.Namespace) -> Report:
         "limit_match": limit_ok,
         "all_pass": kernel_ok and coefficient == twice_height,
     }
-    return _quantity_report(head, body)
+    return _quantity_report(body, x1=x1.value, x2=x2.value, delta=float(delta))
 
 
-def cmd_tree(args: argparse.Namespace) -> Report:
-    if args.depth < 0:
-        raise UsageError("--depth must be >= 0")
-    dot = tree.tree_quotient_dot(args.p, args.m, args.depth)
-    return Report({"command": "tree"}, (), [], raw_text=dot)
+def cmd_tree(args: argparse.Namespace, ctx: PrimeParams) -> Report:
+    return Report({}, (), [], raw_text=tree.tree_quotient_dot(ctx.p, ctx.m, args.depth))
 
 
 def _check_caps(args: argparse.Namespace) -> None:
-    """Refuse a parameter over its cap: --p before its primality test, and
-    --m, the matrix dimension m (p-1) p^(level-1) and the tree's m p^depth
-    nodes before any power of p is formed.  A size is checked only where
-    p >= 2, m >= 1 and --level or --depth are in range: the handlers say why."""
+    """Refuse a parameter out of its range: --p over its cap before its
+    primality test, an option below its least value, and --m, the matrix
+    dimension m (p-1) p^(level-1) and the tree's m p^depth nodes over their
+    caps before any power of p is formed.  A size is checked only where
+    p >= 2 and m >= 1: PrimeParams refuses the others."""
     p, m = args.p, args.m
     if p > P_CAP:
         raise UsageError(f"--p {p} exceeds the cap of {P_CAP}")
@@ -435,19 +411,28 @@ def _check_caps(args: argparse.Namespace) -> None:
             m_cap = min(m_cap, GREENS_M_CAP)
         if m > m_cap:
             raise UsageError(f"--m {m} exceeds the cap of {m_cap} at p = {p}")
-    for dest, cap in (("max_conductor", MAX_CONDUCTOR_CAP), ("max_vdist", MAX_VDIST_CAP)):
-        value = getattr(args, dest, None)
-        if value is not None and value > cap:
-            raise UsageError(f"--{dest.replace('_', '-')} {value} exceeds the cap of {cap}")
+    # Each option of one subcommand, its least value and its cap (--level and
+    # --depth are capped through the sizes below); one absent reads as least.
+    for dest, least, cap in (
+        ("max_conductor", 1, MAX_CONDUCTOR_CAP),
+        ("max_vdist", 0, MAX_VDIST_CAP),
+        ("level", 1, math.inf),
+        ("depth", 0, math.inf),
+    ):
+        value = getattr(args, dest, least)
+        option = "--" + dest.replace("_", "-")
+        if value < least:
+            raise UsageError(f"{option} must be >= {least}")
+        if value > cap:
+            raise UsageError(f"{option} {value} exceeds the cap of {cap}")
     if p < 2 or m < 1:
         return
-    if args.command == "matrix" and args.level >= 1:
+    if args.command == "matrix":
         k = args.level - 1
         if capped_product(m * (p - 1), p, k, MATRIX_DIM_CAP) > MATRIX_DIM_CAP:
             raise UsageError(f"matrix dimension {m}*{p - 1}*{p}^{k} exceeds cap {MATRIX_DIM_CAP}")
-    if args.command == "tree" and args.depth >= 0:
-        if capped_product(m, p, args.depth, TREE_NODE_CAP) > TREE_NODE_CAP:
-            raise UsageError(f"{m}*{p}^{args.depth} nodes exceeds the node cap of {TREE_NODE_CAP}")
+    if args.command == "tree" and capped_product(m, p, args.depth, TREE_NODE_CAP) > TREE_NODE_CAP:
+        raise UsageError(f"{m}*{p}^{args.depth} nodes exceeds the node cap of {TREE_NODE_CAP}")
 
 
 def _write(option: str, path: str, text: str) -> None:
@@ -520,16 +505,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    # Caps, ranges and the prime context are decided here.  After parsing only
+    # a UsageError exits 2: a ValueError or ArithmeticError is a failed check.
     try:
         _check_caps(args)
-        report = HANDLERS[args.command](args)
+        try:
+            ctx = PrimeParams(args.p, args.m)
+        except ValueError as exc:
+            raise UsageError(exc) from exc
+        report = HANDLERS[args.command](args, ctx)
+        report.data = {"command": args.command, "p": ctx.p, "m": ctx.m, **report.data}
         text = render(report, args.format)
         if args.out:
             _write("--out", args.out, text)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"math check failed: {exc}", file=sys.stderr)
         return 1
     if not args.out:

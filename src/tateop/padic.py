@@ -129,7 +129,7 @@ class PrimeParams(Record):
 
     def __init__(self, p: int, m: int) -> None:
         if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"p = {p!r} is not a prime integer")
+            raise ValueError(f"p = {p!r} is not prime")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"m = {m!r} must be an integer >= 1")
         self._bind(p, m)

@@ -8,8 +8,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tateop.cli import UsageError, _check_caps, main
+from tateop.cli import HANDLERS, UsageError, _check_caps, main
 
 from test_matrix import corrupt_symmetrically
 
@@ -331,6 +333,92 @@ def test_usage_errors_exit_2():
     assert run_cli(["nope"])[0] == 2
 
 
+def test_a_value_error_inside_a_computation_is_a_failed_check(monkeypatch):
+    # Only an argument that main or a handler refuses is a usage error.
+    from tateop import matrix, operator
+
+    def fail(*args):
+        raise ValueError("singular integral: ball contains the evaluation point")
+
+    monkeypatch.setattr(operator, "apply_D_height", fail)
+    code, out, err = run_cli(["greens", "--p", "3", "--m", "2"])
+    assert (code, out) == (1, "") and err.startswith("math check failed: singular")
+    monkeypatch.setattr(matrix, "build_matrix", fail)
+    code, out, err = run_cli(["matrix", "--p", "3", "--m", "2", "--level", "1"])
+    assert (code, out) == (1, "") and err.startswith("math check failed: singular")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["greens", "--p", "4", "--m", "1"], "p = 4 is not prime"),
+        (["tree", "--p", "3", "--m", "0", "--depth", "1"], "m = 0 must be an integer >= 1"),
+        (["greens", "--p", "3", "--m", "2", "--expect", "abc"], "--expect: not a rational literal"),
+        (["correlator", "--p", "3", "--m", "2", "--x1", "0", "--x2", "1"], "bad point: zero"),
+        (["matrix", "--p", "0", "--m", "5", "--level", "-1"], "--level must be >= 1"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else "",
+)
+def test_an_argument_refused_at_the_boundary_exits_2(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {message}")
+
+
+RATIONALS = ("1", "4", "-1/2", "7/3", "9", "28")
+NOT_RATIONALS = ("abc", "1/0", "", "1.5")
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of any subcommand at sizes that run in milliseconds: each
+    value is one time in four out of range or not a number."""
+
+    def option(name, valid, invalid):
+        values = valid if draw(st.integers(0, 3)) else st.sampled_from(invalid)
+        return [name, str(draw(values))]
+
+    command = draw(st.sampled_from(sorted(HANDLERS)))
+    argv = [command]
+    argv += option("--p", st.sampled_from((2, 3, 5, 7)), (-3, 0, 1, 4, 9, 10**6 + 3, "1.5"))
+    argv += option("--m", st.integers(1, 4), (-1, 0, 10**6, "x"))
+    argv += ["--format", draw(st.sampled_from(("json", "csv", "pretty")))]
+    if command == "greens":
+        if draw(st.booleans()):
+            argv += option("--max-vdist", st.integers(0, 8), (-2, -1, 601))
+        if draw(st.booleans()):
+            argv += option("--expect", st.sampled_from(("-3/4", "0", *RATIONALS)), NOT_RATIONALS)
+    elif command == "spectrum":
+        argv += option("--max-conductor", st.integers(1, 4), (-1, 0, 501))
+    elif command == "matrix":
+        argv += option("--level", st.integers(1, 2), (-1, 0, 30_000_000))
+    elif command == "correlator":
+        for name in ("--x1", "--x2"):
+            argv += option(name, st.sampled_from(RATIONALS), ("0", "-0", *NOT_RATIONALS))
+        if draw(st.booleans()):
+            finite = st.floats(0.01, 20).map(repr)
+            argv += option("--delta", finite, ("0", "-1", "nan", "inf", "400", "1e7"))
+    elif command == "tree":
+        argv += option("--depth", st.integers(0, 3), (-1, 10**7))
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(cli_argv())
+def test_every_argv_exits_by_the_contract(argv):
+    # main never raises: 0 for pass, 1 for a failed check (here only the
+    # induced --expect one), 2 for a usage error that says so.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "--expect" in argv
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("usage error: ", "usage: tateop"))
+
+
 @pytest.mark.parametrize("delta", ["nan", "inf"])
 def test_non_finite_delta_is_a_usage_error(delta):
     # NaN and Infinity are not JSON, and no scaling dimension is either.
@@ -500,6 +588,18 @@ def test_each_cap_admits_its_bound_and_refuses_one_more():
         over = {**params, raised: params[raised] + 1}
         with pytest.raises(UsageError, match="exceeds"):
             _check_caps(argparse.Namespace(command=command, **over))
+    # (command, option, its least value, the message one below it); each is
+    # decided before any size is formed.
+    lower = [
+        ("spectrum", "max_conductor", 1, "--max-conductor must be >= 1"),
+        ("greens", "max_vdist", 0, "--max-vdist must be >= 0"),
+        ("matrix", "level", 1, "--level must be >= 1"),
+        ("tree", "depth", 0, "--depth must be >= 0"),
+    ]
+    for command, dest, least, message in lower:
+        _check_caps(argparse.Namespace(command=command, p=2, m=1, **{dest: least}))
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            _check_caps(argparse.Namespace(command=command, p=2, m=1, **{dest: least - 1}))
     # A size is not checked before its --level or --depth is in range, so
     # those keep their own messages even where m (p - 1) or m is over a cap.
     code, _, err = run_cli(["matrix", "--p", "4099", "--m", "1", "--level", "0"])
