@@ -371,6 +371,7 @@ def cmd_correlator(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     try:
         at_one = correlator.two_point(x1, x2, 1.0)
         kernel = float(operator.kernel_H(x1, x2))
+        float_ok = correlator.float_expression_check(x1, x2, kernel)
     except OverflowError as exc:
         raise UsageError("the delta = 1 kernel at these points overflows a float") from exc
     kernel_ok = at_one == kernel
@@ -387,7 +388,7 @@ def cmd_correlator(args: argparse.Namespace, ctx: PrimeParams) -> Report:
         "limit_estimate": estimate,
         "limit_target": target,
         "limit_match": limit_ok,
-        "all_pass": kernel_ok and coefficient == twice_height,
+        "all_pass": kernel_ok and float_ok and coefficient == twice_height,
     }
     return _quantity_report(body, x1=x1.value, x2=x2.value, delta=float(delta))
 

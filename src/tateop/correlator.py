@@ -87,6 +87,23 @@ def two_point(x1: TatePoint, x2: TatePoint, delta: float) -> float:
     return first + second
 
 
+def float_expression_check(x1: TatePoint, x2: TatePoint, kernel: float) -> bool:
+    """Whether two_point's float expression, at delta = 1 +- h with h = 2^-30,
+    is within 2 h (|e| + m) log p K of the kernel K, e = 2 v(x1 - x2) - v1 - v2.
+
+    At an integer delta two_point returns the kernel by its exact branch, so
+    only this check reads the float one.  The log-derivative in delta is at
+    most (|e| + 2m) log p; a wrong sign or exponent moves the value by a
+    multiple of the bound.  Where K is subnormal the roundings are absolute,
+    and two least subnormals cover them.
+    """
+    h = 2.0**-30
+    v1, v2, vd = _pair_valuations(x1, x2)
+    bound = 2 * h * (abs(2 * vd - v1 - v2) + x1.ctx.m) * math.log(x1.ctx.p) * kernel
+    bound += 2 * math.ulp(0.0)
+    return all(abs(two_point(x1, x2, d) - kernel) <= bound for d in (1 + h, 1 - h))
+
+
 def height_coefficient(x1: TatePoint, x2: TatePoint) -> tuple[Fraction, Fraction]:
     """Both sides of the exact height check: the s^1 coefficient of the
     two-point function in s = delta log p, and twice the height of x1 / x2.

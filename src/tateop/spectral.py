@@ -26,13 +26,12 @@ from .padic import (
 
 @lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
-    """Smallest primitive root mod p, adjusted to generate mod every p^n.
+    """Smallest primitive root mod an odd prime p, adjusted to generate mod
+    every p^n; p = 2, whose units are not cyclic, raises ArithmeticError.
 
     If g^(p-1) = 1 mod p^2 the lift g + p is returned; such a generator
     of (Z/p)^x generates (Z/p^n)^x for all n.
     """
-    if p == 2:
-        return 1
     factors = []
     r = p - 1
     d = 2
@@ -75,7 +74,8 @@ def _unit_dlog_table(p: int, n: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _two_adic_table(n: int) -> dict:
-    """u -> (s, t) with u = (-1)^s 3^t mod 2^n, for n >= 3."""
+    """u -> (s, t) with u = (-1)^s 3^t mod 2^n, for n >= 2.  At n = 2 the
+    group is {1, 3} = {1, -1}: t is 0 and s is the sign bit of u mod 4."""
     mod = 2**n
     table: dict[int, tuple[int, int]] = {}
     cur = 1
@@ -90,13 +90,8 @@ def _two_adic_table(n: int) -> dict:
 
 def unit_log(p: int, n: int, u: int):
     """Discrete log of a unit residue 0 < u < p^n (n >= 1; n >= 2 for
-    p = 2): t with g^t = u for odd p; for p = 2 the sign bit s
-    (u = (-1)^s mod 4) at n = 2 and (s, t) with u = (-1)^s 3^t at n >= 3."""
-    if p != 2:
-        return _unit_dlog_table(p, n)[u]
-    if n == 2:
-        return 0 if u % 4 == 1 else 1
-    return _two_adic_table(n)[u]
+    p = 2): t with g^t = u for odd p, (s, t) with u = (-1)^s 3^t for p = 2."""
+    return (_two_adic_table(n) if p == 2 else _unit_dlog_table(p, n))[u]
 
 
 class UnitCharacter(Record):
@@ -104,8 +99,8 @@ class UnitCharacter(Record):
 
     n is the level of the defining data; n = 0 is the trivial character.
     For odd p the index a is an exponent relative to a fixed primitive
-    root; for p = 2 and n >= 3 the pair (eps, a) refers to the
-    generators (-1, 3), while n = 2 carries only the sign bit eps.
+    root; for p = 2 the pair (eps, a) refers to the generators (-1, 3),
+    with a taken mod 2^(n-2), so n = 2 carries only the sign bit eps.
     The stored data may be imprimitive: the true conductor follows from
     the indices (see :func:`_conductor_of`) and may be smaller than n.
     """
@@ -127,19 +122,16 @@ class UnitCharacter(Record):
             a, eps = 0, 0
         elif p == 2:
             eps %= 2
-            a = a % 2 ** (n - 2) if n >= 3 else 0
+            a %= 2 ** (n - 2)
         else:
             eps = 0
             a %= unit_group_order(p, n)
         self._bind(p, n, a, eps)
 
-    @classmethod
-    def trivial(cls, p: int) -> "UnitCharacter":
-        return cls(p, 0)
-
     def turns(self, log):
-        """Numerator of the exponent over unit_group_order(p, n), at a unit
-        whose discrete log mod p^n is ``log`` (see :func:`unit_log`).
+        """Numerator of the exponent over unit_group_order(p, n) at a unit
+        with discrete log ``log`` mod p^n (see :func:`unit_log`): a t, or
+        for p = 2, eps s 2^(n-2) + 2 a t.
 
         Also takes integer arrays of logs, shaped (2, N) for the (s, t)
         pairs of p = 2, and then returns an array.
@@ -148,8 +140,6 @@ class UnitCharacter(Record):
             return 0
         if self.p != 2:
             return self.a * log
-        if self.n == 2:
-            return self.eps * log
         s, t = log
         return self.eps * s * 2 ** (self.n - 2) + 2 * self.a * t
 
@@ -170,60 +160,48 @@ def _conductor_of(chi: UnitCharacter) -> int:
     dies on it exactly when p^(n-f) divides a.  For p = 2 the index a of the
     generator 3 plays that part from f = 3 on; below it the generators
     interact (5 = -3 mod 8), so that a = 2^(n-3) with the sign bit set is
-    trivial on 1 + 4 Z_2 and has conductor 2.
+    trivial on 1 + 4 Z_2 and has conductor 2, while the sign character
+    (a = 0, eps = 1), the mod-4 one at n = 2, has conductor 3 from n = 3 on.
     """
     p, n, a, eps = chi.p, chi.n, chi.a, chi.eps
     if p != 2:
         return 0 if a == 0 else max(1, n - int_valuation(a, p))
-    if n == 2:
-        return 2 if eps else 0
     if a == 0:
-        return 3 if eps else 0
+        return min(n, 3) if eps else 0
     f = n - int_valuation(a, 2)
     return 2 if f == 3 and eps else f
 
 
-def enumerate_conductor(p: int, n: int) -> tuple[UnitCharacter, ...]:
-    """All characters of exact conductor n.
+def _level_characters(p: int, n: int):
+    """Every character of level n >= 1, index a ascending, eps-major for
+    p = 2; none at p = 2, n = 1, where the unit group is trivial."""
+    if p != 2:
+        return (UnitCharacter(p, n, a) for a in range(unit_group_order(p, n)))
+    return (UnitCharacter(2, n, a, eps) for eps in (0, 1) for a in range(2**n // 4))
 
-    The index sets of :func:`_conductor_of`, in a fixed order: for odd p
-    the exponents a prime to p (at n = 1 that is 1..p-2); for p = 2 the
-    sign character at n = 2, the pair (a, eps) = (1, 0), (0, 1) at n = 3
-    (the generators interact there), and odd a for each sign bit from
-    n = 4 on.
-    """
+
+def enumerate_conductor(p: int, n: int) -> tuple[UnitCharacter, ...]:
+    """The level-n characters whose conductor is n, in :func:`_level_characters` order."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 0:
         raise ValueError("conductor must be >= 0")
     if n == 0:
-        return (UnitCharacter.trivial(p),)
-    if p == 2:
-        if n == 1:
-            return ()
-        if n == 2:
-            return (UnitCharacter(2, 2, 0, 1),)
-        if n == 3:
-            return (UnitCharacter(2, 3, 1), UnitCharacter(2, 3, 0, 1))
-        return tuple(
-            UnitCharacter(2, n, a, eps) for eps in (0, 1) for a in range(1, 2 ** (n - 2), 2)
-        )
-    return tuple(UnitCharacter(p, n, a) for a in range(1, unit_group_order(p, n)) if a % p)
+        return (UnitCharacter(p, 0),)
+    return tuple(chi for chi in _level_characters(p, n) if chi.conductor == n)
 
 
 def primitive_character(p: int, n: int) -> UnitCharacter | None:
     """The first character of :func:`enumerate_conductor` (p, n), n >= 1,
-    built alone; None where conductor n has no character (p = 2, n = 1)."""
-    if p == 2 and n <= 2:
-        return UnitCharacter(2, 2, 0, 1) if n == 2 else None
-    return UnitCharacter(p, n, 1)
+    built without the rest of the level; None at p = 2, n = 1."""
+    return next((chi for chi in _level_characters(p, n) if chi.conductor == n), None)
 
 
 def eigenvalue_radial_closed(n: int, ctx: PrimeParams) -> Fraction:
-    """(p - 1) p^(n - 1) for conductor n >= 1; independent of m."""
+    """|(Z/p^n)^x| = (p - 1) p^(n - 1) for conductor n >= 1; independent of m."""
     if n < 1:
         raise ValueError("radial eigenvalues require conductor >= 1")
-    return Fraction((ctx.p - 1) * ctx.p ** (n - 1))
+    return Fraction(unit_group_order(ctx.p, n))
 
 
 @lru_cache(maxsize=None)
@@ -288,12 +266,12 @@ def eigenvalue_radial_exact(n: int, ctx: PrimeParams) -> Fraction:
         raise ValueError("radial eigenvalues require conductor >= 1")
     p = ctx.p
     # Horner's rule in p^2 from the top layer t = n - 1 down, on the integers
-    # a_t = p^(n-t) for 0 < t < n; a_n = 0 and a_0 = (p - 1) p^(n-1).
+    # a_t = p^(n-t) for 0 < t < n; a_n = 0 and a_0 = |(Z/p^n)^x|.
     layers, above, a = 0, 0, p
     for _ in range(n - 1):
         layers = layers * p * p + a - above
         above, a = a, a * p
-    layers = layers * p * p + (p - 1) * p ** (n - 1) - above
+    layers = layers * p * p + unit_group_order(p, n) - above
     # The weight of the unit measure in the defining sums: 2/(q - 1) plus the
     # couplings to the other m - 1 shells, whose sum 2 (q - p)/(p - 1) is
     # ``coupling_total`` (the angular circulant check proves it against the
@@ -314,15 +292,13 @@ def eigenvalue_angular_sum(l: int, ctx: PrimeParams) -> complex:
 
 
 def multiplicity(kind: str, index: int, ctx: PrimeParams) -> int:
-    """Eigenvalue multiplicities: conjugate angular pairs and the
-    per-conductor radial counts."""
+    """Eigenvalue multiplicities: conjugate angular pairs, and m times the
+    conductor-n characters, |(Z/p^n)^x| - |(Z/p^(n-1))^x|, at radial n."""
     p, m = ctx.p, ctx.m
     if kind == "radial":
         if index < 1:
             raise ValueError("radial multiplicity requires conductor >= 1")
-        if index == 1:
-            return m * (p - 2)
-        return m * (p - 1) ** 2 * p ** (index - 2)
+        return m * (unit_group_order(p, index) - unit_group_order(p, index - 1))
     if kind == "angular":
         l = index % m
         if l == 0:

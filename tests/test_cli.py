@@ -4,8 +4,10 @@ import argparse
 import io
 import contextlib
 import json
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,25 @@ def test_a_subcommand_runs_only_the_modules_it_uses(run_python, argv):
     assert proc.returncode == 0, proc.stderr
     ran = set(proc.stdout.decode().split())
     assert ran == RAN_BY_ALL | {f"tateop.{name}" for name in RAN_BY[argv[0]]}
+
+
+def _lines(module):
+    return (Path(__file__).parents[1] / "src" / "tateop" / f"{module}.py").read_bytes().count(b"\n")
+
+
+def test_the_readme_counts_the_lines_each_subcommand_compiles():
+    # README's "lines compiled" table against wc -l of the modules its rows
+    # name, and those modules against the ones each subcommand runs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    base = int(re.search(r"\((\d+) lines with\s+`__main__`\)", readme).group(1))
+    assert base == sum(map(_lines, ("__init__", "__main__", "cli", "padic")))
+    table = readme.split("| subcommand | modules run | lines compiled |\n|---|---|---|\n")[1]
+    rows = re.findall(r"^\| `(\w+)` \| (.+) \| (\d+) \|$", table.split("\n\n")[0], re.M)
+    assert sorted(name for name, _, _ in rows) == sorted(RAN_BY)
+    for name, modules, lines in rows:
+        names = set(re.findall(r"`(\w+)`", modules))
+        assert names == RAN_BY[name], name
+        assert int(lines) == base + sum(map(_lines, names)), name
 
 
 # Runs main() on the argv given as arguments, then prints whether json and

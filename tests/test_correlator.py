@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tateop import correlator
 from tateop.correlator import height_coefficient, height_limit_check, two_point
-from tateop.operator import _kernel_by_valuations, kernel_H
+from tateop.operator import _kernel_by_valuations, _pair_valuations, kernel_H
 from tateop.padic import PrimeParams, point, valuation
 
 from oracles import delta_from_mass, limit_finite_part, mass_from_delta, real_dimension_threshold
+from test_cli import run_cli
 
 
 def test_two_point_oracles():
@@ -176,6 +178,36 @@ def test_the_float_expression_next_to_delta_one_is_the_kernel(p):
                 bound = 2 * h * (abs(e) + m) * math.log(p) * kernel
                 for delta in (1 + h, 1 - h):
                     assert abs(two_point(x1, x2, delta) - kernel) <= bound, (m, x1.value, x2.value, delta)
+
+
+def test_a_wrong_exponent_in_the_float_expression_fails_correlator(monkeypatch):
+    # The first term p^(delta e) with e negated: at delta = 1 two_point takes
+    # its exact branch, so only the check next to delta = 1 sees it.
+    exact = correlator.two_point
+
+    def negated_first_term(x1, x2, delta):
+        if float(delta).is_integer():
+            return exact(x1, x2, delta)
+        v1, v2, vd = _pair_valuations(x1, x2)
+        e_lp = (2 * vd - v1 - v2) * math.log(x1.ctx.p)
+        return exact(x1, x2, delta) - math.exp(delta * e_lp) + math.exp(-delta * e_lp)
+
+    argv = ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1"]
+    assert run_cli(argv)[0] == 0
+    monkeypatch.setattr(correlator, "two_point", negated_first_term)
+    for delta in ("1", "0.5"):
+        assert run_cli([*argv, "--delta", delta])[0] == 1
+
+
+@pytest.mark.parametrize("m, v, kernel", [(2200, 1100, 0.0), (2151, 1075, 5e-324)])
+def test_a_kernel_at_the_bottom_of_the_float_range_passes_next_to_delta_one(m, v, kernel):
+    # At 2^-1100 the kernel and its neighbours round to 0.0; at 2^1075 it is
+    # the least subnormal, and the float expression at 1 + 2^-30 rounds to 0.0.
+    ctx = PrimeParams(2, m)
+    x1, x2 = point(1, ctx), point(2**v, ctx)
+    assert float(kernel_H(x1, x2)) == kernel
+    assert correlator.float_expression_check(x1, x2, kernel)
+    assert run_cli(["correlator", "--p", "2", "--m", str(m), "--x1", "1", "--x2", str(2**v)])[0] == 0
 
 
 @pytest.mark.parametrize(

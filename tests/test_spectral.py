@@ -30,6 +30,7 @@ from tateop.spectral import (
     primitive_root,
     root_table,
     unit_group_order,
+    unit_log,
 )
 
 from oracles import character_value, dtn_cross_check, root_of_unity
@@ -56,7 +57,7 @@ def test_primitive_root_oracles():
 
 
 def test_trivial_character():
-    chi = UnitCharacter.trivial(3)
+    chi = UnitCharacter(3, 0)
     assert chi.n == 0 and chi.conductor == 0
     assert chi.value(2) == 1 and chi.is_trivial
 
@@ -141,7 +142,7 @@ def test_radial_integral_matches_closed_form():
 
 def test_radial_integral_rejects_trivial():
     with pytest.raises(ValueError):
-        eigenvalue_radial_integral(UnitCharacter.trivial(3), 0, PrimeParams(3, 2))
+        eigenvalue_radial_integral(UnitCharacter(3, 0), 0, PrimeParams(3, 2))
 
 
 def test_angular_eigenvalue_oracles():
@@ -191,6 +192,25 @@ def test_multiplicity_oracles():
     assert multiplicity("radial", 1, ctx) == 2
     assert multiplicity("radial", 2, ctx) == 8
     assert multiplicity("radial", 1, PrimeParams(2, 1)) == 0  # no conductor-1 characters
+
+
+def test_radial_multiplicity_counts_the_enumerated_characters():
+    # The Weyl row's closed form against the conductor filter.
+    for p in (2, 3, 5, 7):
+        for m in (1, 3):
+            ctx = PrimeParams(p, m)
+            for n in range(1, 7):
+                assert multiplicity("radial", n, ctx) == m * len(enumerate_conductor(p, n)), (p, m, n)
+
+
+def test_the_two_adic_log_and_characters_start_at_level_two():
+    # Mod 4 the units are 1 = 3^0 and 3 = -3^0: only the sign bit is left.
+    assert unit_log(2, 2, 1) == (0, 0)
+    assert unit_log(2, 2, 3) == (1, 0)
+    assert UnitCharacter(2, 2, 5, 1) == UnitCharacter(2, 2, 0, 1)
+    # (Z/2^n)^x is not cyclic from n = 3 on: p = 2 has no primitive root.
+    with pytest.raises(ArithmeticError):
+        primitive_root(2)
 
 
 def test_enumerate_spectrum_count_identity():
@@ -293,7 +313,7 @@ def _conductor_by_evaluation(chi):
 def _all_characters(p, n):
     """Every character data (a, eps) at level n, eps-major for p = 2."""
     if n == 0:
-        return [UnitCharacter.trivial(p)]
+        return [UnitCharacter(p, 0)]
     if p == 2:
         if n == 2:
             return [UnitCharacter(2, 2, 0, eps) for eps in (0, 1)]
