@@ -15,6 +15,7 @@ from .padic import (
     PrimeParams,
     TatePoint,
     c_p_const,
+    coupling_total,
     coupling_weight,
     valuation,
 )
@@ -81,12 +82,18 @@ def integrate_H_over_ball(b: Ball, x: TatePoint) -> Fraction:
     return _kernel_by_valuations(p, m, x.v, b.v, vdiff) * b.measure()
 
 
-def _horner(p: int, coefficients) -> int:
-    """sum of c_i p^(n-1-i) over the n coefficients, by Horner's rule in p."""
+@lru_cache(maxsize=1)
+def _shell_heights(p: int, m: int, vx: int) -> int:
+    """Sum of v (v - m) w_u over the shells v != vx, u = v - vx mod m; it
+    does not read v(x - 1), so the one value kept serves a whole shell."""
+    # As w_u = p^u + p^(m-u), it is the sum of (h_u + h_(m-u)) p^u with
+    # h_u = v (v - m), whose coefficients read the same both ways: one
+    # Horner pass in p.
+    h = [v * (v - m) for v in chain(range(vx + 1, m), range(vx))]
     total = 0
-    for c in coefficients:
-        total = total * p + c
-    return total
+    for hu, h_mu in zip(h, reversed(h)):
+        total = total * p + (hu + h_mu)
+    return total * p
 
 
 def apply_D_height(p: int, m: int, vx: int, ell: int) -> Fraction:
@@ -102,9 +109,9 @@ def apply_D_height(p: int, m: int, vx: int, ell: int) -> Fraction:
     Every term is an integer numerator over one denominator,
     p^(ell+1) (q - 1) 2m (p - 1) (ell = 0 off the unit shell); each
     comment gives the term as a rational.  The shell couplings
-    w_u / (q - 1), w_u = p^u + p^(m-u), enter through sums over u of
-    w_u g_u with small integers g_u, which are summed as polynomials in p
-    by Horner's rule.  A class that no point has is a ValueError: off the
+    w_u / (q - 1), w_u = p^u + p^(m-u), enter through the sum over u of
+    w_u (v (v - m) - a), which is ``_shell_heights`` less a times
+    ``coupling_total``.  A class that no point has is a ValueError: off the
     unit shell v(x - 1) = 0, and at p = 2 every unit has v(x - 1) >= 1.
     """
     if not 0 <= vx < m or ell < 0 or (ell and vx) or (p, vx, ell) == (2, 0, 0):
@@ -120,13 +127,12 @@ def apply_D_height(p: int, m: int, vx: int, ell: int) -> Fraction:
         # Stratum t = 0: (p - 2)/p (1 + 2/(q - 1)) (0 - ell), empty at p = 2.
         num -= (p - 2) * (q1 + 2) * ell * p_ell * two_m * (p - 1)
         # Stratum 0 < t < ell: (p - 1)/p p^-t (p^(2t) + 2/(q - 1)) (t - ell),
-        # which is (t - ell) (p^(ell+t) (q - 1) + 2 p^(ell-t)) without the
-        # common factor (p - 1)^2 2m.  high is the sum of (t - ell) p^(t-1),
-        # low of (t - ell) p^(ell-t-1).
-        high = _horner(p, range(-1, -ell, -1))
-        low = _horner(p, range(1 - ell, 0))
-        strata = p * (p_ell * q1 * high + 2 * low)
-        num += (p - 1) ** 2 * two_m * strata
+        # over the one denominator 2m (p - 1)^2 (t - ell) (p^(ell+t) (q - 1) + 2 p^(ell-t)).
+        # Over t, (p - 1)^2/p times the sums of (t - ell) p^(ell+t) and of
+        # (t - ell) p^(ell-t) close to high and -low; ell p_ell // p is ell p^(ell-1).
+        high = p_ell * (ell * (p - 1) + 1 - p_ell)
+        low = (ell - 1) * p_ell - ell * p_ell // p + 1
+        num += two_m * p * (q1 * high - 2 * low)
         # (p - 1)/p (p^(2 ell) + 2/(q - 1)) tail, where the tail is the
         # geom_sum sum_{j > ell} j p^-j less ell sum_{j > ell} p^-j; over
         # p^ell (p - 1)^2 these read (ell + 1)(p - 1) + 1 and ell (p - 1),
@@ -139,17 +145,11 @@ def apply_D_height(p: int, m: int, vx: int, ell: int) -> Fraction:
         # joins the other shells below.
         num += coupling_weight(p, m, vx) * two_m * p
     # (p - 1)/p w_u/(q - 1) (v (v - m) - a)/(2m) on each shell v != vx,
-    # u = v - vx mod m (w_u = w_(m-u)), with a = vx (vx - m) + 2m ell,
-    # summed before the common factor (p - 1)^2 p^ell is multiplied in.
+    # u = v - vx mod m, with a = vx (vx - m) + 2m ell; the w_u sum to
+    # coupling_total.  The common factor (p - 1)^2 p^ell is multiplied in last.
     a = vx * (vx - m) + two_m * ell
-    # As w_u = p^u + p^(m-u), the sum of g_u w_u is that of (g_u + g_(m-u)) p^u,
-    # whose coefficients read the same both ways: one Horner pass.
-    g = [v * (v - m) - a for v in chain(range(vx + 1, m), range(vx))]
-    shells = p * _horner(p, [gu + g_mu for gu, g_mu in zip(g, reversed(g))])
-    num += (p - 1) ** 2 * p_ell * shells
-    den = p * p_ell * q1 * two_m * (p - 1)
-    c_p = c_p_const(p)
-    return Fraction(-c_p.numerator * num, c_p.denominator * den)
+    num += (p - 1) ** 2 * p_ell * (_shell_heights(p, m, vx) - a * coupling_total(p, m))
+    return -c_p_const(p) * Fraction(num, p * p_ell * q1 * two_m * (p - 1))
 
 
 def height_check_points(ctx: PrimeParams, max_vdist: int) -> tuple[TatePoint, ...]:

@@ -14,14 +14,16 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 Rational = int | Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; every prime in this package is desk scale."""
+    """Trial-division primality check, once per n; every prime here is desk scale."""
     if n < 2:
         return False
     d = 2
@@ -111,13 +113,9 @@ class Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state: tuple) -> None:
-        # copy and pickle restore the slots here, as __setattr__ refuses them.
-        instance_dict, slots = state
-        for name, value in slots.items():
-            object.__setattr__(self, name, value)
-        if instance_dict:
-            vars(self).update(instance_dict)
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through the constructor, which validates.
+        return self.__class__, self._astuple()
 
 
 class PrimeParams(Record):

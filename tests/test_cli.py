@@ -751,8 +751,8 @@ def test_spectrum_at_a_large_conductor_is_fast(run_python):
     [
         # The float couplings are formed once per (p, m), not once per conductor.
         ("spectrum --p 2 --m 20000 --max-conductor 300", 5),
-        # The height action sums its strata by Horner's rule in p, not by
-        # fresh powers of a large p per stratum.
+        # The height action sums its strata in closed form, not by fresh
+        # powers of a large p per stratum.
         ("greens --p 999983 --m 1 --max-vdist 600", 10),
     ],
 )

@@ -1,5 +1,6 @@
 """Records are frozen, so construction bypasses ``__setattr__``; that is
-decided in one place, ``padic.Record`` (``_bind`` and ``__setstate__``)."""
+decided in one place, ``padic.Record._bind``; copies are rebuilt through
+each record's constructor, which ends there."""
 
 import ast
 from pathlib import Path
@@ -31,4 +32,4 @@ def test_only_the_record_base_calls_object_setattr():
             elif calls:
                 found.append(f"{path.name}:{top.lineno}")
     assert found == []
-    assert in_base == 2
+    assert in_base == 1
