@@ -78,8 +78,11 @@ CIRCULANT_REL_TOLERANCE = 1e-12
 # none.  A call at its caps took at most 14 s and 63 MB on a 2-core Xeon VM,
 # `matrix` at its dimension cap 58 s (README, "Caps").  --m is capped through
 # the bit operations of one pass over the shell couplings w_1..w_(m-1), about
-# m^2 log2(p), which greens, spectrum, det and matrix stream and none stores;
-# correlator, which reads one weight, keeps the cap.
+# m^2 log2(p), which spectrum, det and matrix stream and none stores;
+# greens and correlator read single weights and keep the cap.  greens' lower
+# cap bounds its about 3m points of up to m log2(p) bits, each valued,
+# evaluated as a Fraction and printed: at --p 999983 --max-vdist 600, in
+# process, 3.7 s at m = 1000, 16.8 s at 2000, 110 s and 515 MB at 4000.
 P_CAP = 10**6
 COUPLING_BIT_OPS_CAP = 3 * 10**9
 GREENS_M_CAP = 1000

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 from .padic import (
     PrimeParams,
@@ -82,20 +81,6 @@ def integrate_H_over_ball(b: Ball, x: TatePoint) -> Fraction:
     return _kernel_by_valuations(p, m, x.v, b.v, vdiff) * b.measure()
 
 
-@lru_cache(maxsize=1)
-def _shell_heights(p: int, m: int, vx: int) -> int:
-    """Sum of v (v - m) w_u over the shells v != vx, u = v - vx mod m; it
-    does not read v(x - 1), so the one value kept serves a whole shell."""
-    # As w_u = p^u + p^(m-u), it is the sum of (h_u + h_(m-u)) p^u with
-    # h_u = v (v - m), whose coefficients read the same both ways: one
-    # Horner pass in p.
-    h = [v * (v - m) for v in chain(range(vx + 1, m), range(vx))]
-    total = 0
-    for hu, h_mu in zip(h, reversed(h)):
-        total = total * p + (hu + h_mu)
-    return total * p
-
-
 def apply_D_height(p: int, m: int, vx: int, ell: int) -> Fraction:
     """Exact action of the operator on the height profile h at the points
     x != 1 of class (vx, ell) = (v(x), v(x - 1)), which is all of x it reads.
@@ -109,10 +94,15 @@ def apply_D_height(p: int, m: int, vx: int, ell: int) -> Fraction:
     Every term is an integer numerator over one denominator,
     p^(ell+1) (q - 1) 2m (p - 1) (ell = 0 off the unit shell); each
     comment gives the term as a rational.  The shell couplings
-    w_u / (q - 1), w_u = p^u + p^(m-u), enter through the sum over u of
-    w_u (v (v - m) - a), which is ``_shell_heights`` less a times
-    ``coupling_total``.  A class that no point has is a ValueError: off the
-    unit shell v(x - 1) = 0, and at p = 2 every unit has v(x - 1) >= 1.
+    w_u / (q - 1), w_u = p^u + p^(m-u), enter through S(vx) - a T, where
+    T = ``coupling_total`` and S(k) is the sum over 0 < u < m of
+    w_u h(k + u mod m), h(v) = v (v - m).  On Z/m the second difference of
+    h is 2 - 2m [v = 0] and the circulant of the w_u commutes with it, so
+    S(k+1) - 2 S(k) + S(k-1) = 2T - 2m w_k; S is even, so S(1) - S(0) = T;
+    and S sums over k to T times the sum of h.  Hence, with no pass over u,
+    (p - 1)^2 S(k) = (p - 1)^2 h(k) T + 2p (T + q + 1 - m w_k), w_0 = q + 1.
+    A class that no point has is a ValueError: off the unit shell
+    v(x - 1) = 0, and at p = 2 every unit has v(x - 1) >= 1.
     """
     if not 0 <= vx < m or ell < 0 or (ell and vx) or (p, vx, ell) == (2, 0, 0):
         raise ValueError(f"no point has class (v, v(x - 1)) = ({vx}, {ell}) at p={p}, m={m}")
@@ -145,10 +135,13 @@ def apply_D_height(p: int, m: int, vx: int, ell: int) -> Fraction:
         # joins the other shells below.
         num += coupling_weight(p, m, vx) * two_m * p
     # (p - 1)/p w_u/(q - 1) (v (v - m) - a)/(2m) on each shell v != vx,
-    # u = v - vx mod m, with a = vx (vx - m) + 2m ell; the w_u sum to
-    # coupling_total.  The common factor (p - 1)^2 p^ell is multiplied in last.
-    a = vx * (vx - m) + two_m * ell
-    num += (p - 1) ** 2 * p_ell * (_shell_heights(p, m, vx) - a * coupling_total(p, m))
+    # u = v - vx mod m, a = vx (vx - m) + 2m ell: times (p - 1)^2 p^ell it is
+    # (p - 1)^2 (S(vx) - a T), whose h(vx) T parts cancel.  w_vx is not read
+    # through coupling_weight: off the unit shell its term cancels the one
+    # above, so a skewed weight read twice would pass.
+    total = coupling_total(p, m)
+    w_vx = p**vx + p ** (m - vx)
+    num += p_ell * (2 * p * (total + q1 + 2 - m * w_vx) - (p - 1) ** 2 * two_m * ell * total)
     return -c_p_const(p) * Fraction(num, p * p_ell * q1 * two_m * (p - 1))
 
 

@@ -72,7 +72,7 @@ LADDER_DUMP_SHA256 = {
 # json stdout.  They print the float radial integrals, the determinant
 # factors of the spectral layer and the exact height identity at every
 # sampled point.  The last four run every reader of the shell couplings at
-# a large m: the height action sums them by Horner's rule, the angular
+# a large m: the height action reads their closed-form sums, the angular
 # circulant check streams them and their closed-form sum, and the float
 # radial sums read them as floats; the correlator's kernel match compares
 # the two-point value at delta 1, which is the kernel (both of its forms
