@@ -25,7 +25,6 @@ from .padic import (
     format_rational,
     parse_rational,
     point,
-    valuation,
 )
 
 
@@ -47,12 +46,12 @@ def _lazy_module(name: str) -> types.ModuleType:
 
 
 # A subcommand runs only the modules it reads.  Every one is registered,
-# domain too though only the others read it: a module that imports it
-# later then finds it in sys.modules, and no import sets a new attribute
-# on the package while a caller iterates over its attributes (as
+# angular and domain too though only the others read them: a module that
+# imports one later then finds it in sys.modules, and no import sets a new
+# attribute on the package while a caller iterates over its attributes (as
 # bench/tracer.py does).  A lookup in sys.modules after `import tateop.cli`
 # finds each.
-angular = _lazy_module("angular")
+_lazy_module("angular")
 _lazy_module("domain")
 correlator = _lazy_module("correlator")
 determinant = _lazy_module("determinant")
@@ -61,18 +60,6 @@ operator = _lazy_module("operator")
 spectral = _lazy_module("spectral")
 tree = _lazy_module("tree")
 
-LIMIT_TOLERANCE = 1e-6
-# det's printed closed form and series met their exact values within a
-# relative 2.2e-15 for p up to 999983, m up to the --m caps.
-ZETA_FLOAT_TOLERANCE = 1e-12
-INTEGRAL_CHECK_MODULUS_CAP = 5000
-# The float integrals met their closed forms within a relative 2.7e-15 over
-# 305 (p, m, n), p < 72, m <= 8, p^n under the cap: as the eigenvalue grows
-# to about 5000 the error grows to 1e-11, so the bound is relative.
-INTEGRAL_CHECK_REL_TOLERANCE = 1e-12
-# The angular power sums met the circulant's trace and Parseval sum within a
-# relative 2.0e-16 over 15 (p, m), --m at its cap at p = 2 and 999983 included.
-CIRCULANT_REL_TOLERANCE = 1e-12
 # The caps, each checked here once before any work so that a huge value is
 # a quick usage error, not a call that runs without end; the library holds
 # none.  A call at its caps took at most 14 s and 63 MB on a 2-core Xeon VM,
@@ -184,21 +171,15 @@ def render(report: Report, fmt: str) -> str:
         for row in report.rows:
             writer.writerow([_cell(x) for x in row])
         return buf.getvalue()
-    if fmt == "pretty":
-        table = [list(report.columns)] + [
-            [_cell(x) for x in row] for row in report.rows
-        ]
-        widths = [max(len(r[i]) for r in table) for i in range(len(report.columns))]
-        lines = []
-        for idx, row in enumerate(table):
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-            if idx == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines) + "\n"
-    raise UsageError(f"unknown format {fmt!r}")
-
-
-GREENS_COLUMNS = ("x", "v", "vdist", "Dh", "expected", "pass")
+    # pretty, the one format left: argparse admits only these three.
+    table = [list(report.columns)] + [[_cell(x) for x in row] for row in report.rows]
+    widths = [max(len(r[i]) for r in table) for i in range(len(report.columns))]
+    lines = []
+    for idx, row in enumerate(table):
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        if idx == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_greens(args: argparse.Namespace, ctx: PrimeParams) -> Report:
@@ -214,86 +195,17 @@ def cmd_greens(args: argparse.Namespace, ctx: PrimeParams) -> Report:
         raise UsageError(
             f"--max-vdist {args.max_vdist} samples no point at p={ctx.p}, m={ctx.m}; raise it"
         )
-    # The operator reads a point only through its class (v, vdist), so each
-    # class is evaluated once, in this call, and every point is printed.
-    classes = [(x.v, valuation(x.value - 1, ctx.p)) for x in points]
-    values = {c: operator.apply_D_height(ctx.p, ctx.m, *c) for c in dict.fromkeys(classes)}
-    rows = []
-    for x, c in zip(points, classes):
-        cells = (format_rational(x.value), *c, values[c], expected, values[c] == expected)
-        rows.append(dict(zip(GREENS_COLUMNS, cells)))
-    # The printed classes are every shell and v(x - 1) promised; at p = 2
-    # every unit is 1 mod 2, so v(x - 1) starts at 1.
-    promised = {(0, j) for j in range(int(ctx.p == 2), args.max_vdist + 1)}
-    promised |= {(v, 0) for v in range(1, ctx.m)}
-    covered = values.keys() == promised
-    data = {
-        "expected": expected,
-        "all_pass": covered and all(row["pass"] for row in rows),
-        "rows": rows,
-    }
-    return Report(data, GREENS_COLUMNS, [tuple(row.values()) for row in rows])
+    data = operator.verify_greens(points, args.max_vdist, expected)
+    rows = data["rows"]
+    return Report(data, tuple(rows[0]), [tuple(row.values()) for row in rows])
 
 
 def cmd_spectrum(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     entries = spectral.enumerate_spectrum(args.max_conductor, ctx)
-    integral_checks = []
-    checks_pass = True
-    for e in entries:
-        if e.kind != "radial":
-            continue
-        n, closed = e.index, e.eigenvalue
-        # The exact defining sum at every conductor; a pass adds no bytes.
-        checks_pass = checks_pass and spectral.eigenvalue_radial_exact(n, ctx) == closed
-        if ctx.p**n > INTEGRAL_CHECK_MODULUS_CAP:
-            continue
-        integral = spectral.eigenvalue_radial_integral(spectral.primitive_character(ctx.p, n), 1, ctx)
-        err = abs(integral - complex(float(closed)))
-        ok = err <= INTEGRAL_CHECK_REL_TOLERANCE * float(closed)
-        checks_pass = checks_pass and ok
-        integral_checks.append(
-            {
-                "n": n,
-                "closed": closed,
-                "integral": integral.real,
-                "abs_error": err,
-                "pass": ok,
-            }
-        )
-    # Every entry lies at or below lam_top (an angular eigenvalue above it,
-    # or an entry past max_conductor, leaves count below total), and the
-    # multiplicities add up to m lam_top.
-    lam_top = spectral.eigenvalue_radial_closed(args.max_conductor, ctx)
-    count = sum(e.multiplicity for e in entries if e.eigenvalue <= lam_top)
-    total = sum(e.multiplicity for e in entries)
-    weyl_ok = count == total == ctx.m * lam_top
-    # The angular entries sum to the circulant's trace (l = 0 adds 0), and
-    # their squares to its Parseval sum, which sees a shift the trace misses.
-    circulant = [(e.multiplicity, e.eigenvalue) for e in entries if e.kind == "angular"]
-    circulant_ok = all(
-        math.isclose(
-            math.fsum(mult * lam**k for mult, lam in circulant), target, rel_tol=CIRCULANT_REL_TOLERANCE
-        )
-        for k, target in ((1, angular.angular_trace(ctx)), (2, angular.angular_square_sum(ctx)))
-    )
-    # One zero mode, the constants: the kernel of D is one-dimensional.
-    zero_ok = [e.multiplicity for e in entries if e.eigenvalue == 0] == [1]
-    checks_pass = checks_pass and weyl_ok and circulant_ok and zero_ok
     data = {
         "max_conductor": args.max_conductor,
         "entries": [e.to_json_dict() for e in entries],
-        "total_multiplicity": total,
-        # The least positive listed eigenvalue; None where only the zero
-        # mode is listed (p = 2, m = 1, max_conductor = 1).
-        "spectral_gap": min((e.eigenvalue for e in entries if e.eigenvalue > 0), default=None),
-        "weyl": {
-            "lambda": lam_top,
-            "count": count,
-            "m_lambda": ctx.m * lam_top,
-            "pass": weyl_ok,
-        },
-        "integral_checks": integral_checks,
-        "all_pass": checks_pass,
+        **spectral.verify_spectrum(entries, args.max_conductor, ctx),
     }
     rows = [(e.kind, e.index, e.eigenvalue, e.multiplicity) for e in entries]
     return Report(data, ("kind", "index", "lambda", "mult"), rows)
@@ -301,28 +213,12 @@ def cmd_spectrum(args: argparse.Namespace, ctx: PrimeParams) -> Report:
 
 def cmd_det(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     det, angular, radial, zeta_prime = determinant.det_factors(ctx)
-    series_checks = []
-    for s in (2, 3, 4):
-        closed = determinant.zeta_pi_value(float(s), ctx)
-        series = determinant.zeta_pi_series(float(s), ctx)
-        err = abs(closed - series)
-        # The identity is decided exactly, and each printed float is tied to
-        # its exact counterpart within a relative ZETA_FLOAT_TOLERANCE.
-        exact, summed = determinant.zeta_pi_exact(s, ctx), determinant.zeta_pi_series_sum(s, ctx)
-        ok = exact == summed and all(
-            math.isclose(x, float(y), rel_tol=ZETA_FLOAT_TOLERANCE)
-            for x, y in ((closed, exact), (series, summed))
-        )
-        series_checks.append(
-            {"s": s, "closed": closed, "series": series, "abs_error": err, "pass": ok}
-        )
     body = {
         "det": det,
         "angular_factor": angular,
         "radial_factor": radial,
         "zeta_prime_zero": zeta_prime,
-        "zeta_series_checks": series_checks,
-        "all_pass": all(chk["pass"] for chk in series_checks),
+        **determinant.verify_zeta_series(ctx),
     }
     return _quantity_report(body)
 
@@ -370,30 +266,11 @@ def cmd_correlator(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     # A tiny delta makes the second term, about 2 / (m delta log p), infinite.
     if not math.isfinite(value):
         raise UsageError(overflow)
-    # Both sides are the one rational H(x1, x2), correctly rounded.
     try:
-        at_one = correlator.two_point(x1, x2, 1.0)
-        kernel = float(operator.kernel_H(x1, x2))
-        float_ok = correlator.float_expression_check(x1, x2, kernel)
+        checks = correlator.verify_correlator(x1, x2)
     except OverflowError as exc:
         raise UsageError("the delta = 1 kernel at these points overflows a float") from exc
-    kernel_ok = at_one == kernel
-    # The exact coefficient decides the height verdict; the extrapolated
-    # limit is reported beside it, as its steps lose accuracy at large m.
-    coefficient, twice_height = correlator.height_coefficient(x1, x2)
-    estimate, target = correlator.height_limit_check(x1, x2)
-    limit_ok = abs(estimate - target) < LIMIT_TOLERANCE * (1 + abs(target))
-    body = {
-        "two_point": value,
-        "two_point_at_delta_1": at_one,
-        "kernel": kernel,
-        "kernel_match": kernel_ok,
-        "limit_estimate": estimate,
-        "limit_target": target,
-        "limit_match": limit_ok,
-        "all_pass": kernel_ok and float_ok and coefficient == twice_height,
-    }
-    return _quantity_report(body, x1=x1.value, x2=x2.value, delta=float(delta))
+    return _quantity_report({"two_point": value, **checks}, x1=x1.value, x2=x2.value, delta=float(delta))
 
 
 def cmd_tree(args: argparse.Namespace, ctx: PrimeParams) -> Report:

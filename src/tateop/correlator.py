@@ -14,8 +14,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import operator
 from .operator import _kernel_by_valuations, _pair_valuations
 from .padic import TatePoint, local_height, tate_div
+
+# The diagnostic bound of limit_match, relative to 1 + |target|.
+LIMIT_TOLERANCE = 1e-6
 
 
 def two_point(x1: TatePoint, x2: TatePoint, delta: float) -> float:
@@ -146,3 +150,26 @@ def height_limit_check(x1: TatePoint, x2: TatePoint) -> tuple[float, float]:
     estimate = (4 * r2 - r1) / 3
     target = 2 * lp * float(local_height(tate_div(x1, x2)))
     return estimate, target
+
+
+def verify_correlator(x1: TatePoint, x2: TatePoint) -> dict:
+    """The report fields that follow the two-point value, in order; a delta = 1
+    kernel past the float range raises OverflowError."""
+    # Both sides are the one rational H(x1, x2), correctly rounded.
+    at_one = two_point(x1, x2, 1.0)
+    kernel = float(operator.kernel_H(x1, x2))
+    kernel_ok = at_one == kernel
+    float_ok = float_expression_check(x1, x2, kernel)
+    # The exact coefficient decides the height verdict; the extrapolated
+    # limit is reported beside it, as its steps lose accuracy at large m.
+    coefficient, twice_height = height_coefficient(x1, x2)
+    estimate, target = height_limit_check(x1, x2)
+    return {
+        "two_point_at_delta_1": at_one,
+        "kernel": kernel,
+        "kernel_match": kernel_ok,
+        "limit_estimate": estimate,
+        "limit_target": target,
+        "limit_match": abs(estimate - target) < LIMIT_TOLERANCE * (1 + abs(target)),
+        "all_pass": kernel_ok and float_ok and coefficient == twice_height,
+    }

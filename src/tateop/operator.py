@@ -16,6 +16,7 @@ from .padic import (
     c_p_const,
     coupling_total,
     coupling_weight,
+    format_rational,
     valuation,
 )
 
@@ -147,7 +148,7 @@ def apply_D_height(p: int, m: int, vx: int, ell: int) -> Fraction:
 
 def height_check_points(ctx: PrimeParams, max_vdist: int) -> tuple[TatePoint, ...]:
     """Sample points on every shell and at every v(x - 1) up to max_vdist,
-    each built where it lies in the fundamental domain.
+    each built where it lies in the fundamental domain, with its valuation.
 
     The units are x = 1 + u p^j for j = 0..max_vdist and the u in {1, 2, 3}
     prime to p, so v(x - 1) = j; j = 0 is skipped where p divides 1 + u,
@@ -157,10 +158,30 @@ def height_check_points(ctx: PrimeParams, max_vdist: int) -> tuple[TatePoint, ..
     """
     p, m = ctx.p, ctx.m
     units = [
-        1 + u * p**j
+        (1 + u * p**j, 0)
         for j in range(max_vdist + 1)
         for u in (1, 2, 3)
         if u % p and (j or (1 + u) % p)
     ]
-    shells = [u * p**v for v in range(1, m) for u in (1, 2, p + 1) if u % p]
-    return tuple(TatePoint(x, ctx) for x in units + shells)
+    shells = [(u * p**v, v) for v in range(1, m) for u in (1, 2, p + 1) if u % p]
+    return tuple(TatePoint(x, ctx, v) for x, v in units + shells)
+
+
+def verify_greens(points: tuple[TatePoint, ...], max_vdist: int, expected: Fraction) -> dict:
+    """The ``greens`` report fields on the nonempty ``height_check_points(ctx,
+    max_vdist)``: the expected constant, the verdict and one row per point.
+    """
+    p, m = points[0].ctx.p, points[0].ctx.m
+    # The operator reads a point only through its class (v, vdist), so each
+    # class is evaluated once, and every point is printed.
+    classes = [(x.v, valuation(x.value - 1, p)) for x in points]
+    values = {c: apply_D_height(p, m, *c) for c in dict.fromkeys(classes)}
+    rows = []
+    for x, c in zip(points, classes):
+        cells = (format_rational(x.value), *c, values[c], expected, values[c] == expected)
+        rows.append(dict(zip(("x", "v", "vdist", "Dh", "expected", "pass"), cells)))
+    # The printed classes are every shell and v(x - 1) promised; at p = 2
+    # every unit is 1 mod 2, so v(x - 1) starts at 1.
+    promised = {(0, j) for j in range(int(p == 2), max_vdist + 1)} | {(v, 0) for v in range(1, m)}
+    covered = values.keys() == promised
+    return {"expected": expected, "all_pass": covered and all(row["pass"] for row in rows), "rows": rows}

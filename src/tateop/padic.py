@@ -207,7 +207,9 @@ class TatePoint(Record):
     """Canonical representative of a curve point: nonzero rational with 0 <= v < m.
 
     ``v`` is the valuation of ``value``; it is computed when not given.
-    Callers that pass it (reduction, ball centers) already know it.
+    Callers that pass it (reduction, ball centers, sample points) already
+    know it, and it is checked by one division by p^v, where computing it
+    strips powers of p one square at a time.
     """
 
     __slots__ = _fields = ("value", "ctx", "v")
@@ -219,10 +221,14 @@ class TatePoint(Record):
         value = Fraction(value)
         if value == 0:
             raise ValueError("zero is not a point of the multiplicative curve")
+        p = ctx.p
         if v is None:
-            v = valuation(value, ctx.p)
+            v = valuation(value, p)
         if not 0 <= v < ctx.m:
             raise ValueError(f"representative has valuation {v}, outside [0, {ctx.m})")
+        head, rest = divmod(value.numerator, p**v)
+        if rest or not head % p or not value.denominator % p:
+            raise ValueError(f"{value} does not have valuation {v} at p = {p}")
         self._bind(value, ctx, v)
 
     def unit_part(self) -> Fraction:

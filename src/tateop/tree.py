@@ -9,18 +9,13 @@ the parent edge inside a branch, and the rest continue downward.
 
 from __future__ import annotations
 
-from .padic import is_prime
-
 
 def tree_quotient(p: int, m: int, depth: int) -> tuple[list[str], list[tuple[str, str]]]:
     """Nodes and edges of the quotient graph truncated at the given depth.
 
-    Exactly m p^depth nodes and m p^depth edges (one independent cycle).
+    For a prime p and m >= 1: exactly m p^depth nodes and m p^depth edges
+    (one independent cycle).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError("cycle length must be >= 1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     total = m * p**depth

@@ -87,7 +87,7 @@ def test_an_integral_row_bounds_its_error_relative_to_the_eigenvalue(monkeypatch
         if chi.n != n:
             return exact(chi, ell, ctx)
         lam = float(spectral.eigenvalue_radial_closed(n, ctx))
-        return complex(lam * (1 + factor * cli.INTEGRAL_CHECK_REL_TOLERANCE))
+        return complex(lam * (1 + factor * spectral.INTEGRAL_CHECK_REL_TOLERANCE))
 
     monkeypatch.setattr(spectral, "eigenvalue_radial_integral", off)
     code, out, _ = _cli(argv)

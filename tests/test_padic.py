@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tateop import angular, determinant, padic, spectral
 from tateop.padic import (
     PrimeParams,
+    TatePoint,
     capped_product,
     coupling_total,
     coupling_weights,
@@ -126,6 +127,24 @@ def test_reduce_to_E_oracles():
     assert point(5, PrimeParams(5, 1)).value == 1
     with pytest.raises(ValueError):
         point(0, ctx)
+
+
+@given(primes, st.integers(min_value=1, max_value=4), nonzero_rationals, st.integers(0, 3))
+def test_a_given_valuation_is_checked(p, m, a, v):
+    ctx = PrimeParams(p, m)
+    x = point(a, ctx)
+    assume(v < m)
+    if v == x.v:
+        assert TatePoint(x.value, ctx, v) == x
+    else:
+        with pytest.raises(ValueError, match="does not have valuation"):
+            TatePoint(x.value, ctx, v)
+
+
+def test_a_given_valuation_needs_a_denominator_prime_to_p():
+    # 2/3 has valuation -1 at p = 3: its numerator is a unit, its denominator is not.
+    with pytest.raises(ValueError, match="does not have valuation 0"):
+        TatePoint(Fraction(2, 3), PrimeParams(3, 2), 0)
 
 
 @given(primes, st.integers(min_value=1, max_value=4), nonzero_rationals)
