@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import operator
-from .operator import _kernel_by_valuations, _pair_valuations
-from .padic import TatePoint, local_height, tate_div
+from .padic import TatePoint, _kernel_by_valuations, _pair_valuations, kernel_H, local_height, tate_div
 
 # The diagnostic bound of limit_match, relative to 1 + |target|.
 LIMIT_TOLERANCE = 1e-6
@@ -157,7 +155,7 @@ def verify_correlator(x1: TatePoint, x2: TatePoint) -> dict:
     kernel past the float range raises OverflowError."""
     # Both sides are the one rational H(x1, x2), correctly rounded.
     at_one = two_point(x1, x2, 1.0)
-    kernel = float(operator.kernel_H(x1, x2))
+    kernel = float(kernel_H(x1, x2))
     kernel_ok = at_one == kernel
     float_ok = float_expression_check(x1, x2, kernel)
     # The exact coefficient decides the height verdict; the extrapolated

@@ -10,7 +10,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import PrimeParams, Record, TatePoint, canonical_center
+from .padic import PrimeParams, Rational, Record, TatePoint
+
+
+def canonical_center(u: Rational, k: int, p: int) -> int:
+    """Least positive residue of a unit rational mod p^k."""
+    frac = Fraction(u)
+    if frac.numerator % p == 0 or frac.denominator % p == 0:
+        raise ValueError("center must be a p-adic unit")
+    mod = p**k
+    return frac.numerator * pow(frac.denominator, -1, mod) % mod
 
 
 class Ball(Record):

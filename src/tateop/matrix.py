@@ -24,12 +24,10 @@ needs it, and importing it is most of the CLI's start-up time.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .angular import eigenvalue_angular, root_table
 from .domain import Ball
-from .operator import _kernel_by_valuations
-from .padic import PrimeParams, Record, c_p_const, coupling_total, format_rational
+from .padic import PrimeParams, Record, _kernel_by_valuations, c_p_const, coupling_total, format_rational
 from .spectral import eigenvalue_radial_closed, enumerate_conductor, unit_group_order, unit_log
 
 # The float checks' bounds, relative to max(1, the largest eigenvalue).  Over
@@ -57,10 +55,10 @@ class OperatorMatrix(Record):
     """Exact matrix of the operator restricted to level-k steps: entry
     (i, j) is values[index[i, j]], and the values are pairwise distinct.
 
-    Matrices compare by identity; ``__dict__`` holds ``float_entries``.
+    Matrices compare by identity.
     """
 
-    __slots__ = ("ctx", "level", "basis", "values", "index", "__dict__")
+    __slots__ = ("ctx", "level", "basis", "values", "index")
     _fields = ("ctx", "level", "basis", "values", "index")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -87,15 +85,13 @@ class OperatorMatrix(Record):
         floats[np.abs(floats) < np.finfo(float).tiny] = 0.0
         return floats[self.index]
 
-    @cached_property
-    def float_entries(self) -> np.ndarray:
-        """The float copy every float check shares, built once."""
-        return self.as_float()
-
-    def eigenvalues(self) -> list[float]:
+    def eigenvalues(self, floats: np.ndarray | None = None) -> list[float]:
+        """Ascending eigenvalues of the float copy, passed as ``floats`` if built."""
         import numpy as np
 
-        return [float(x) for x in np.linalg.eigvalsh(self.float_entries)]
+        if floats is None:
+            floats = self.as_float()
+        return [float(x) for x in np.linalg.eigvalsh(floats)]
 
     def to_csv(self) -> str:
         labels = [b.label() for b in self.basis]
@@ -252,7 +248,8 @@ def verify_matrix(mx: OperatorMatrix) -> tuple[list[float], dict]:
     # matrix norm, the largest eigenvalue, so these bounds scale with it
     # once it passes 1 (it is 0 at dimension 1, below 1 at p = 2, k = 1).
     scale = max(1.0, expected[-1])
-    eigs = mx.eigenvalues()
+    floats = mx.as_float()
+    eigs = mx.eigenvalues(floats)
     min_eig = min(eigs)
     psd = min_eig >= -PSD_TOLERANCE * scale
     kernel_dim = sum(1 for x in eigs if abs(x) < EIGENVALUE_TOLERANCE * scale)
@@ -260,7 +257,7 @@ def verify_matrix(mx: OperatorMatrix) -> tuple[list[float], dict]:
     spectrum_match = deviation <= EIGENVALUE_TOLERANCE * scale
     # The product casts the float copy to complex; casting once up front
     # gives the same bits without a copy per character.
-    mc = mx.float_entries.astype(complex)
+    mc = floats.astype(complex)
     worst = 0.0
     for n, l, vec in label_vectors(mx, characters):
         residual = float(np.abs(mc @ vec - lams[n][l] * vec).max())

@@ -1,65 +1,25 @@
-"""The nonlocal kernel operator and its closed-form action on heights.
+"""The nonlocal kernel operator's ball integrals and its closed-form action
+on heights.
 
-Everything here is exact rational arithmetic.  The kernel value depends only
-on the three integers (v(x), v(z), v(x - z)), so the two equivalent formulas
-are evaluated and compared once per distinct triple and then cached.
+Everything here is exact rational arithmetic.  The kernel H itself, a
+function of the three valuations (v(x), v(z), v(x - z)) cached per triple,
+is in ``padic``, which every reader of it loads anyway.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .padic import (
     PrimeParams,
     TatePoint,
+    _kernel_by_valuations,
     c_p_const,
     coupling_total,
     coupling_weight,
     format_rational,
     valuation,
 )
-
-
-@lru_cache(maxsize=None)
-def _kernel_by_valuations(p: int, m: int, vx: int, vz: int, vdiff: int) -> Fraction:
-    """Kernel value as a function of the three valuations.
-
-    Evaluates both the norm form |x||z|/|x-z|^2 + (|x/z| + |z/x|)/(q - 1)
-    and its case form (equal shells: same singular term plus 2/(q - 1);
-    different shells: (p^(m-u) + p^u)/(q - 1) with u the shell distance)
-    and insists they agree.  The correlator passes the base p^d: at an
-    integer dimension d its two-point function is this kernel.
-    """
-    q1 = p**m - 1
-    base = Fraction(p)
-    norm_form = base ** (2 * vdiff - vx - vz) + (base ** (vz - vx) + base ** (vx - vz)) / q1
-    u = abs(vz - vx)
-    if u == 0:
-        case_form = base ** (2 * (vdiff - vx)) + Fraction(2, q1)
-    else:
-        if not 0 < u < m:
-            raise ValueError("shell distance must lie strictly between 0 and m")
-        case_form = Fraction(coupling_weight(p, m, u), q1)
-    if norm_form != case_form:
-        raise ArithmeticError(
-            f"kernel forms disagree at p={p}, m={m}, valuations ({vx}, {vz}, {vdiff})"
-        )
-    return norm_form
-
-
-def _pair_valuations(x1: TatePoint, x2: TatePoint) -> tuple[int, int, int]:
-    """(v(x1), v(x2), v(x1 - x2)) of two distinct points of one curve."""
-    if x1.ctx != x2.ctx:
-        raise ValueError("mixed prime contexts")
-    if x1.value == x2.value:
-        raise ValueError("coincident points")
-    return x1.v, x2.v, valuation(x1.value - x2.value, x1.ctx.p)
-
-
-def kernel_H(z: TatePoint, x: TatePoint) -> Fraction:
-    """Symmetric interaction kernel between two distinct domain points."""
-    return _kernel_by_valuations(x.ctx.p, x.ctx.m, *_pair_valuations(x, z))
 
 
 def integrate_H_over_ball(b: Ball, x: TatePoint) -> Fraction:

@@ -5,8 +5,8 @@ into the fundamental domain E (the union of the shells p^i Z_p^x for
 0 <= i < m) are computed exactly, so the identities asserted elsewhere in
 the package hold with zero tolerance.  The two number formats of every
 report (exact rationals, 15-digit floats) live here too, and so do the
-few functions of p, m and a point that several subcommands share:
-unit residues, the kernel's constants and the local height.
+few functions of p, m and a point that several subcommands share: the
+kernel H with its constants, and the local height.
 """
 
 from __future__ import annotations
@@ -165,15 +165,6 @@ def valuation(x: Rational, p: int) -> int:
     return int_valuation(frac.numerator, p) - int_valuation(frac.denominator, p)
 
 
-def canonical_center(u: Rational, k: int, p: int) -> int:
-    """Least positive residue of a unit rational mod p^k."""
-    frac = Fraction(u)
-    if frac.numerator % p == 0 or frac.denominator % p == 0:
-        raise ValueError("center must be a p-adic unit")
-    mod = p**k
-    return frac.numerator * pow(frac.denominator, -1, mod) % mod
-
-
 def c_p_const(p: int) -> Fraction:
     """Normalizing constant p (1 - 1/p)^2 / (1 - 1/p^2) = p (p - 1) / (p + 1)."""
     return Fraction(p * (p - 1), p + 1)
@@ -197,10 +188,52 @@ def coupling_weight(p: int, m: int, u: int) -> int:
     return p ** (m - u) + p**u
 
 
+@lru_cache(maxsize=None)
 def coupling_total(p: int, m: int) -> int:
     """w_1 + ... + w_(m-1) = 2 (p^m - p) / (p - 1): one shell's couplings to
     all the others, summed in closed form."""
     return 2 * (p**m - p) // (p - 1)
+
+
+@lru_cache(maxsize=None)
+def _kernel_by_valuations(p: int, m: int, vx: int, vz: int, vdiff: int) -> Fraction:
+    """Kernel value as a function of the three valuations.
+
+    Evaluates both the norm form |x||z|/|x-z|^2 + (|x/z| + |z/x|)/(q - 1)
+    and its case form (equal shells: same singular term plus 2/(q - 1);
+    different shells: (p^(m-u) + p^u)/(q - 1) with u the shell distance)
+    and insists they agree.  The correlator passes the base p^d: at an
+    integer dimension d its two-point function is this kernel.
+    """
+    q1 = p**m - 1
+    base = Fraction(p)
+    norm_form = base ** (2 * vdiff - vx - vz) + (base ** (vz - vx) + base ** (vx - vz)) / q1
+    u = abs(vz - vx)
+    if u == 0:
+        case_form = base ** (2 * (vdiff - vx)) + Fraction(2, q1)
+    else:
+        if not 0 < u < m:
+            raise ValueError("shell distance must lie strictly between 0 and m")
+        case_form = Fraction(coupling_weight(p, m, u), q1)
+    if norm_form != case_form:
+        raise ArithmeticError(
+            f"kernel forms disagree at p={p}, m={m}, valuations ({vx}, {vz}, {vdiff})"
+        )
+    return norm_form
+
+
+def _pair_valuations(x1: TatePoint, x2: TatePoint) -> tuple[int, int, int]:
+    """(v(x1), v(x2), v(x1 - x2)) of two distinct points of one curve."""
+    if x1.ctx != x2.ctx:
+        raise ValueError("mixed prime contexts")
+    if x1.value == x2.value:
+        raise ValueError("coincident points")
+    return x1.v, x2.v, valuation(x1.value - x2.value, x1.ctx.p)
+
+
+def kernel_H(z: TatePoint, x: TatePoint) -> Fraction:
+    """Symmetric interaction kernel between two distinct domain points."""
+    return _kernel_by_valuations(x.ctx.p, x.ctx.m, *_pair_valuations(x, z))
 
 
 class TatePoint(Record):

@@ -42,7 +42,7 @@ def skew_coupling(monkeypatch):
     from tateop import angular, operator, padic, spectral
 
     caches = (
-        operator._kernel_by_valuations,
+        padic._kernel_by_valuations,
         angular.angular_circulant_check,
         spectral._float_couplings,
     )
@@ -58,7 +58,8 @@ def skew_coupling(monkeypatch):
 
         for module in (angular, padic, spectral):
             monkeypatch.setattr(module, "coupling_weights", weights)
-        monkeypatch.setattr(operator, "coupling_weight", weight)
+        for module in (operator, padic):
+            monkeypatch.setattr(module, "coupling_weight", weight)
         for cache in caches:
             cache.cache_clear()
 

@@ -21,16 +21,16 @@ import math
 from fractions import Fraction
 
 from tateop.determinant import det_factors
-from tateop.domain import Ball
+from tateop.domain import Ball, canonical_center
 from tateop.matrix import OperatorMatrix, level_basis
-from tateop.operator import _pair_valuations, integrate_H_over_ball
+from tateop.operator import integrate_H_over_ball
 from tateop.padic import (
     PrimeParams,
     Rational,
     Record,
     TatePoint,
+    _pair_valuations,
     c_p_const,
-    canonical_center,
     format_rational,
     local_height,
     parse_rational,

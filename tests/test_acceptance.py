@@ -23,8 +23,8 @@ from tateop.determinant import (
 )
 from tateop.domain import PrimeParams
 from tateop.matrix import build_matrix, verify_matrix
-from tateop.operator import apply_D_height, height_check_points, kernel_H
-from tateop.padic import point, tate_div, tate_inv, valuation
+from tateop.operator import apply_D_height, height_check_points
+from tateop.padic import kernel_H, point, tate_div, tate_inv, valuation
 from tateop.spectral import (
     eigenvalue_angular,
     eigenvalue_angular_sum,

@@ -95,8 +95,8 @@ RAN_BY = {
     "greens": {"operator"},
     "spectrum": {"spectral", "angular"},
     "det": {"determinant", "angular"},
-    "matrix": {"domain", "operator", "spectral", "matrix", "angular"},
-    "correlator": {"operator", "correlator"},
+    "matrix": {"domain", "spectral", "matrix", "angular"},
+    "correlator": {"correlator"},
     "tree": {"tree"},
 }
 

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from tateop import correlator
 from tateop.correlator import height_coefficient, height_limit_check, two_point
-from tateop.operator import _kernel_by_valuations, _pair_valuations, kernel_H
-from tateop.padic import PrimeParams, point, valuation
+from tateop.padic import PrimeParams, _kernel_by_valuations, _pair_valuations, kernel_H, point, valuation
 
 from oracles import delta_from_mass, limit_finite_part, mass_from_delta, real_dimension_threshold
 from test_cli import run_cli

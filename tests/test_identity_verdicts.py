@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from tateop import angular, cli, operator, spectral
+from tateop import angular, cli, correlator, spectral
 from tateop.padic import PrimeParams
 
 
@@ -151,9 +151,9 @@ def test_a_zero_mode_read_as_1_fails_spectrum(monkeypatch):
 def test_kernel_match_is_exact(monkeypatch):
     # A relative change of 1e-13 moves the float kernel by many ulps.
     argv = ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "1"]
-    exact = operator.kernel_H
+    exact = correlator.kernel_H
     monkeypatch.setattr(
-        operator, "kernel_H", lambda z, x: exact(z, x) * (1 + Fraction(1, 10**13))
+        correlator, "kernel_H", lambda z, x: exact(z, x) * (1 + Fraction(1, 10**13))
     )
     code, out, _ = _cli(argv)
     doc = json.loads(out)

@@ -1,6 +1,8 @@
 """Each subcommand's checks live in the module that computes what they
 judge: `cli` states no tolerance and does no float comparison, and each
-tolerance constant is read only by the module that defines it."""
+tolerance constant is read only by the module that defines it.  The kernel
+H is in the shared `padic`, so only `greens`, through `cli`, loads
+`operator`."""
 
 import ast
 import re
@@ -62,3 +64,33 @@ def test_each_tolerance_is_read_only_where_it_is_defined():
         for name in owners
     }
     assert readers == {name: [module] for name, module in owners.items()}
+
+
+def _imports_operator(node):
+    """Whether a node is `from .operator import ...` or `from . import operator`."""
+    if not isinstance(node, ast.ImportFrom) or node.level != 1:
+        return False
+    return node.module == "operator" or node.module is None and "operator" in {
+        alias.name for alias in node.names
+    }
+
+
+def _names_operator(node):
+    """Whether a node is a call with the literal "operator" as an argument."""
+    return isinstance(node, ast.Call) and any(
+        isinstance(arg, ast.Constant) and arg.value == "operator" for arg in node.args
+    )
+
+
+def test_no_module_imports_operator_and_padic_alone_defines_the_kernel():
+    trees = _trees()
+    for test, expected in ((_imports_operator, []), (_names_operator, ["cli"])):
+        found = sorted({module for module, tree in trees.items() if any(map(test, ast.walk(tree)))})
+        assert found == expected, test.__name__
+    definers = [
+        module
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_kernel_by_valuations"
+    ]
+    assert definers == ["padic"]

@@ -166,12 +166,11 @@ def test_operator_matrix_compares_by_identity():
             setattr(mx, name, 0)
         with pytest.raises(AttributeError):
             delattr(mx, name)
-    # The float copy is built once per matrix and shared.
-    assert mx.float_entries is mx.float_entries
-    assert mx.float_entries is not twin.float_entries
+    # The float copy is built from the fields alone: a matrix keeps no other state.
+    assert not hasattr(mx, "__dict__")
     for clone in (copy.copy(mx), pickle.loads(pickle.dumps(mx))):
         assert clone != mx and repr(clone) == repr(mx)
-        assert clone.float_entries.tolist() == mx.float_entries.tolist()
+        assert clone.as_float().tolist() == mx.as_float().tolist()
 
 
 def test_cli_report_is_a_plain_mutable_class():
