@@ -46,11 +46,11 @@ def _lazy_module(name: str) -> types.ModuleType:
 
 
 # A subcommand runs only the modules it reads.  Every one is registered,
-# angular and domain too though only the others read them: a module that
-# imports one later then finds it in sys.modules, and no import sets a new
-# attribute on the package while a caller iterates over its attributes (as
-# bench/tracer.py does).  A lookup in sys.modules after `import tateop.cli`
-# finds each.
+# angular too though only other modules read it: a module that imports it
+# later then finds it in sys.modules, and no import sets a new attribute on
+# the package while a caller iterates over its attributes (as
+# bench/tracer.py does).  domain, which no subcommand runs, stays for the
+# tracer, which looks it up in sys.modules to wrap `canonical_center`.
 _lazy_module("angular")
 _lazy_module("domain")
 correlator = _lazy_module("correlator")
@@ -230,7 +230,7 @@ def cmd_matrix(args: argparse.Namespace, ctx: PrimeParams) -> Report:
 
         # Written before the verification, which costs far more than the build.
         _write("--dump", args.dump + ".csv", mx.to_csv())
-        manifest = json.dumps(_json_ready(mx.basis_manifest()), indent=2)
+        manifest = json.dumps(mx.basis_manifest(), indent=2)
         _write("--dump", args.dump + ".basis.json", manifest + "\n")
     eigenvalues, checks = matrix.verify_matrix(mx)
     passed = checks["passed"]

@@ -1,9 +1,10 @@
 """Balls of the domain and their Haar measure.
 
 The atoms are multiplicative unit cosets p^v (c + p^k Z_p) with c a unit mod
-p^k.  The level-k balls are the basis of the exact Galerkin matrix, and
-every ball integral against the multiplicative Haar measure d*x = dx/|x|
-is an exact rational.
+p^k, and every ball integral against the multiplicative Haar measure
+d*x = dx/|x| is an exact rational.  No subcommand runs this module: the
+matrix holds its basis as shells times unit residues, and the ball
+integrals here are what the tests and the benchmark's tracer read.
 """
 
 from __future__ import annotations
@@ -56,6 +57,3 @@ class Ball(Record):
         if x.v != self.v:
             return False
         return canonical_center(x.unit_part(), self.k, self.ctx.p) == self.center
-
-    def label(self) -> str:
-        return f"v{self.v}.k{self.k}.c{self.center}"

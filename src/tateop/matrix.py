@@ -2,11 +2,12 @@
 
 Entries are exact rationals; a float mirror is used only for the
 eigenvalues and the eigenvector residuals.  The basis is the full level-k
-partition, shells ascending and centers ascending within each shell, so
-every export is deterministic.  An entry depends only on the two shells
-and on how many base-p digits the two centers share, so the matrix is
-held as its few distinct exact values plus an integer array that says
-which value each entry takes.
+partition: the balls p^v (c + p^k Z_p), shells v ascending and within each
+shell the one tuple of n unit residues c mod p^k ascending, so every export
+is deterministic; each is labelled ``v{v}.k{k}.c{c}``.  An entry depends
+only on the two shells and on how many base-p digits the two residues
+share, so the matrix is held as its few distinct exact values plus an
+integer array that says which value each entry takes.
 
 The work grows with the distinct pieces of that structure, not with the
 rows and characters: the matrix is I_m (x) A + C (x) J_n, built from one
@@ -26,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .angular import eigenvalue_angular, root_table
-from .domain import Ball
 from .padic import PrimeParams, Record, _kernel_by_valuations, c_p_const, coupling_total, format_rational
 from .spectral import eigenvalue_radial_closed, enumerate_conductor, unit_group_order, unit_log
 
@@ -40,40 +40,30 @@ EIGENVALUE_TOLERANCE = 1e-8
 RESIDUAL_TOLERANCE = 1e-10
 
 
-def level_basis(ctx: PrimeParams, level: int) -> tuple[Ball, ...]:
-    """All level-k balls, shells ascending, then centers ascending: the
-    basis every matrix of this module is written in."""
-    return tuple(
-        Ball(ctx, v, level, c)
-        for v in range(ctx.m)
-        for c in range(1, ctx.p**level)
-        if c % ctx.p
-    )
-
-
 class OperatorMatrix(Record):
     """Exact matrix of the operator restricted to level-k steps: entry
     (i, j) is values[index[i, j]], and the values are pairwise distinct.
+    Basis element i is the ball of shell i // n and unit residue
+    units[i % n], n = len(units).
 
     Matrices compare by identity.
     """
 
-    __slots__ = ("ctx", "level", "basis", "values", "index")
-    _fields = ("ctx", "level", "basis", "values", "index")
+    __slots__ = _fields = ("ctx", "level", "units", "values", "index")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
     ctx: PrimeParams
     level: int
-    basis: tuple[Ball, ...]
+    units: tuple[int, ...]
     values: tuple[Fraction, ...]
     index: np.ndarray
 
-    def __init__(self, ctx, level, basis, values, index) -> None:
-        self._bind(ctx, level, basis, values, index)
+    def __init__(self, ctx, level, units, values, index) -> None:
+        self._bind(ctx, level, units, values, index)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return self.ctx.m * len(self.units)
 
     def as_float(self) -> np.ndarray:
         """Entry-wise float copy; each distinct value is converted once.
@@ -93,8 +83,13 @@ class OperatorMatrix(Record):
             floats = self.as_float()
         return [float(x) for x in np.linalg.eigvalsh(floats)]
 
+    def _basis(self) -> list[tuple[int, int, str]]:
+        """(v, c, label) of each basis ball, in the basis order."""
+        k = self.level
+        return [(v, c, f"v{v}.k{k}.c{c}") for v in range(self.ctx.m) for c in self.units]
+
     def to_csv(self) -> str:
-        labels = [b.label() for b in self.basis]
+        labels = [label for _, _, label in self._basis()]
         cells = [format_rational(x) for x in self.values]
         lines = ["basis," + ",".join(labels)]
         for label, row in zip(labels, self.index.tolist()):
@@ -108,13 +103,13 @@ class OperatorMatrix(Record):
             "level": self.level,
             "dimension": self.dimension,
             "basis": [
-                {"v": b.v, "k": b.k, "center": b.center, "label": b.label()}
-                for b in self.basis
+                {"v": v, "k": self.level, "center": c, "label": label}
+                for v, c, label in self._basis()
             ],
         }
 
 
-def _digit_agreement(units: list[int], p: int, level: int) -> np.ndarray:
+def _digit_agreement(units: tuple[int, ...], p: int, level: int) -> np.ndarray:
     """Number of low base-p digits, up to level, that each pair of unit
     residues mod p^level shares; off the diagonal this is v_p(c_j - c_i)."""
     import numpy as np
@@ -142,10 +137,10 @@ def build_matrix(level: int, ctx: PrimeParams) -> OperatorMatrix:
     p, m = ctx.p, ctx.m
     import numpy as np
 
-    basis = level_basis(ctx, level)
-    dim = len(basis)
-    n = dim // m
-    agree = _digit_agreement([b.center for b in basis[:n]], p, level)
+    units = tuple(c for c in range(1, p**level) if c % p)
+    n = len(units)
+    dim = m * n
+    agree = _digit_agreement(units, p, level)
     counts = np.bincount(agree.ravel(), minlength=level + 1).tolist()
     # Only a ball's own center shares all level digits with it.
     if counts[level] != n:
@@ -177,7 +172,7 @@ def build_matrix(level: int, ctx: PrimeParams) -> OperatorMatrix:
     blocks = index.reshape(m, n, m, n)
     blocks[...] = by_distance[(shells - shells[:, None]) % m][:, None, :, None]
     blocks[shells, :, shells, :] = same[agree]
-    return OperatorMatrix(ctx, level, basis, values, index)
+    return OperatorMatrix(ctx, level, units, values, index)
 
 
 def label_vectors(mx: OperatorMatrix, characters):
@@ -198,7 +193,7 @@ def label_vectors(mx: OperatorMatrix, characters):
     import numpy as np
 
     p, m = mx.ctx.p, mx.ctx.m
-    units = [b.center for b in mx.basis if b.v == 0]
+    units = mx.units
     shells = np.arange(m)[:, None]
     for n, chars in enumerate(characters):
         if not chars:

@@ -17,7 +17,6 @@ from .padic import (
     c_p_const,
     coupling_total,
     coupling_weight,
-    format_rational,
     valuation,
 )
 
@@ -138,7 +137,7 @@ def verify_greens(points: tuple[TatePoint, ...], max_vdist: int, expected: Fract
     values = {c: apply_D_height(p, m, *c) for c in dict.fromkeys(classes)}
     rows = []
     for x, c in zip(points, classes):
-        cells = (format_rational(x.value), *c, values[c], expected, values[c] == expected)
+        cells = (x.value, *c, values[c], expected, values[c] == expected)
         rows.append(dict(zip(("x", "v", "vdist", "Dh", "expected", "pass"), cells)))
     # The printed classes are every shell and v(x - 1) promised; at p = 2
     # every unit is 1 mod 2, so v(x - 1) starts at 1.

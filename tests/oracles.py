@@ -6,12 +6,12 @@ weak delta identity of the Green's function, the mass-dimension relation,
 the determinant's radial factor, the ``greens`` sample points drawn as
 filtered candidates), so the package's closed forms have
 something independent to agree with.  General partitions of the domain
-into balls, and the character values at a single point, live here too.
-The angular characters, which the package reads only as an index l, are
-records here.  Importing this module also gives the package's classes the
-methods only the tests read: ``OperatorMatrix.entries`` and ``apply``,
-``Ball.children``, ``TatePoint.norm``, and ``UnitCharacter.exponent`` and
-``value``.
+into balls, the level-k basis as balls, and the character values at a
+single point, live here too.  The angular characters, which the package
+reads only as an index l, are records here.  Importing this module also
+gives the package's classes the methods only the tests read:
+``OperatorMatrix.basis``, ``entries`` and ``apply``, ``Ball.children`` and
+``label``, ``TatePoint.norm``, and ``UnitCharacter.exponent`` and ``value``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from tateop.determinant import det_factors
 from tateop.domain import Ball, canonical_center
-from tateop.matrix import OperatorMatrix, level_basis
+from tateop.matrix import OperatorMatrix
 from tateop.operator import integrate_H_over_ball
 from tateop.padic import (
     PrimeParams,
@@ -87,6 +87,16 @@ def root_of_unity(turns: Fraction):
     if den == 4:
         return 1j if r.numerator == 1 else -1j
     return cmath.exp(2j * cmath.pi * float(r))
+
+
+def level_basis(ctx: PrimeParams, level: int) -> tuple[Ball, ...]:
+    """All level-k balls, shells ascending, then centers ascending."""
+    return tuple(
+        Ball(ctx, v, level, c)
+        for v in range(ctx.m)
+        for c in range(1, ctx.p**level)
+        if c % ctx.p
+    )
 
 
 class ShellPartition(Record):
@@ -494,7 +504,15 @@ def galerkin_consistency_check(mx: OperatorMatrix, f: StepFunction) -> bool:
 
 
 class _DenseOperatorMatrix:
-    """The dense exact matrix and product, set on OperatorMatrix below."""
+    """The basis balls, the dense exact matrix and product, set on
+    OperatorMatrix below."""
+
+    @property
+    def basis(self) -> tuple[Ball, ...]:
+        """The basis balls, built from the shells and the unit residues."""
+        return tuple(
+            Ball(self.ctx, v, self.level, c) for v in range(self.ctx.m) for c in self.units
+        )
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -512,7 +530,7 @@ class _DenseOperatorMatrix:
 
 
 class _Ball:
-    """The children of a ball, set on Ball below."""
+    """The children and the label of a ball, set on Ball below."""
 
     def children(self) -> tuple[Ball, ...]:
         pk = self.ctx.p**self.k
@@ -520,6 +538,9 @@ class _Ball:
             Ball(self.ctx, self.v, self.k + 1, self.center + t * pk)
             for t in range(self.ctx.p)
         )
+
+    def label(self) -> str:
+        return f"v{self.v}.k{self.k}.c{self.center}"
 
 
 class _TatePoint:
@@ -543,9 +564,11 @@ class _UnitCharacter:
         return root_of_unity(self.exponent(u))
 
 
+OperatorMatrix.basis = _DenseOperatorMatrix.basis
 OperatorMatrix.entries = _DenseOperatorMatrix.entries
 OperatorMatrix.apply = _DenseOperatorMatrix.apply
 Ball.children = _Ball.children
+Ball.label = _Ball.label
 TatePoint.norm = _TatePoint.norm
 UnitCharacter.exponent = _UnitCharacter.exponent
 UnitCharacter.value = _UnitCharacter.value

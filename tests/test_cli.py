@@ -95,7 +95,7 @@ RAN_BY = {
     "greens": {"operator"},
     "spectrum": {"spectral", "angular"},
     "det": {"determinant", "angular"},
-    "matrix": {"domain", "spectral", "matrix", "angular"},
+    "matrix": {"spectral", "matrix", "angular"},
     "correlator": {"correlator"},
     "tree": {"tree"},
 }

@@ -2,7 +2,8 @@
 judge: `cli` states no tolerance and does no float comparison, and each
 tolerance constant is read only by the module that defines it.  The kernel
 H is in the shared `padic`, so only `greens`, through `cli`, loads
-`operator`."""
+`operator`; the matrix basis is shells times unit residues, so no module
+imports `domain`."""
 
 import ast
 import re
@@ -66,27 +67,34 @@ def test_each_tolerance_is_read_only_where_it_is_defined():
     assert readers == {name: [module] for name, module in owners.items()}
 
 
-def _imports_operator(node):
-    """Whether a node is `from .operator import ...` or `from . import operator`."""
+def _imports(node, name):
+    """Whether a node is `from .name import ...` or `from . import name`."""
     if not isinstance(node, ast.ImportFrom) or node.level != 1:
         return False
-    return node.module == "operator" or node.module is None and "operator" in {
+    return node.module == name or node.module is None and name in {
         alias.name for alias in node.names
     }
 
 
-def _names_operator(node):
-    """Whether a node is a call with the literal "operator" as an argument."""
+def _names(node, name):
+    """Whether a node is a call with the literal name as an argument."""
     return isinstance(node, ast.Call) and any(
-        isinstance(arg, ast.Constant) and arg.value == "operator" for arg in node.args
+        isinstance(arg, ast.Constant) and arg.value == name for arg in node.args
     )
 
 
 def test_no_module_imports_operator_and_padic_alone_defines_the_kernel():
+    # Neither operator nor domain is imported; cli alone names each, to
+    # register it.
     trees = _trees()
-    for test, expected in ((_imports_operator, []), (_names_operator, ["cli"])):
-        found = sorted({module for module, tree in trees.items() if any(map(test, ast.walk(tree)))})
-        assert found == expected, test.__name__
+    for name in ("operator", "domain"):
+        for test, expected in ((_imports, []), (_names, ["cli"])):
+            found = sorted(
+                module
+                for module, tree in trees.items()
+                if any(test(node, name) for node in ast.walk(tree))
+            )
+            assert found == expected, (test.__name__, name)
     definers = [
         module
         for module, tree in trees.items()

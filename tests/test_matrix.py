@@ -260,7 +260,7 @@ def test_verify_reports_a_corrupted_entry():
     mx = build_matrix(2, PrimeParams(3, 2))
     index = mx.index.copy()
     index[0, 1] = index[0, 0]
-    _, rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, index))
+    _, rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.units, mx.values, index))
     assert "symmetry" in rep["failures"] and "row sums" in rep["failures"]
     assert rep["passed"] is False
 
@@ -269,7 +269,7 @@ def corrupt_symmetrically(mx, i, j):
     """mx with entries (i, j) and (j, i) moved to the next value slot."""
     index = mx.index.copy()
     index[i, j] = index[j, i] = (index[i, j] + 1) % len(mx.values)
-    return OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, index)
+    return OperatorMatrix(mx.ctx, mx.level, mx.units, mx.values, index)
 
 
 @pytest.mark.parametrize("p,m,level", ORACLE_CONFIGS)
@@ -358,7 +358,7 @@ def test_residual_bound_scales_with_the_largest_eigenvalue(monkeypatch):
             return a
 
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
-        _, rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, mx.index))
+        _, rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.units, mx.values, mx.index))
         assert 1e-10 < rep["eigenfunction_residual"]
         assert rep["failures"] == failures
 
@@ -381,6 +381,6 @@ def test_multiset_bound_scales_with_the_largest_eigenvalue(monkeypatch):
             return a
 
         monkeypatch.setattr(OperatorMatrix, "as_float", perturbed)
-        _, rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, mx.index))
+        _, rep = verify_matrix(OperatorMatrix(mx.ctx, mx.level, mx.units, mx.values, mx.index))
         assert 1e-8 < rep["multiset_deviation"]
         assert rep["failures"] == failures

@@ -3,7 +3,8 @@ somewhere outside its own definition: elsewhere in ``src/tateop``, or
 among the names ``bench/tracer.py`` wraps.  Every public method of a
 top-level class is read as an attribute in the same places, outside its
 own definition.  Code that only the tests reach lives in
-``tests/oracles.py``."""
+``tests/oracles.py``, whose methods on the package's classes add to them
+and replace nothing."""
 
 import ast
 import importlib.util
@@ -142,3 +143,43 @@ def test_every_public_definition_is_reached():
     assert sources
     assert unreached(sources, outside) == []
     assert unread_methods(sources, outside) == []
+
+
+def defined_in_body(cls: ast.ClassDef) -> set[str]:
+    """The names a class body defines: its methods, the names it assigns or
+    annotates, and the strings of its ``__slots__``."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            assigned = {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+            names |= assigned
+            if "__slots__" in assigned:
+                names.update(
+                    sub.value
+                    for sub in ast.walk(node.value)
+                    if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                )
+    return names
+
+
+def test_the_oracles_add_attributes_and_replace_none():
+    # Each top-level `Class.attr = ...` of tests/oracles.py names a class of
+    # the package and an attribute that its body does not define.
+    defined = {
+        node.name: defined_in_body(node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+    }
+    added = [
+        (target.value.id, target.attr)
+        for node in ast.parse((ROOT / "tests" / "oracles.py").read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+    ]
+    assert added
+    assert [(cls, attr) for cls, attr in added if attr in defined[cls]] == []

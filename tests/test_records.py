@@ -153,15 +153,15 @@ def test_every_record_writes_its_own_init():
 
 def test_operator_matrix_compares_by_identity():
     mx = build_matrix(1, C2)
-    twin = OperatorMatrix(mx.ctx, mx.level, mx.basis, mx.values, mx.index)
+    twin = OperatorMatrix(mx.ctx, mx.level, mx.units, mx.values, mx.index)
     assert mx == mx and mx != twin
     assert hash(mx) == object.__hash__(mx)
     assert repr(twin) == (
         "OperatorMatrix(ctx=PrimeParams(p=2, m=1),"
-        " level=1, basis=(Ball(ctx=PrimeParams(p=2, m=1), v=0, k=1, center=1),),"
+        " level=1, units=(1,),"
         " values=(Fraction(0, 1),), index=array([[0]], dtype=uint8))"
     )
-    for name in ("ctx", "level", "basis", "values", "index", "extra"):
+    for name in ("ctx", "level", "units", "values", "index", "extra"):
         with pytest.raises(AttributeError):
             setattr(mx, name, 0)
         with pytest.raises(AttributeError):
