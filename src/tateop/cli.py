@@ -6,11 +6,12 @@ basis/entry ordering inherited from the library.  Exit codes: 0 when all
 checks pass, 1 when a mathematical check fails, 2 for usage errors.
 The package modules past ``padic`` load lazily, so a subcommand compiles
 and runs only the modules it uses: that is most of a short call's time.
+For the same reason a well-formed command line is read by ``read_argv``,
+and argparse is imported only for help and for any other command line.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import math
 import re
@@ -84,17 +85,7 @@ TREE_NODE_CAP = 20000
 
 
 class UsageError(Exception):
-    """Invalid arguments that argparse alone cannot catch."""
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reads a token such as ``-1/2`` or ``-1e7`` after an option as its
-    value, as newer argparse does; older versions take only a plain
-    negative decimal so, and call any other ``-`` token an option."""
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+    """Invalid arguments that parsing alone cannot catch."""
 
 
 class Report:
@@ -171,7 +162,7 @@ def render(report: Report, fmt: str) -> str:
         for row in report.rows:
             writer.writerow([_cell(x) for x in row])
         return buf.getvalue()
-    # pretty, the one format left: argparse admits only these three.
+    # pretty, the one format left: the options admit only these three.
     table = [list(report.columns)] + [[_cell(x) for x in row] for row in report.rows]
     widths = [max(len(r[i]) for r in table) for i in range(len(report.columns))]
     lines = []
@@ -182,7 +173,7 @@ def render(report: Report, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_greens(args: argparse.Namespace, ctx: PrimeParams) -> Report:
+def cmd_greens(args, ctx: PrimeParams) -> Report:
     if args.expect is None:
         expected = -Fraction(ctx.p, ctx.m * (ctx.p - 1))
     else:
@@ -200,7 +191,7 @@ def cmd_greens(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     return Report(data, tuple(rows[0]), [tuple(row.values()) for row in rows])
 
 
-def cmd_spectrum(args: argparse.Namespace, ctx: PrimeParams) -> Report:
+def cmd_spectrum(args, ctx: PrimeParams) -> Report:
     entries = spectral.enumerate_spectrum(args.max_conductor, ctx)
     data = {
         "max_conductor": args.max_conductor,
@@ -211,7 +202,7 @@ def cmd_spectrum(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     return Report(data, ("kind", "index", "lambda", "mult"), rows)
 
 
-def cmd_det(args: argparse.Namespace, ctx: PrimeParams) -> Report:
+def cmd_det(args, ctx: PrimeParams) -> Report:
     det, angular, radial, zeta_prime = determinant.det_factors(ctx)
     body = {
         "det": det,
@@ -223,7 +214,7 @@ def cmd_det(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     return _quantity_report(body)
 
 
-def cmd_matrix(args: argparse.Namespace, ctx: PrimeParams) -> Report:
+def cmd_matrix(args, ctx: PrimeParams) -> Report:
     mx = matrix.build_matrix(args.level, ctx)
     if args.dump:
         import json
@@ -245,7 +236,7 @@ def cmd_matrix(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     return Report(data, ("check", "value"), rows + [("all_pass", passed)])
 
 
-def cmd_correlator(args: argparse.Namespace, ctx: PrimeParams) -> Report:
+def cmd_correlator(args, ctx: PrimeParams) -> Report:
     delta = args.delta
     try:
         x1 = point(parse_rational(args.x1), ctx)
@@ -273,11 +264,11 @@ def cmd_correlator(args: argparse.Namespace, ctx: PrimeParams) -> Report:
     return _quantity_report({"two_point": value, **checks}, x1=x1.value, x2=x2.value, delta=float(delta))
 
 
-def cmd_tree(args: argparse.Namespace, ctx: PrimeParams) -> Report:
+def cmd_tree(args, ctx: PrimeParams) -> Report:
     return Report({}, (), [], raw_text=tree.tree_quotient_dot(ctx.p, ctx.m, args.depth))
 
 
-def _check_caps(args: argparse.Namespace) -> None:
+def _check_caps(args) -> None:
     """Refuse a parameter out of its range: --p over its cap before its
     primality test, an option below its least value, and --m, the matrix
     dimension m (p-1) p^(level-1) and the tree's m p^depth nodes over their
@@ -334,58 +325,127 @@ HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, required=True, help="prime p")
-    common.add_argument("--m", type=int, required=True, help="period exponent m >= 1")
-    common.add_argument(
-        "--format",
-        choices=("json", "csv", "pretty"),
-        default="json",
-        help="output format (default json)",
-    )
-    common.add_argument("--out", default=None, help="write output to this path")
-    parser = _ArgumentParser(
+# Each subcommand's help and options, stated once for the reader and for
+# argparse.  An option is its flag, its type (a tuple: its string choices),
+# its default (... where it is required) and its help; every subcommand
+# takes the common options first.
+COMMON_OPTIONS = (
+    ("--p", int, ..., "prime p"),
+    ("--m", int, ..., "period exponent m >= 1"),
+    ("--format", ("json", "csv", "pretty"), "json", "output format (default json)"),
+    ("--out", str, None, "write output to this path"),
+)
+SUBCOMMANDS = {
+    "greens": (
+        "height identity sweep",
+        ("--max-vdist", int, 6, "largest v(x-1) sampled"),
+        ("--expect", str, None, "override the expected constant (rational a/b); mismatches exit 1"),
+    ),
+    "spectrum": ("eigenvalue table and checks", ("--max-conductor", int, ..., "largest radial level")),
+    "det": ("zeta-regularized determinant",),
+    "matrix": (
+        "exact level-k matrix checks",
+        ("--level", int, ..., "discretization level k >= 1"),
+        ("--dump", str, None, "write PREFIX.csv and PREFIX.basis.json"),
+    ),
+    "correlator": (
+        "two-point function and height limit",
+        ("--x1", str, ..., "first point (rational a/b)"),
+        ("--x2", str, ..., "second point (rational a/b)"),
+        ("--delta", float, 1.0, "scaling dimension (default 1)"),
+    ),
+    "tree": ("DOT export of the tree quotient", ("--depth", int, ..., "branch truncation depth")),
+}
+# A separate token after an option that starts with "-" is its value only
+# if it starts as a negative number does, such as -1/2, -1e7 or -.5.
+NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+def read_argv(argv) -> types.SimpleNamespace | None:
+    """The arguments argparse would give for a well-formed command line: a
+    subcommand's exact name, then distinct exact options, each as ``--flag
+    value`` or ``--flag=value`` (a separate value starting with ``-`` only
+    as a number does), every required one given and every value of its type
+    and among its choices.  None for any other, which argparse decides."""
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if not equals:
+            value = next(tokens, "-")
+            if value.startswith("-") and not NEGATIVE_NUMBER.match(value):
+                return None
+        if flag in given:
+            return None
+        given[flag] = value
+    args = {"command": argv[0]}
+    _, *options = SUBCOMMANDS[argv[0]]
+    for flag, kind, default, _ in (*COMMON_OPTIONS, *options):
+        if flag not in given:
+            if default is ...:
+                return None
+            value = default
+        elif isinstance(kind, tuple):
+            value = given.pop(flag)
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(given.pop(flag))
+            except ValueError:
+                return None
+        args[flag[2:].replace("-", "_")] = value
+    return None if given else types.SimpleNamespace(**args)
+
+
+def build_parser():
+    """argparse's parser of the same options.  It is built, and argparse
+    (which loads gettext and locale for its messages) imported, only for a
+    command line the reader declines: help, an abbreviation, a repeat,
+    ``--``, a stray token, a missing option or a bad value."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Reads a token such as ``-1/2`` or ``-1e7`` after an option as its
+        value, as newer argparse does; older versions take only a plain
+        negative decimal so, and call any other ``-`` token an option."""
+
+        def __init__(self, **kwargs) -> None:
+            super().__init__(**kwargs)
+            self._negative_number_matcher = NEGATIVE_NUMBER
+
+    parser = Parser(
         prog="tateop",
         description="Exact computations for the nonlocal boundary operator on the Tate curve domain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("greens", parents=[common], help="height identity sweep")
-    g.add_argument("--max-vdist", type=int, default=6, help="largest v(x-1) sampled")
-    g.add_argument(
-        "--expect",
-        default=None,
-        help="override the expected constant (rational a/b); mismatches exit 1",
-    )
-
-    s = sub.add_parser("spectrum", parents=[common], help="eigenvalue table and checks")
-    s.add_argument("--max-conductor", type=int, required=True, help="largest radial level")
-
-    sub.add_parser("det", parents=[common], help="zeta-regularized determinant")
-
-    x = sub.add_parser("matrix", parents=[common], help="exact level-k matrix checks")
-    x.add_argument("--level", type=int, required=True, help="discretization level k >= 1")
-    x.add_argument("--dump", default=None, help="write PREFIX.csv and PREFIX.basis.json")
-
-    c = sub.add_parser("correlator", parents=[common], help="two-point function and height limit")
-    c.add_argument("--x1", required=True, help="first point (rational a/b)")
-    c.add_argument("--x2", required=True, help="second point (rational a/b)")
-    c.add_argument("--delta", type=float, default=1.0, help="scaling dimension (default 1)")
-
-    t = sub.add_parser("tree", parents=[common], help="DOT export of the tree quotient")
-    t.add_argument("--depth", type=int, required=True, help="branch truncation depth")
-
+    for command, (summary, *options) in SUBCOMMANDS.items():
+        command_parser = sub.add_parser(command, help=summary)
+        for flag, kind, default, text in (*COMMON_OPTIONS, *options):
+            choices = kind if isinstance(kind, tuple) else None
+            required = default is ...
+            command_parser.add_argument(
+                flag,
+                type=None if choices else kind,
+                choices=choices,
+                required=required,
+                default=None if required else default,
+                help=text,
+            )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else 2
     # Caps, ranges and the prime context are decided here.  After parsing only
     # a UsageError exits 2: a ValueError or ArithmeticError is a failed check.
     try:

@@ -21,10 +21,9 @@ from tateop.determinant import (
     zeta_pi_value,
     zeta_prime_at_zero,
 )
-from tateop.domain import PrimeParams
 from tateop.matrix import build_matrix, verify_matrix
 from tateop.operator import apply_D_height, height_check_points
-from tateop.padic import kernel_H, point, tate_div, tate_inv, valuation
+from tateop.padic import PrimeParams, kernel_H, point, tate_div, tate_inv, valuation
 from tateop.spectral import (
     eigenvalue_angular,
     eigenvalue_angular_sum,

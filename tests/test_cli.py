@@ -1,10 +1,12 @@
 """Command-line surface: determinism, exit codes, formats, file outputs."""
 
 import argparse
-import io
 import contextlib
+import importlib.util
+import io
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -13,9 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tateop.cli import HANDLERS, UsageError, _check_caps, main
+from tateop.cli import HANDLERS, UsageError, _check_caps, build_parser, main, read_argv
 
 from test_matrix import corrupt_symmetrically
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def run_cli(argv):
@@ -50,7 +55,8 @@ def test_documented_commands_pass_and_are_deterministic(argv):
 
 
 # Imports the package and the CLI, runs main() on each argv given as JSON,
-# then prints whether numpy, dataclasses, inspect and typing were loaded.
+# then prints whether numpy, dataclasses, inspect, typing, argparse, gettext
+# and locale were loaded.
 STARTUP_PROBE = """
 import contextlib, io, json, sys
 import tateop, tateop.cli
@@ -58,11 +64,14 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         if tateop.cli.main(argv) != 0:
             raise SystemExit(f"{argv} did not pass")
-print(*(name in sys.modules for name in ("numpy", "dataclasses", "inspect", "typing")))
+names = ("numpy", "dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
+print(*(name in sys.modules for name in names))
 """
 
 
 def test_only_matrix_loads_numpy(run_python):
+    # argparse, and the gettext and locale its messages load, only for help
+    # and malformed command lines: a documented call loads none of them.
     others = [argv for argv in DOCUMENTED if argv[0] != "matrix"]
     matrix = [argv for argv in DOCUMENTED if argv[0] == "matrix"]
     assert len(others) == 7 and len(matrix) == 1
@@ -70,13 +79,15 @@ def test_only_matrix_loads_numpy(run_python):
     assert proc.returncode == 0, proc.stderr
     # A .pth file of site-packages may import typing before the package;
     # -S leaves site, and so those files, out.
-    assert proc.stdout.split()[:3] == [b"False", b"False", b"False"]
+    loaded = proc.stdout.split()
+    assert loaded[:3] + loaded[4:] == [b"False"] * 6
     proc = run_python("-S", "-c", STARTUP_PROBE, json.dumps(others))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [b"False", b"False", b"False", b"False"]
+    assert proc.stdout.split() == [b"False"] * 7
     proc = run_python("-c", STARTUP_PROBE, json.dumps(matrix))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[0] == b"True"
+    loaded = proc.stdout.split()
+    assert loaded[0] == b"True" and loaded[4:] == [b"False"] * 3
 
 
 # Runs main() on the argv given as JSON, then prints the package modules
@@ -438,6 +449,133 @@ def test_every_argv_exits_by_the_contract(argv):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("usage error: ", "usage: tateop"))
+
+
+def parsed_by_argparse(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# Tokens that a value, a flag or a stray token may become: negative numbers
+# and the dash-led tokens argparse reads as options, empty values, bare
+# dashes, an unknown flag and a stray word.
+ODD_TOKENS = ("-1/2", "-1e7", "-3", "-.5", "-x", "-h", "--help", "-", "--", "", "--bogus", "x")
+
+
+@st.composite
+def mutated_argv(draw):
+    """An argv of cli_argv() with one to three tokens changed: a flag cut to
+    a prefix, a flag joined to its value by "=", an option repeated, an odd
+    token put in or put in place of another, or a token dropped."""
+    argv = draw(cli_argv())
+    for _ in range(draw(st.integers(1, 3))):
+        flags = [i for i, token in enumerate(argv) if token.startswith("--") and len(token) > 3]
+        kind = draw(st.sampled_from(("cut", "join", "repeat", "insert", "replace", "drop")))
+        if kind in ("cut", "join", "repeat") and not flags:
+            continue
+        if kind == "cut":
+            i = draw(st.sampled_from(flags))
+            argv[i] = argv[i][: draw(st.integers(3, len(argv[i]) - 1))]
+        elif kind == "join":
+            i = draw(st.sampled_from(flags))
+            argv[i : i + 2] = ["=".join(argv[i : i + 2])]
+        elif kind == "repeat":
+            i = draw(st.sampled_from(flags))
+            argv += [argv[i], draw(st.sampled_from((*argv[i + 1 : i + 2], *ODD_TOKENS)))]
+        elif kind == "insert":
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ODD_TOKENS)))
+        elif argv:
+            i = draw(st.integers(0, len(argv) - 1))
+            if kind == "replace":
+                argv[i] = draw(st.sampled_from(ODD_TOKENS))
+            else:
+                del argv[i]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cli_argv())
+def test_the_reader_reads_every_argv_argparse_accepts_from_the_fuzzer(argv):
+    # Each option once, each by its exact flag: the reader decides these
+    # alone, and as argparse would.
+    read = read_argv(argv)
+    parsed = parsed_by_argparse(argv)
+    assert (read is None) == (parsed is None)
+    assert read is None or vars(read) == parsed
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(mutated_argv())
+def test_the_reader_gives_what_argparse_gives_or_declines(argv):
+    read = read_argv(argv)
+    assert read is None or vars(read) == parsed_by_argparse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", "--p=3", "--m=2", "--format=csv"],
+        ["greens", "--p", "3", "--m", "2", "--expect", "-3/4"],
+        ["greens", "--p", "3", "--m", "2", "--expect="],
+        ["greens", "--p", "3", "--m", "2", "--expect", ""],
+        ["correlator", "--p", "3", "--m", "2", "--x1", "-1/2", "--x2=-1e7", "--delta", "-.5"],
+        ["tree", "--p", "-3", "--m", "-1", "--depth", "-2"],
+    ],
+    ids=" ".join,
+)
+def test_the_reader_reads_both_spellings_and_negative_values(argv):
+    read = read_argv(argv)
+    assert read is not None and vars(read) == parsed_by_argparse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--p", "3", "greens", "--m", "2"],
+        ["greens", "--help"],
+        ["greens", "-h"],
+        ["greens", "--p", "3", "--m", "2", "--max", "4"],
+        ["greens", "--p", "3", "--m", "2", "--p", "5"],
+        ["greens", "--p", "3", "--m", "2", "--"],
+        ["greens", "--", "--p", "3", "--m", "2"],
+        ["greens", "--p", "3", "--m", "2", "stray"],
+        ["greens", "--p", "3"],
+        ["greens", "--p", "3", "--m", "2", "--expect", "-x"],
+        ["correlator", "--p", "3", "--m", "2", "--x1", "4", "--x2", "-", "--delta", "1"],
+        ["det", "--p", "1.5", "--m", "2"],
+        ["det", "--p", "3", "--m", "2", "--format", "xml"],
+    ],
+    ids=lambda argv: " ".join(argv) or "(empty)",
+)
+def test_the_reader_declines_what_argparse_decides(argv):
+    assert read_argv(argv) is None
+
+
+def _benchmark_argvs(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclass looks its module up in sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    return [
+        [*inv.argv, *(("--dump", inv.dump) if inv.dump else ())]
+        for name in workloads.CYCLES
+        for inv in workloads.plan(name, 0, 3)
+    ]
+
+
+def test_documented_and_benchmark_calls_take_the_reader(monkeypatch):
+    argvs = DOCUMENTED + _benchmark_argvs(monkeypatch)
+    assert len(argvs) > 100
+    for argv in argvs:
+        read = read_argv(argv)
+        assert read is not None, argv
+        assert vars(read) == parsed_by_argparse(argv), argv
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf"])

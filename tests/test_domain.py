@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tateop.domain import Ball, PrimeParams
+from tateop.domain import Ball
 from tateop.matrix import build_matrix
-from tateop.padic import local_height, point, tate_div, tate_inv, tate_mul
+from tateop.padic import PrimeParams, local_height, point, tate_div, tate_inv, tate_mul
 
 from oracles import HeightProfile, ShellPartition, StepFunction, geom_sum, total_volume
 

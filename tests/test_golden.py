@@ -12,6 +12,12 @@ The matrix digests cover float eigenvalues from LAPACK (the zero mode
 prints as a value near 1e-17), so they are tied to the numpy/BLAS build
 the digests were recorded with.  The json outputs are also checked from a
 fresh ``python -m tateop`` process.
+
+argparse's own texts are pinned too: the stdout of every ``--help`` and
+the stderr of malformed command lines, at 80 columns.  The CLI reads a
+well-formed command line itself and hands every other to argparse, so
+these are what that hand-over must keep.  They are tied to the Python
+(3.11) whose argparse wrote them.
 """
 
 import contextlib
@@ -112,6 +118,29 @@ ONE_THREAD_MATRIX_STDOUT_SHA256 = {
     "matrix --p 3 --m 2 --level 6": "88311ddddf962422b679a533b57fe30039ec086c255f1931a6156eb4c826bfb1",
 }
 
+HELP_STDOUT_SHA256 = {
+    "--help": "235f05a8ef2519bd5aab8357fcb230a0bed1a043c8a2cfcd361cca038c4800fe",
+    "greens --help": "07d49bd96e736a3256a4c80237a8dc0692e31a56735c2545c37e4d17a7ede95f",
+    "spectrum --help": "b575a7630cb2684bbc9a821cea89c0ce21c72726d95629f3b4e407788e789fd7",
+    "det --help": "12a80bb1d9aa77ad250f5990be3bb72095c82f7e644c098260e559f15fc92253",
+    "matrix --help": "6fc8125b6d300dd5b788655fbd9d6ab3263f9fe9dbc51413e5ed681cd0f145ac",
+    "correlator --help": "cfc69d54f6ef5d601ecb9350fa46028d645adc09ff474b56ee2b8544dcf95a86",
+    "tree --help": "1be0135f6b0e6b3f903ef5295d9021715253fa8f82cff6a2313afa225a2e7590",
+}
+
+USAGE_STDERR_SHA256 = {
+    "greens --p 3 --m 2 --bogus 1": "7cc3360deda9c80e137db216143d3cbd430d977801e20e49b7d1dda54b8c2a1a",
+    "greens --m 2": "6c76f6455eafb6709b14b123db2458cb72ddb847dca19d34be1872ea6c902a4c",
+    "det --p 1.5 --m 2": "2e6311f017d98fc35e31b939831b052e40e67ee2597210c585dc8d1c195e5156",
+    "det --p 3 --m 2 --format xml": "db2e8bcfd54e55b28a7e3dc9a21282fe8cdf8fde3ce9e290f906021774079963",
+    "correlator --p 3 --m 2 --x 4 --x2 1": "2fc683f56dde9eb7e1e12975247ff9f15a75d17b13d9cb9f2b15d89466a30c03",
+    "correlator --p 3 --m 2 --x1 4 --x2 1 --delta": "df638a19473573405b0df4d5a2bfd818ac4ce55d2940a9bf07f2c94d2ba7eed3",
+    # No subcommand at all, options before it, and an unknown one.
+    "": "1b94cd38018a9db8f38f3832cb7213ba9077c67ae6a0ed3873e527d7ca94bbf3",
+    "--p 3 --m 2": "a1df9e70e55a3e3e2b96db0d6358b541f8dc9fe7ee7054efe9a8f219709a7f5e",
+    "nope --p 3": "35348300f94ae2bca4e24fcc040575a8d4537f27104b79cbc0561104ca2a1458",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -179,3 +208,32 @@ def test_large_matrix_stdout_is_byte_identical_on_one_blas_thread(command, run_p
     proc = run_python("-m", "tateop", *command.split(), "--format", "json", env=one_thread)
     assert proc.returncode == 0, proc.stderr
     assert _sha256(proc.stdout) == ONE_THREAD_MATRIX_STDOUT_SHA256[command]
+
+
+def _run_at_80_columns(monkeypatch, command):
+    # argparse wraps its texts to the terminal width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command.split())
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(HELP_STDOUT_SHA256))
+def test_help_is_byte_identical(monkeypatch, command):
+    code, out, err = _run_at_80_columns(monkeypatch, command)
+    assert (code, err) == (0, "")
+    assert _sha256(out.encode()) == HELP_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(USAGE_STDERR_SHA256), ids=lambda c: c or "(empty)")
+def test_argparse_usage_errors_are_byte_identical(monkeypatch, command):
+    code, out, err = _run_at_80_columns(monkeypatch, command)
+    assert (code, out) == (2, "")
+    assert _sha256(err.encode()) == USAGE_STDERR_SHA256[command]
+
+
+def test_a_repeated_option_takes_its_last_value(monkeypatch):
+    code, out, err = _run_at_80_columns(monkeypatch, "det --p 3 --m 2 --format csv --format pretty")
+    assert (code, err) == (0, "")
+    assert _sha256(out.encode()) == STDOUT_SHA256[("det --p 3 --m 2", "pretty")]

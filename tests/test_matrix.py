@@ -8,10 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tateop import angular, matrix
-from tateop.domain import PrimeParams
 from tateop.matrix import OperatorMatrix, build_matrix, label_vectors, verify_matrix
 from tateop.operator import integrate_H_over_ball
-from tateop.padic import _kernel_by_valuations, c_p_const
+from tateop.padic import PrimeParams, _kernel_by_valuations, c_p_const
 from tateop.spectral import enumerate_conductor, enumerate_spectrum
 
 from oracles import (

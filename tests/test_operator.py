@@ -11,9 +11,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tateop import cli, operator
-from tateop.domain import Ball, PrimeParams
+from tateop.domain import Ball
 from tateop.operator import apply_D_height, height_check_points, integrate_H_over_ball
-from tateop.padic import c_p_const, kernel_H, local_height, point, tate_div, tate_inv, valuation
+from tateop.padic import (
+    PrimeParams,
+    c_p_const,
+    kernel_H,
+    local_height,
+    point,
+    tate_div,
+    tate_inv,
+    valuation,
+)
 
 from oracles import (
     HeightProfile,
